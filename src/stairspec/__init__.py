@@ -31,6 +31,7 @@ from .regions import (
     gamma3_region,
     parts_consistency_check,
     region_member,
+    region_states,
     taylor_member,
     taylor_region,
 )

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,10 +37,12 @@ from .oracle import (
 )
 from .params import ScanOverflowError, SimpleDiagramError, compute_params
 from .regions import (
+    CODE_STATES,
     RegionSpec,
     gamma2_region,
     gamma3_region,
     region_member,
+    region_states,
     taylor_region,
     wold_case,
 )
@@ -107,17 +109,16 @@ def _cmd_validate(args) -> int:
 def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
     rng = np.random.default_rng(seed)
     points = rng.random((samples, 2))
-    inside = 0
-    for mu_abs, lam_abs in points:
-        state = region_member(region, float(mu_abs), float(lam_abs), tol).state
-        if state is Membership.INSIDE:
-            inside += 1
+    codes = region_states(region, points[:, 0], points[:, 1], tol)
+    inside = int(np.count_nonzero(codes == Membership.INSIDE.rank))
     fraction = inside / samples
     std_error = math.sqrt(max(fraction * (1.0 - fraction), 0.0) / samples)
     return fraction, std_error
 
 
 def _cmd_report(args) -> int:
+    if args.mc_samples < 1:
+        raise SpecParseError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     profile = _load_profile(args.spec)
     structure = validate(profile)
     doc = {"input": profile_to_json(profile), "structure": structure.to_json()}
@@ -187,31 +188,21 @@ def _cmd_member(args) -> int:
     return EXIT_OK
 
 
-def _grid_rows(profile: DiagramProfile, resolution: int, tol: float, threads: int):
-    taylor, gamma2, gamma3 = _region_triple(profile)
+def _grid_rows(profile: DiagramProfile, resolution: int, tol: float):
+    """Rows (mu_abs, lambda_abs, taylor, gamma2, gamma3), |mu| outermost.
+
+    The regions are evaluated before the first row is produced, so a
+    rejected tolerance raises before the caller writes anything.
+    """
     ticks = [k / (resolution - 1) for k in range(resolution)]
-
-    def one_row(mu_abs: float):
-        rows = []
-        for lam_abs in ticks:
-            rows.append(
-                (
-                    mu_abs,
-                    lam_abs,
-                    region_member(taylor, mu_abs, lam_abs, tol).state.value,
-                    region_member(gamma2, mu_abs, lam_abs, tol).state.value,
-                    region_member(gamma3, mu_abs, lam_abs, tol).state.value,
-                )
-            )
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one_row, ticks))
-    else:
-        blocks = [one_row(mu_abs) for mu_abs in ticks]
-    for block in blocks:
-        yield from block
+    axis = np.array(ticks)
+    labels = np.array([state.value for state in CODE_STATES])
+    columns = [
+        labels[region_states(region, axis[:, None], axis[None, :], tol)].ravel().tolist()
+        for region in _region_triple(profile)
+    ]
+    grid = itertools.product(ticks, ticks)
+    return ((mu_abs, lam_abs, *states) for (mu_abs, lam_abs), *states in zip(grid, *columns))
 
 
 def _cmd_sample(args) -> int:
@@ -222,7 +213,7 @@ def _cmd_sample(args) -> int:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["mu_abs", "lambda_abs", "taylor", "gamma2", "gamma3"])
-            for row in _grid_rows(profile, args.resolution, args.tol, args.threads):
+            for row in _grid_rows(profile, args.resolution, args.tol):
                 writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", *row[2:]])
     except OSError as exc:
         raise SpecParseError(f"{args.out}: {exc}") from exc
@@ -237,30 +228,19 @@ def _cmd_raster(args) -> int:
     region = {"taylor": taylor, "gamma2": gamma2, "gamma3": gamma3}[args.set]
     width, height = args.width, args.height
     colors = {
-        Membership.INSIDE: bytes(COLOR_IN),
-        Membership.BOUNDARY: bytes(COLOR_BOUNDARY),
-        Membership.OUTSIDE: bytes(COLOR_OUT),
+        Membership.INSIDE: COLOR_IN,
+        Membership.BOUNDARY: COLOR_BOUNDARY,
+        Membership.OUTSIDE: COLOR_OUT,
     }
-
-    def one_row(py: int) -> bytes:
-        lam_abs = (height - 1 - py) / (height - 1)  # origin bottom-left
-        row = bytearray()
-        for px in range(width):
-            mu_abs = px / (width - 1)
-            state = region_member(region, mu_abs, lam_abs, args.tol).state
-            row += colors[state]
-        return bytes(row)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one_row, range(height)))
-    else:
-        rows = [one_row(py) for py in range(height)]
+    palette = np.array([colors[state] for state in CODE_STATES], dtype=np.uint8)
+    mu_abs = np.array([px / (width - 1) for px in range(width)])
+    lam_abs = np.array([(height - 1 - py) / (height - 1) for py in range(height)])  # origin bottom-left
+    codes = region_states(region, mu_abs[None, :], lam_abs[:, None], args.tol)
+    pixels = palette[codes].tobytes()
     try:
         with open(args.out, "wb") as handle:
             handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-            for row in rows:
-                handle.write(row)
+            handle.write(pixels)
     except OSError as exc:
         raise SpecParseError(f"{args.out}: {exc}") from exc
     return EXIT_OK
@@ -297,7 +277,12 @@ def _cmd_oracle_fringe(args) -> int:
     mu_abs = _parse_magnitude(args.mu, "mu")
     lam_abs = _parse_magnitude(args.lam, "lambda")
     spec = fringe_operator(profile, mu_abs)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise SpecParseError(
+            f"--sizes: expected comma-separated integers, got {args.sizes!r}"
+        ) from exc
     result = window_smin_scan(spec, lam_abs, sizes, j_scan=args.j_scan)
     _dump(
         {
@@ -360,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for Monte Carlo sampling (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid/raster rows (default 1)")
+                        help="accepted for compatibility and ignored")
 
     parser = argparse.ArgumentParser(
         prog="stairspec",

@@ -171,6 +171,12 @@ class BandMembership:
         return self.state is Membership.INSIDE
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a boundary tolerance that is not a positive finite number."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise BandDomainError(f"tolerance must be positive and finite: {tol}")
+
+
 def _check_magnitude(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise BandDomainError(f"{name} must lie in [0, 1]: {value}")
@@ -238,8 +244,7 @@ def band_member(
     """
     _check_magnitude("a", a)
     _check_magnitude("b", b)
-    if tol <= 0.0:
-        raise BandDomainError(f"tolerance must be positive: {tol}")
+    check_tolerance(tol)
     if q < p:
         raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
 

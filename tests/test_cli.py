@@ -1,9 +1,20 @@
 import csv
+import io
 import json
+import math
 
-from stairspec.cli import main
+import numpy as np
+import pytest
+
+from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, main
+from stairspec.diagram import profile_from_json, validate
+from stairspec.extnum import Membership
+from stairspec.params import compute_params
+from stairspec.regions import gamma2_region, gamma3_region, region_member, taylor_region
 
 from conftest import SPEC_DIR
+
+ALL_SPECS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -105,6 +116,12 @@ class TestReport:
         del doc_a["input"], doc_b["input"]
         assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_mc_samples_below_one_exits_2(self, capsys, samples):
+        code = main(["report", spec("half_lines_1_2"), "--mc-samples", samples])
+        assert code == 2
+        assert "--mc-samples must be >= 1" in capsys.readouterr().err
+
 
 class TestMember:
     def test_inside(self, capsys):
@@ -138,6 +155,16 @@ class TestMember:
             ["member", spec("half_lines_1_2"), "--mu", "1.5", "--lambda", "0.5"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("which", ["taylor", "gamma2", "gamma3"])
+    def test_bad_tolerance_exits_3(self, capsys, which, tol):
+        code = main(
+            ["member", spec("half_lines_1_2"), "--mu", "0.5", "--lambda", "0.6",
+             "--set", which, f"--tol={tol}"]
+        )
+        assert code == 3
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
 class TestSample:
@@ -217,6 +244,15 @@ class TestRaster:
                 else:
                     assert rgb != boundary, (px, py)
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_bad_tolerance_writes_nothing(self, capsys, tmp_path, tol):
+        out_path = tmp_path / "img.ppm"
+        assert main(
+            ["raster", spec("half_lines_1_2"), "--width", "16", "--height", "16",
+             "--set", "gamma2", f"--tol={tol}", "--out", str(out_path)]
+        ) == 3
+        assert not out_path.exists()
+
     def test_too_small_rejected(self):
         assert main(
             ["raster", spec("line_slope1"), "--width", "8", "--height", "16",
@@ -245,6 +281,14 @@ class TestFringeAndOracle:
         assert doc["verdict"] == "inside_ap_spectrum"
         assert doc["smin_by_size"][-1] < doc["smin_by_size"][0]
 
+    def test_oracle_fringe_bad_sizes_exits_2(self, capsys):
+        code = main(
+            ["oracle", "fringe", spec("half_lines_1_2"), "--mu", "0.5",
+             "--lambda", "0.5", "--sizes", "4,abc"]
+        )
+        assert code == 2
+        assert "--sizes" in capsys.readouterr().err
+
     def test_oracle_gamma2(self, capsys):
         code, out = run(
             capsys,
@@ -271,3 +315,80 @@ class TestFringeAndOracle:
         doc = json.loads(out)
         assert [entry["window"] for entry in doc["smin_ladder"]] == [6, 12, 24]
         assert all(entry["smin"] >= 0.1 for entry in doc["smin_ladder"])
+
+
+class TestArrayOutputsMatchScalar:
+    """sample, raster and report equal a plain loop over region_member, byte for byte."""
+
+    @staticmethod
+    def _regions(name: str) -> dict:
+        profile = profile_from_json(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+        structure, params = validate(profile), compute_params(profile)
+        return {
+            "taylor": taylor_region(params),
+            "gamma2": gamma2_region(params, structure),
+            "gamma3": gamma3_region(params, structure),
+        }
+
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_sample(self, capsys, tmp_path, name):
+        n = 13
+        out_path = tmp_path / "grid.csv"
+        assert main(["sample", spec(name), "--resolution", str(n), "--out", str(out_path)]) == 0
+        regions = self._regions(name)
+        ticks = [k / (n - 1) for k in range(n)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["mu_abs", "lambda_abs", "taylor", "gamma2", "gamma3"])
+        for a in ticks:
+            for b in ticks:
+                states = [region_member(regions[s], a, b).state.value
+                          for s in ("taylor", "gamma2", "gamma3")]
+                writer.writerow([f"{a:.12g}", f"{b:.12g}", *states])
+        assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("which", ["taylor", "gamma2", "gamma3"])
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_raster(self, capsys, tmp_path, name, which):
+        width, height = 23, 17
+        out_path = tmp_path / "img.ppm"
+        assert main(
+            ["raster", spec(name), "--width", str(width), "--height", str(height),
+             "--set", which, "--out", str(out_path)]
+        ) == 0
+        region = self._regions(name)[which]
+        colors = {
+            Membership.INSIDE: COLOR_IN,
+            Membership.BOUNDARY: COLOR_BOUNDARY,
+            Membership.OUTSIDE: COLOR_OUT,
+        }
+        expected = bytearray(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        for py in range(height):
+            for px in range(width):
+                state = region_member(
+                    region, px / (width - 1), (height - 1 - py) / (height - 1)
+                ).state
+                expected += bytes(colors[state])
+        assert out_path.read_bytes() == bytes(expected)
+
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_report(self, capsys, name):
+        samples, seed = 500, 3
+        code, out = run(capsys, "report", spec(name), "--mc-samples", str(samples),
+                        "--seed", str(seed))
+        assert code == 0
+        region = self._regions(name)["taylor"]
+        points = np.random.default_rng(seed).random((samples, 2))
+        inside = sum(
+            region_member(region, float(a), float(b)).state is Membership.INSIDE
+            for a, b in points
+        )
+        fraction = inside / samples
+        doc = json.loads(out)
+        doc["area_fraction"] = {
+            "estimate": fraction,
+            "std_error": math.sqrt(max(fraction * (1.0 - fraction), 0.0) / samples),
+            "samples": samples,
+            "seed": seed,
+        }
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

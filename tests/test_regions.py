@@ -4,16 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairspec.diagram import transpose, validate
-from stairspec.extnum import BandDomainError, ExtReal, Membership
+from stairspec.extnum import DEFAULT_TOL, BandDomainError, ExtReal, Membership, pow_ext
 from stairspec.params import compute_params
 from stairspec.regions import (
+    CODE_STATES,
+    RegionKind,
+    RegionSpec,
     WoldCase,
     gamma2_member,
+    gamma2_region,
     gamma3_member,
+    gamma3_region,
     modulus,
     parts_consistency_check,
+    region_member,
+    region_states,
     taylor_member,
     taylor_region,
     wold_case,
@@ -201,3 +210,124 @@ class TestPartsConsistency:
         report = parts_consistency_check(params, structure, samples)
         assert report.checked == 0 and report.skipped == 40
         assert report.ok
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["taylor", "gamma2", "gamma3"])
+    @pytest.mark.parametrize("profile", [line_profile(), wold_mixed_profile()],
+                             ids=["line", "wold_mixed"])
+    def test_rejected_by_both_evaluators(self, profile, kind, tol):
+        params, structure = _ps(profile)
+        region = {
+            "taylor": taylor_region(params),
+            "gamma2": gamma2_region(params, structure),
+            "gamma3": gamma3_region(params, structure),
+        }[kind]
+        with pytest.raises(BandDomainError):
+            region_member(region, 0.5, 0.6, tol)
+        with pytest.raises(BandDomainError):
+            region_states(region, np.array([0.5]), np.array([0.6]), tol)
+
+
+# ---------------------------------------------------------------------------
+# region_states against region_member, code for code
+# ---------------------------------------------------------------------------
+
+_exponents = st.one_of(
+    st.sampled_from([ExtReal(0), ExtReal(1), ExtReal(None)]),
+    st.fractions(min_value=0, max_value=6, max_denominator=8).map(ExtReal),
+)
+_pairs = st.one_of(st.tuples(_exponents, _exponents), _exponents.map(lambda e: (e, e)))
+_AXES = {  # Wold case -> (mu axis / t x D strip, lambda axis / D x t strip)
+    WoldCase.MIXED_MIXED: (True, True),
+    WoldCase.MIXED_W_SHIFT_Z: (True, False),
+    WoldCase.SHIFT_W_MIXED_Z: (False, True),
+    WoldCase.SHIFT_SHIFT: (False, False),
+}
+_GAMMA3_BANDS = {
+    WoldCase.MIXED_MIXED: 0,
+    WoldCase.MIXED_W_SHIFT_Z: 1,
+    WoldCase.SHIFT_W_MIXED_Z: 1,
+    WoldCase.SHIFT_SHIFT: 3,
+}
+
+
+@st.composite
+def _regions(draw) -> RegionSpec:
+    kind = draw(st.sampled_from(RegionKind))
+    if kind is RegionKind.TAYLOR:
+        return RegionSpec(kind, (tuple(sorted(draw(_pairs))),))
+    case = draw(st.sampled_from(WoldCase))
+    first, second = _AXES[case]
+    if kind is RegionKind.GAMMA2:
+        return RegionSpec(kind, (draw(_pairs),), include_mu_axis=first,
+                          include_lambda_axis=second, wold_case=case)
+    bands = tuple(draw(_pairs) for _ in range(_GAMMA3_BANDS[case]))
+    return RegionSpec(kind, bands, include_t_cross_d=first, include_d_cross_t=second,
+                      origin_included=draw(st.booleans()), wold_case=case)
+
+
+def _points(region: RegionSpec):
+    unit = st.floats(0.0, 1.0)
+    ends = st.sampled_from([0.0, 1.0])
+    exps = [e for pair in region.bands for e in pair] or [ExtReal(1)]
+    on_envelope = st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(exps)).map(
+        lambda ae: (ae[0], pow_ext(ae[0], ae[1]))
+    )
+    return st.one_of(
+        st.tuples(ends, unit),  # lambda axis and t x D edge
+        st.tuples(unit, ends),  # mu axis and D x t edge
+        st.tuples(ends, ends),  # corners
+        on_envelope,
+        st.tuples(unit, unit),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_region_states_matches_region_member(data):
+    region = data.draw(_regions())
+    points = data.draw(st.lists(_points(region), min_size=1, max_size=25))
+    tol = data.draw(st.sampled_from([DEFAULT_TOL, 1e-6, 0.05]))
+    a = np.array([x for x, _ in points])
+    b = np.array([y for _, y in points])
+
+    def scalar(x, y):
+        return region_member(region, float(x), float(y), tol).state.rank
+
+    codes = region_states(region, a, b, tol)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [scalar(x, y) for x, y in points]
+    grid = region_states(region, a[:, None], b[None, :], tol)
+    assert grid.tolist() == [[scalar(x, y) for y in b] for x in a]
+
+
+class TestRegionStates:
+    def test_codes_follow_membership_rank(self):
+        assert [state.rank for state in CODE_STATES] == [0, 1, 2]
+
+    def test_broadcast_shapes(self):
+        params, _ = _ps(half_lines_profile())
+        region = taylor_region(params)
+        assert region_states(region, 0.4, 0.5).shape == ()
+        assert region_states(region, 0.4, 0.5) == Membership.INSIDE.rank
+        ticks = np.linspace(0.0, 1.0, 7)
+        assert region_states(region, ticks[:, None], ticks[None, :4]).shape == (7, 4)
+
+    @pytest.mark.parametrize("b", [0.6, 0.4])
+    def test_slack_equal_to_tolerance_is_resolved(self, b):
+        # The collar is open: a slack of exactly +-tol is inside or outside.
+        region = RegionSpec(RegionKind.TAYLOR, ((ExtReal(0), ExtReal(1)),))
+        tol = abs(math.log(b) - math.log(0.5))
+        state = region_member(region, 0.5, b, tol).state
+        assert state is not Membership.BOUNDARY
+        assert region_states(region, 0.5, b, tol) == state.rank
+
+    @pytest.mark.parametrize("a,b", [(1.2, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan)])
+    def test_rejects_points_outside_square(self, a, b):
+        params, structure = _ps(wold_mixed_profile())
+        for region in (taylor_region(params), gamma2_region(params, structure),
+                       gamma3_region(params, structure)):
+            with pytest.raises(BandDomainError):
+                region_states(region, np.array([0.3, a]), np.array([0.3, b]))
