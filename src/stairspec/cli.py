@@ -4,7 +4,7 @@ Subcommands: validate | report | params | member | sample | raster | fringe |
 oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
 for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec, 3 valid spec
 but the requested computation is outside its numeric regime (simple diagram,
-|mu| out of range, scan through non-finite rows).
+|mu| out of range, scan through non-finite rows, border values beyond float64).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .diagram import (
+    BorderOverflowError,
     DiagramError,
     DiagramProfile,
     SpecParseError,
@@ -314,10 +315,10 @@ def _cmd_oracle_gamma2(args) -> int:
                 {"terms": n, "down_series": _finite_or_str(lo), "up_series": _finite_or_str(hi)}
                 for n, lo, hi in verdict.log10_partial_sums
             ],
-            "root_minus": verdict.root_minus,
-            "root_plus": verdict.root_plus,
-            "predicted_root_minus": verdict.predicted_root_minus,
-            "predicted_root_plus": verdict.predicted_root_plus,
+            "root_minus": _finite_or_str(verdict.root_minus),
+            "root_plus": _finite_or_str(verdict.root_plus),
+            "predicted_root_minus": _finite_or_str(verdict.predicted_root_minus),
+            "predicted_root_plus": _finite_or_str(verdict.predicted_root_plus),
         }
     )
     return EXIT_OK
@@ -429,6 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except (
+        BorderOverflowError,
         SimpleDiagramError,
         ScanOverflowError,
         MuOutOfRangeError,

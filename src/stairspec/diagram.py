@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -67,27 +67,38 @@ class SpecParseError(DiagramError):
     """A diagram spec document is malformed; the message carries the field path."""
 
 
+class BorderOverflowError(ValueError):
+    """A border value asked for as a float is beyond the float64 range."""
+
+
 class Side(Enum):
     MINUS = "minus"
     PLUS = "plus"
 
 
-def _round_half_up(frac: Fraction) -> int:
-    """floor(frac + 1/2), exactly."""
-    return (2 * frac.numerator + frac.denominator) // (2 * frac.denominator)
+# Tail arithmetic runs in int64 while every intermediate stays below this
+# bound and in exact Python ints (object arrays) beyond it.
+_INT64_GUARD = 2**62
+
+
+def _top(ts: np.ndarray) -> int:
+    return int(ts.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
 # Tails
+#
+# Every tail says whether its rows stay finite beyond the window.  A finite
+# tail has one evaluator, ``rises(ts, side)``: the exact rise of the border
+# sequence ``t`` steps beyond the window for each ``t >= 0`` in ``ts``, as an
+# int64 array or, past the magnitude guard, an object array of Python ints.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EmptyRowsTail:
     kind = "empty"
-
-    def rise_at(self, t: int, side: Side) -> int:
-        raise DiagramError("empty-rows tail has no finite values")
+    finite = False
 
     def has_drops(self) -> bool:
         return False
@@ -105,9 +116,7 @@ class EmptyRowsTail:
 @dataclass(frozen=True)
 class FullRowsTail:
     kind = "full"
-
-    def rise_at(self, t: int, side: Side) -> int:
-        raise DiagramError("full-rows tail has no finite values")
+    finite = False
 
     def has_drops(self) -> bool:
         return False
@@ -135,6 +144,7 @@ class PeriodicTail:
     period: int
     rise: int
     kind = "periodic"
+    finite = True
 
     def __post_init__(self):
         if self.period < 1:
@@ -142,16 +152,12 @@ class PeriodicTail:
         if self.rise < 0:
             raise DiagramError(f"periodic tail needs rise >= 0, got {self.rise}")
 
-    def rise_at(self, t: int, side: Side) -> int:
-        if side is Side.MINUS:
-            return -((-t * self.rise) // self.period)  # ceil
-        return (t * self.rise) // self.period  # floor
-
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        ts = ts.astype(np.int64)
+        exact = (_top(ts) + 1) * (self.rise + self.period) >= _INT64_GUARD
+        ts = np.asarray(ts).astype(object if exact else np.int64, copy=False)
         if side is Side.MINUS:
-            return -((-ts * self.rise) // self.period)
-        return (ts * self.rise) // self.period
+            return -((-ts * self.rise) // self.period)  # ceil
+        return (ts * self.rise) // self.period  # floor
 
     def slope(self) -> Fraction:
         return Fraction(self.rise, self.period)
@@ -170,6 +176,47 @@ class PeriodicTail:
         return s, s, s
 
 
+class _BlockTable:
+    """The blocks of a geometric tail as integers, grown on demand.
+
+    Block k covers the steps (starts[k], starts[k+1]].  Scaled by ``scale``
+    (twice the common denominator of the slopes), the exact cumulative target
+    at a step u of block k is ``targets[k] + slopes[k] * (u - starts[k])``.
+    The blocks whose values stay below the int64 guard are kept as int64
+    arrays; a question beyond them is answered from object arrays.
+    """
+
+    def __init__(self, slopes: tuple[Fraction, ...], ratio: int, base_len: int):
+        self.scale = 2 * math.lcm(*(s.denominator for s in slopes))
+        self._pattern = [int(s * self.scale) for s in slopes]
+        self._ratio, self._base_len = ratio, base_len
+        self.starts, self.targets, self.slopes = [0], [0], []
+        while self.starts[-1] + self.targets[-1] + self.scale < _INT64_GUARD:
+            self._grow()
+        n = len(self.slopes) - 1  # the last block built crosses the guard
+        self.int64 = tuple(
+            np.array(v, dtype=np.int64)
+            for v in (self.starts[: n + 1], self.targets[: n + 1], self.slopes[:n])
+        )
+
+    def _grow(self) -> None:
+        k = len(self.slopes)
+        length = self._base_len * self._ratio**k
+        slope = self._pattern[k % len(self._pattern)]
+        self.slopes.append(slope)
+        self.starts.append(self.starts[-1] + length)
+        self.targets.append(self.targets[-1] + slope * length)
+
+    def covering(self, step: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, targets, slopes) reaching both ``step`` and scaled ``target``."""
+        starts, targets, _ = self.int64
+        if len(starts) > 1 and step <= starts[-1] and target <= targets[-1]:
+            return self.int64
+        while self.starts[-1] < step or self.targets[-1] < target:
+            self._grow()
+        return tuple(np.array(v, dtype=object) for v in (self.starts, self.targets, self.slopes))
+
+
 @dataclass(frozen=True)
 class GeometricBlocksTail:
     """Blocks of length base_len * ratio**k cycling through rational slopes.
@@ -186,6 +233,7 @@ class GeometricBlocksTail:
     base_len: int
     t_shift: int = 0
     kind = "geometric"
+    finite = True
 
     def __post_init__(self):
         if not self.slopes:
@@ -203,58 +251,29 @@ class GeometricBlocksTail:
         if self.t_shift < 0:
             raise DiagramError(f"geometric tail needs t_shift >= 0, got {self.t_shift}")
 
-    def _block(self, k: int) -> tuple[int, Fraction, Fraction, int]:
-        """(start step, cumulative target at start, slope, length) of block k."""
-        return _gb_block(self.slopes, self.ratio, self.base_len, k)
+    @cached_property
+    def _table(self) -> _BlockTable:
+        return _BlockTable(self.slopes, self.ratio, self.base_len)
 
-    def cumulative(self, t: int) -> Fraction:
-        """Exact (unrounded) cumulative rise target after t absolute steps."""
-        if t <= 0:
-            return Fraction(0)
-        k = 0
-        while True:
-            start, target, slope, length = self._block(k)
-            if t <= start + length:
-                return target + slope * (t - start)
-            k += 1
+    def _rounded(self, ts: np.ndarray) -> np.ndarray:
+        """Half-up rounded cumulative target at absolute step t + t_shift, per t in ts."""
+        table = self._table
+        starts, targets, slopes = table.covering(_top(ts) + self.t_shift, 0)
+        out = np.asarray(ts).astype(starts.dtype, copy=False) + self.t_shift
+        k = np.searchsorted(starts[1:], out)
+        out -= starts[k]
+        out *= slopes[k]
+        out += targets[k] + table.scale // 2
+        out //= table.scale
+        return out
 
-    def rounded_cumulative(self, t: int) -> int:
-        return _round_half_up(self.cumulative(t)) if t > 0 else 0
-
-    def rise_at(self, t: int, side: Side) -> int:
-        if t <= 0:
-            return 0
-        if self.t_shift == 0:
-            return self.rounded_cumulative(t)
-        return self.rounded_cumulative(t + self.t_shift) - self.rounded_cumulative(
-            self.t_shift
-        )
+    @cached_property
+    def _base(self) -> int:
+        return int(self._rounded(np.zeros(1, dtype=np.int64))[0])
 
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        out = np.zeros(len(ts), dtype=np.int64)
-        if len(ts) == 0:
-            return out
-        positive = ts > 0
-        if not positive.any():
-            return out
-        tp = ts[positive].astype(np.int64) + self.t_shift
-        base = self.rounded_cumulative(self.t_shift)
-        res = np.empty(len(tp), dtype=np.int64)
-        t_max = int(tp.max())
-        k = 0
-        while True:
-            start, target, slope, length = self._block(k)
-            if start >= t_max:
-                break
-            in_block = (tp > start) & (tp <= start + length)
-            if in_block.any():
-                dt = tp[in_block] - start
-                a, b = target.numerator, target.denominator
-                p, q = slope.numerator, slope.denominator
-                # floor((a/b + p*dt/q) + 1/2), all in int64
-                res[in_block] = (2 * q * a + 2 * b * p * dt + q * b) // (2 * q * b)
-            k += 1
-        out[positive] = res - base
+        out = self._rounded(ts)
+        out -= self._base
         return out
 
     def shifted_by(self, extra: int) -> "GeometricBlocksTail":
@@ -291,21 +310,6 @@ class GeometricBlocksTail:
         )
 
 
-@lru_cache(maxsize=None)
-def _gb_block(
-    slopes: tuple[Fraction, ...], ratio: int, base_len: int, k: int
-) -> tuple[int, Fraction, Fraction, int]:
-    if k == 0:
-        return 0, Fraction(0), slopes[0], base_len
-    start, target, slope, length = _gb_block(slopes, ratio, base_len, k - 1)
-    return (
-        start + length,
-        target + slope * length,
-        slopes[k % len(slopes)],
-        length * ratio,
-    )
-
-
 class InversionMode(Enum):
     FLOOR_INVERSE = "floor_inverse"  # max{u : inner rise(u) <= t}; plus side
     CEIL_INVERSE = "ceil_inverse"  # min{u : inner rise(u) >= t}; minus side
@@ -326,6 +330,7 @@ class InvertedBlocksTail:
     mode: InversionMode
     base_t: int = 0
     kind = "inverted"
+    finite = True
 
     def __post_init__(self):
         if any(s <= 0 for s in self.inner.slopes):
@@ -335,50 +340,46 @@ class InvertedBlocksTail:
         if self.base_t < 0:
             raise DiagramError(f"base_t must be >= 0, got {self.base_t}")
 
-    # Solvers in absolute step coordinates of the unshifted inner cumulative.
-    def _first_v_with_cum_ge(self, bound: Fraction) -> int:
-        if bound <= 0:
-            return 0
-        k = 0
-        while True:
-            start, target, slope, length = self.inner._block(k)
-            end_target = target + slope * length
-            if end_target >= bound:
-                need = (bound - target) / slope
-                return start + max(math.ceil(need), 1)
-            k += 1
+    def _inverse(self, ts: np.ndarray) -> np.ndarray:
+        """Inverse of the inner staircase at rise y = t + base_t, per t in ts.
 
-    def _inv_rel(self, y: int) -> int:
-        """min{u >= 0 : inner.rise_at(u) >= y}."""
-        if y <= 0:
-            return 0
-        t0 = self.inner.t_shift
-        r0 = self.inner.rounded_cumulative(t0)
-        bound = Fraction(2 * (y + r0) - 1, 2)  # cumulative >= y + r0 - 1/2
-        return max(self._first_v_with_cum_ge(bound) - t0, 0)
-
-    def _z_rel(self, y: int) -> int:
-        """max{u >= 0 : inner.rise_at(u) <= y} for y >= 0."""
-        t0 = self.inner.t_shift
-        r0 = self.inner.rounded_cumulative(t0)
-        bound = Fraction(2 * (y + r0) + 1, 2)  # cumulative < y + r0 + 1/2
-        return self._first_v_with_cum_ge(bound) - 1 - t0
-
-    def rise_at(self, t: int, side: Side) -> int:
-        if t <= 0:
-            return 0
+        With ``v`` the first absolute step whose cumulative target reaches
+        ``y + r0 - 1/2`` (ceil mode: the inner rise reaches y) or
+        ``y + r0 + 1/2`` (floor mode: the inner rise passes y), where ``r0``
+        is the inner rise already taken at its ``t_shift``, the result is
+        ``max(v - t_shift, 0)`` (ceil) or ``v - t_shift`` (floor), which is
+        one more than max{u : inner rise(u) <= y}.  Solved per block in closed
+        form with integer ceil division.
+        """
+        inner = self.inner
+        table = inner._table
+        half = -1 if self.mode is InversionMode.CEIL_INVERSE else 1
+        offset = 2 * (self.base_t + inner._base) + half  # scaled bound: (2t + offset) * scale/2
+        top = (2 * _top(ts) + offset) * (table.scale // 2)
+        starts, targets, slopes = table.covering(0, top)
+        bounds = np.asarray(ts).astype(targets.dtype, copy=False) * 2
+        bounds += offset
+        bounds *= table.scale // 2
+        k = np.searchsorted(targets[1:], bounds)
+        out = targets[k] - bounds
+        out //= slopes[k]
+        out = starts[k] - out - inner.t_shift
         if self.mode is InversionMode.CEIL_INVERSE:
-            return self._inv_rel(t + self.base_t) - self._inv_rel(self.base_t)
-        return self._z_rel(t + self.base_t) - self._z_rel(self.base_t)
+            np.maximum(out, 0, out=out)
+        return out
+
+    @cached_property
+    def _base(self) -> int:
+        return int(self._inverse(np.zeros(1, dtype=np.int64))[0])
 
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        return np.array([self.rise_at(int(t), side) for t in ts], dtype=np.int64)
+        out = self._inverse(ts)
+        out -= self._base
+        return out
 
     def uninverted(self) -> GeometricBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
-        if self.mode is InversionMode.CEIL_INVERSE:
-            return self.inner.shifted_by(self._inv_rel(self.base_t))
-        return self.inner.shifted_by(self._z_rel(self.base_t) + 1)
+        return self.inner.shifted_by(self._base)
 
     def has_drops(self) -> bool:
         return True
@@ -430,6 +431,7 @@ class StructureReport:
     wold_z: WoldType
     j0: MValue
     j1: MValue
+    outer_nonempty: bool
 
     def to_json(self) -> dict:
         def _j(v: MValue):
@@ -507,13 +509,13 @@ def validate(profile: DiagramProfile) -> StructureReport:
     ):
         raise TailMismatch(f"unsupported plus tail: {profile.plus_tail!r}")
 
-    j0: MValue = profile.j_lo if isinstance(profile.minus_tail, EmptyRowsTail) else NEG_INF
-    j1: MValue = profile.j_hi if isinstance(profile.plus_tail, FullRowsTail) else POS_INF
+    minus, plus = profile.minus_tail, profile.plus_tail
+    j0: MValue = NEG_INF if minus.finite else profile.j_lo
+    j1: MValue = POS_INF if plus.finite else profile.j_hi
 
-    drop = _window_has_drop(profile)
-    tail_drops = profile.minus_tail.has_drops() or profile.plus_tail.has_drops()
-    inner_nonempty = drop or tail_drops or isinstance(profile.plus_tail, FullRowsTail)
-    outer_nonempty = drop or tail_drops or isinstance(profile.minus_tail, EmptyRowsTail)
+    drops = _window_has_drop(profile) or minus.has_drops() or plus.has_drops()
+    inner_nonempty = drops or not plus.finite
+    outer_nonempty = drops or not minus.finite
 
     if not inner_nonempty:
         defect = DefectClass.NON_NEGATIVE  # simple diagram
@@ -522,134 +524,96 @@ def validate(profile: DiagramProfile) -> StructureReport:
     else:
         defect = DefectClass.DIFFERENCE_OF_PROJECTIONS
 
-    wold_w = (
-        WoldType.MIXED_UNITARY_AND_SHIFT
-        if isinstance(profile.plus_tail, FullRowsTail)
-        else WoldType.PURE_SHIFT
-    )
+    wold_w = WoldType.PURE_SHIFT if plus.finite else WoldType.MIXED_UNITARY_AND_SHIFT
     wold_z = (
-        WoldType.MIXED_UNITARY_AND_SHIFT
-        if profile.minus_tail.is_rise_zero()
-        else WoldType.PURE_SHIFT
+        WoldType.MIXED_UNITARY_AND_SHIFT if minus.is_rise_zero() else WoldType.PURE_SHIFT
     )
-    return StructureReport(not inner_nonempty, defect, wold_w, wold_z, j0, j1)
+    return StructureReport(
+        not inner_nonempty, defect, wold_w, wold_z, j0, j1, outer_nonempty
+    )
 
 
-def eval_M(profile: DiagramProfile, j: int) -> MValue:
-    """Border value M_j: window values verbatim, tails by their symbolic rule."""
-    if profile.j_lo <= j <= profile.j_hi:
-        return profile.window[j - profile.j_lo]
-    if j < profile.j_lo:
-        tail = profile.minus_tail
-        if isinstance(tail, EmptyRowsTail):
-            return POS_INF
-        return profile.window[0] + tail.rise_at(profile.j_lo - j, Side.MINUS)
-    tail = profile.plus_tail
-    if isinstance(tail, FullRowsTail):
-        return NEG_INF
-    return profile.window[-1] - tail.rise_at(j - profile.j_hi, Side.PLUS)
+def _beyond(profile: DiagramProfile, ts: np.ndarray, side: Side) -> np.ndarray:
+    """Exact border values ``ts`` steps beyond the window on ``side``.
 
-
-def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
-    """Vectorized M_j over j_from..j_to inclusive, as float64 (+-inf allowed)."""
-    if j_to < j_from:
-        return np.empty(0, dtype=np.float64)
-    js = np.arange(j_from, j_to + 1, dtype=np.int64)
-    out = np.empty(len(js), dtype=np.float64)
-
-    in_window = (js >= profile.j_lo) & (js <= profile.j_hi)
-    win = np.asarray(profile.window, dtype=np.float64)
-    out[in_window] = win[js[in_window] - profile.j_lo]
-
-    below = js < profile.j_lo
-    if below.any():
-        if isinstance(profile.minus_tail, EmptyRowsTail):
-            out[below] = POS_INF
-        else:
-            ts = profile.j_lo - js[below]
-            out[below] = profile.window[0] + profile.minus_tail.rises(ts, Side.MINUS)
-
-    above = js > profile.j_hi
-    if above.any():
-        if isinstance(profile.plus_tail, FullRowsTail):
-            out[above] = NEG_INF
-        else:
-            ts = js[above] - profile.j_hi
-            out[above] = profile.window[-1] - profile.plus_tail.rises(ts, Side.PLUS)
+    int64 or Python ints for a finite tail, +inf (empty rows) or -inf (full
+    rows) otherwise.
+    """
+    if side is Side.MINUS:
+        tail, edge, limit = profile.minus_tail, profile.window[0], POS_INF
+    else:
+        tail, edge, limit = profile.plus_tail, profile.window[-1], NEG_INF
+    if not tail.finite:
+        return np.full(len(ts), limit)
+    out = tail.rises(ts, side)
+    if abs(edge) >= _INT64_GUARD:
+        out = out.astype(object)
+    if side is Side.MINUS:
+        out += edge
+    else:
+        np.subtract(edge, out, out=out)
     return out
 
 
-def _minus_side_sup(profile: DiagramProfile) -> MValue:
-    """sup of M over all j (approached as j -> -inf)."""
-    if isinstance(profile.minus_tail, EmptyRowsTail):
-        return POS_INF
-    if profile.minus_tail.is_rise_zero():
-        return profile.window[0]
-    return POS_INF  # rising tail is unbounded
+def eval_M(profile: DiagramProfile, j: int) -> MValue:
+    """Border value M_j, exact: a Python int, or +-inf at the degenerate tails."""
+    if j < profile.j_lo:
+        value = _beyond(profile, np.array([profile.j_lo - j]), Side.MINUS)[0]
+    elif j > profile.j_hi:
+        value = _beyond(profile, np.array([j - profile.j_hi]), Side.PLUS)[0]
+    else:
+        return profile.window[j - profile.j_lo]
+    return float(value) if isinstance(value, float) else int(value)
 
 
-def _plus_side_inf(profile: DiagramProfile) -> MValue:
-    """inf of M over all j (approached as j -> +inf)."""
-    if isinstance(profile.plus_tail, FullRowsTail):
-        return NEG_INF
-    if profile.plus_tail.is_rise_zero():
-        return profile.window[-1]
-    return NEG_INF  # dropping tail is unbounded
+def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
+    """M_j over j_from..j_to inclusive, as float64 (+-inf allowed).
+
+    Raises :class:`BorderOverflowError` when a finite value is beyond the
+    float64 range.
+    """
+    out = np.empty(max(j_to - j_from + 1, 0), dtype=np.float64)
+    lo, hi = profile.j_lo, profile.j_hi
+    n_minus = min(max(lo - j_from, 0), len(out))  # indices below the window
+    n_plus = min(max(j_to - hi, 0), len(out))  # and above it
+    below = _beyond(profile, np.arange(lo - j_from, lo - j_from - n_minus, -1), Side.MINUS)
+    above = _beyond(profile, np.arange(j_to - hi - n_plus + 1, j_to - hi + 1), Side.PLUS)
+    inside = profile.window[max(j_from - lo, 0) : max(j_to - lo + 1, 0)]
+    try:
+        out[:n_minus] = below
+        out[n_minus : len(out) - n_plus] = inside
+        out[len(out) - n_plus :] = above
+    except OverflowError as exc:
+        raise BorderOverflowError(
+            f"a border value in [{j_from}, {j_to}] is beyond the float64 range"
+        ) from exc
+    return out
 
 
 def eval_N(profile: DiagramProfile, i: int) -> MValue:
     """Column border value N_i = inf{j : M_j <= i}.
 
     Returns -inf when every row reaches column i (a full column exists) and
-    +inf when no row does (an empty column).
+    +inf when no row does (an empty column).  Otherwise M is non-increasing
+    and crosses i: gallop out from the window to bracket the crossing, then
+    bisect.
     """
-    if _minus_side_sup(profile) <= i:
+    if profile.minus_tail.is_rise_zero() and profile.window[0] <= i:
         return NEG_INF
-    if _plus_side_inf(profile) > i:
+    if profile.plus_tail.is_rise_zero() and profile.window[-1] > i:
         return POS_INF
-
-    window = profile.window
-    if window[0] <= i:
-        # the first qualifying j sits at j_lo or in the minus tail
-        if isinstance(profile.minus_tail, EmptyRowsTail):
-            return profile.j_lo
-        tail = profile.minus_tail
-        target = i - window[0]  # need rise_at(t) <= target
-        lo, hi = 0, 1
-        while tail.rise_at(hi, Side.MINUS) <= target:
-            lo, hi = hi, hi * 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if tail.rise_at(mid, Side.MINUS) <= target:
-                lo = mid
-            else:
-                hi = mid
-        return profile.j_lo - lo
-    if window[-1] <= i:
-        # first qualifying j is inside the non-increasing window
-        lo, hi = 0, len(window) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if window[mid] <= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return profile.j_lo + lo
-    # first qualifying j is in the plus tail
-    if isinstance(profile.plus_tail, FullRowsTail):
-        return profile.j_hi + 1
-    tail = profile.plus_tail
-    target = window[-1] - i  # need rise_at(t) >= target, target >= 1 here
-    lo, hi = 0, 1
-    while tail.rise_at(hi, Side.PLUS) < target:
-        lo, hi = hi, hi * 2
+    lo, hi, step = profile.j_lo - 1, profile.j_hi + 1, 1  # M_lo > i >= M_hi
+    while eval_M(profile, lo) <= i:
+        lo, hi, step = lo - step, lo, 2 * step
+    while eval_M(profile, hi) > i:
+        lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail.rise_at(mid, Side.PLUS) < target:
-            lo = mid
-        else:
+        if eval_M(profile, mid) <= i:
             hi = mid
-    return profile.j_hi + hi
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +641,7 @@ def borders(profile: DiagramProfile, viewport: tuple[int, int, int, int]) -> Bor
     i_lo, i_hi, j_lo, j_hi = viewport
     if i_hi < i_lo or j_hi < j_lo:
         raise DiagramError(f"empty viewport: {viewport}")
-    validate(profile)
+    structure = validate(profile)
     vb, hb, inner, outer = [], [], [], []
     for j in range(j_lo, j_hi + 1):
         mj = eval_M(profile, j)
@@ -695,15 +659,13 @@ def borders(profile: DiagramProfile, viewport: tuple[int, int, int, int]) -> Bor
             if isinstance(mprev, int) and i_lo <= mprev <= i_hi:
                 inner.append((mprev, j))
 
-    drop = _window_has_drop(profile)
-    tail_drops = profile.minus_tail.has_drops() or profile.plus_tail.has_drops()
     return BorderReport(
         vb=tuple(vb),
         hb=tuple(hb),
         inner=tuple(inner),
         outer=tuple(outer),
-        outer_nonempty=drop or tail_drops or isinstance(profile.minus_tail, EmptyRowsTail),
-        inner_nonempty=drop or tail_drops or isinstance(profile.plus_tail, FullRowsTail),
+        outer_nonempty=structure.outer_nonempty,
+        inner_nonempty=not structure.is_simple,
     )
 
 
@@ -770,6 +732,14 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     slope (its inverse would need infinite-slope blocks).
     """
     validate(profile)
+    if (
+        profile.minus_tail.is_rise_zero()
+        and profile.plus_tail.is_rise_zero()
+        and not _window_has_drop(profile)
+    ):
+        raise UnsupportedTranspose(
+            "the diagram is a half-plane: every row of its transpose is empty or full"
+        )
     new_plus, top_adjust = _transpose_minus_tail(profile.minus_tail)
     new_minus, bot_adjust = _transpose_plus_tail(profile.plus_tail)
 

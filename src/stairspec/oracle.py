@@ -29,15 +29,13 @@ import scipy.sparse.linalg
 
 from .diagram import (
     DiagramProfile,
-    EmptyRowsTail,
-    FullRowsTail,
     NEG_INF,
     POS_INF,
     eval_M,
     m_values,
     validate,
 )
-from .extnum import DEFAULT_TOL
+from .extnum import DEFAULT_TOL, check_tolerance
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
@@ -174,8 +172,8 @@ def gamma2_series_test(
     margin 10*tol, and the exact root-test limits |lambda|^2/|mu|^(2 eta-)
     and |mu|^(2 eta+)/|lambda|^2 are reported alongside.
     """
-    validate(profile)
-    if isinstance(profile.minus_tail, EmptyRowsTail):
+    structure = validate(profile)
+    if structure.j0 != NEG_INF:
         raise ParameterRegimeError(
             "empty rows below: the witness cannot exist for lambda != 0"
         )
@@ -183,6 +181,7 @@ def gamma2_series_test(
         raise ValueError("need 0 < |mu| < 1 and 0 < |lambda| < 1")
     if n_terms < 8:
         raise ValueError("need n_terms >= 8")
+    check_tolerance(tol)
 
     log_mu = math.log(mu_abs)
     log_lam = math.log(lambda_abs)
@@ -191,10 +190,7 @@ def gamma2_series_test(
     js_minus = -np.arange(0, n_terms + 1, dtype=np.float64)
     log_terms_minus = -2.0 * m_minus * log_mu - 2.0 * js_minus * log_lam
 
-    if isinstance(profile.plus_tail, FullRowsTail):
-        plus_top = min(profile.j_hi, n_terms)
-    else:
-        plus_top = n_terms
+    plus_top = min(structure.j1, n_terms)  # the upward series is finite under full rows
     if plus_top >= 1:
         m_plus = m_values(profile, 1, plus_top)
         js_plus = np.arange(1, plus_top + 1, dtype=np.float64)
@@ -221,16 +217,19 @@ def gamma2_series_test(
         n *= 2
 
     tail = np.arange(n_terms // 2, n_terms + 1)
-    root_minus = float(np.exp(log_terms_minus[tail] / tail).max())
-    plus_is_finite_sum = isinstance(profile.plus_tail, FullRowsTail)
-    if plus_is_finite_sum or len(log_terms_plus) == 0:
-        root_plus = 0.0
-    else:
-        tail_plus = np.arange(n_terms // 2, plus_top + 1)
-        root_plus = float(np.exp(log_terms_plus[tail_plus - 1] / tail_plus).max())
+    with np.errstate(over="ignore"):  # a root beyond float64 is reported as inf
+        root_minus = float(np.exp(log_terms_minus[tail] / tail).max())
+        if structure.j1 != POS_INF or len(log_terms_plus) == 0:
+            root_plus = 0.0
+        else:
+            tail_plus = np.arange(n_terms // 2, plus_top + 1)
+            root_plus = float(np.exp(log_terms_plus[tail_plus - 1] / tail_plus).max())
 
     p = compute_params(profile)
-    predicted_minus = lambda_abs**2 * mu_abs ** (-2.0 * float(p.eta_minus))
+    try:
+        predicted_minus = lambda_abs**2 * mu_abs ** (-2.0 * float(p.eta_minus))
+    except OverflowError:
+        predicted_minus = math.inf  # the limit is beyond float64: the series diverges
     if p.eta_plus.is_infinite:
         predicted_plus = 0.0
     else:
@@ -302,7 +301,7 @@ def _stacked_smin(entries: list[tuple[tuple, int, float]], n_cols: int) -> float
         return float(scipy.linalg.svdvals(dense)[-1])
     gram = (matrix.T @ matrix).tocsc()
     w = scipy.sparse.linalg.eigsh(
-        gram, k=1, sigma=-1e-10, which="LM", return_eigenvectors=False
+        gram, k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), return_eigenvectors=False
     )
     return math.sqrt(max(float(w[0]), 0.0))
 

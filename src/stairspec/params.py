@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    DiagramProfile,
-    EmptyRowsTail,
-    FullRowsTail,
-    m_values,
-    validate,
-)
+from .diagram import DiagramProfile, m_values, validate
 from .extnum import ExtReal
 
 
@@ -118,17 +112,15 @@ def estimate_params_bruteforce(
     """
     if n_max < 2 or j_span < 0:
         raise ValueError("need n_max >= 2 and j_span >= 0")
-    if isinstance(profile.minus_tail, EmptyRowsTail):
+    if not profile.minus_tail.finite:
         raise ScanOverflowError("minus tail has empty rows inside the scan")
-    if isinstance(profile.plus_tail, FullRowsTail):
+    if not profile.plus_tail.finite:
         raise ScanOverflowError("plus tail has full rows inside the scan")
     if eta_cutoff is None:
         eta_cutoff = max(16, math.isqrt(n_max))
     eta_cutoff = min(eta_cutoff, n_max)
 
     values = m_values(profile, -(j_span + n_max), j_span + n_max)
-    if not np.isfinite(values).all():
-        raise ScanOverflowError("scan reached non-finite border values")
     offset = j_span + n_max  # values[offset + j] == M_j
 
     # minus side: (M_{j-n} - M_j)/n over j in [-j_span, j_span]

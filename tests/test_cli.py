@@ -260,6 +260,16 @@ class TestRaster:
         ) == 2
 
 
+def _periodic_minus_spec(tmp_path, rise: int) -> str:
+    path = tmp_path / "periodic_minus.json"
+    path.write_text(json.dumps({
+        "window": {"j_lo": 0, "values": [0]},
+        "minus_tail": {"kind": "periodic", "period": 1, "rise": rise},
+        "plus_tail": {"kind": "periodic", "period": 1, "rise": 1},
+    }))
+    return str(path)
+
+
 class TestFringeAndOracle:
     def test_fringe_json(self, capsys):
         code, out = run(capsys, "fringe", spec("half_lines_1_2"), "--mu", "0.5")
@@ -298,6 +308,35 @@ class TestFringeAndOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["classification"] == "converges"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_oracle_gamma2_bad_tolerance_exits_3(self, capsys, tol):
+        code = main(
+            ["oracle", "gamma2", spec("geometric_blocks_01"), "--mu", "0.5",
+             "--lambda", "0.574", "--terms", "256", f"--tol={tol}"]
+        )
+        assert code == 3
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    def test_oracle_gamma2_huge_eta_never_exits_1(self, capsys, tmp_path):
+        code, out = run(
+            capsys,
+            "oracle", "gamma2", _periodic_minus_spec(tmp_path, 5000),
+            "--mu", "0.5", "--lambda", "0.5",
+        )
+        assert code in (0, 3)
+        if code == 0:
+            doc = json.loads(out)
+            assert doc["classification"] == "diverges"
+            assert doc["predicted_root_minus"] == "inf"
+
+    @pytest.mark.parametrize("rise", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_oracle_fringe_huge_rise_never_exits_1(self, capsys, tmp_path, rise):
+        code = main(
+            ["oracle", "fringe", _periodic_minus_spec(tmp_path, rise),
+             "--mu", "0.5", "--lambda", "0.5"]
+        )
+        assert code in (0, 3)
 
     def test_oracle_gamma2_regime_error(self, capsys):
         assert main(

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,16 @@ from stairspec.diagram import (
     FULL_ROWS,
     NEG_INF,
     POS_INF,
+    BorderOverflowError,
     DefectClass,
     DegenerateAllEqualSlopes,
     DiagramProfile,
     GeometricBlocksTail,
+    InversionMode,
+    InvertedBlocksTail,
     MonotonicityViolation,
     PeriodicTail,
+    Side,
     SpecParseError,
     TailMismatch,
     UnsupportedTranspose,
@@ -130,6 +135,116 @@ class TestEvalM:
             vec = m_values(profile, -50, 50)
             pts = [eval_M(profile, j) for j in range(-50, 51)]
             assert [v for v in vec] == [float(p) for p in pts]
+
+
+# Rises and slopes around the int64 guard (2**62) and far beyond it.
+BIG = [2**50, 2**62 - 1, 2**62, 2**63, 10**20]
+
+
+def _reference_rise(tail, t: int, side: Side) -> int:
+    """Exact rise of a finite tail, straight from its definition."""
+    if isinstance(tail, PeriodicTail):
+        exact = Fraction(t * tail.rise, tail.period)
+        return math.ceil(exact) if side is Side.MINUS else math.floor(exact)
+    if isinstance(tail, InvertedBlocksTail):
+        ceil = tail.mode is InversionMode.CEIL_INVERSE
+
+        def inverse(y: int) -> int:
+            """min{u : inner rise(u) >= y} (ceil) or max{u : inner rise(u) <= y}."""
+            def passes(u: int) -> bool:
+                rise = _reference_rise(tail.inner, u, side)
+                return rise >= y if ceil else rise > y
+            lo, hi = 0, 1  # passes(hi); not passes(lo) unless lo == 0
+            while not passes(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+            if ceil:
+                return 0 if passes(0) else hi
+            return lo
+        return inverse(t + tail.base_t) - inverse(tail.base_t)
+
+    def rounded(u: int) -> int:
+        start, target, k, length = 0, Fraction(0), 0, tail.base_len
+        while u > start + length:
+            target += tail.slopes[k % len(tail.slopes)] * length
+            start, k, length = start + length, k + 1, length * tail.ratio
+        cumulative = target + tail.slopes[k % len(tail.slopes)] * (u - start)
+        return math.floor(cumulative + Fraction(1, 2))
+    return rounded(t + tail.t_shift) - rounded(tail.t_shift)
+
+
+@st.composite
+def _slopes(draw, positive: bool):
+    low = 1 if positive else 0
+    numerators = st.integers(low, 6) | st.sampled_from(BIG)
+    slopes = draw(st.lists(st.builds(Fraction, numerators, st.integers(1, 4)),
+                           min_size=2, max_size=3, unique=True))
+    return tuple(slopes)
+
+
+@st.composite
+def _finite_tails(draw, side: str):
+    kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
+    if kind == "periodic":
+        rise = draw(st.integers(0, 7) | st.sampled_from(BIG))
+        return PeriodicTail(draw(st.integers(1, 5) | st.just(3 * 2**61)), rise)
+    slopes = draw(_slopes(positive=kind == "inverted"))
+    inner = GeometricBlocksTail(slopes, draw(st.integers(2, 4)), draw(st.integers(1, 3)),
+                                draw(st.integers(0, 40)))
+    if kind == "geometric":
+        return inner
+    mode = InversionMode.CEIL_INVERSE if side == "minus" else InversionMode.FLOOR_INVERSE
+    return InvertedBlocksTail(inner, mode, draw(st.integers(0, 5)))
+
+
+@st.composite
+def _any_profiles(draw):
+    top = draw(st.integers(-3, 3) | st.sampled_from([2**62 - 2, -(2**62), 10**20]))
+    drops = draw(st.lists(st.integers(0, 3), max_size=3))
+    window = [top]
+    for d in drops:
+        window.append(window[-1] - d)
+    minus = draw(st.just(EMPTY_ROWS) | _finite_tails("minus"))
+    plus = draw(st.just(FULL_ROWS) | _finite_tails("plus"))
+    return DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
+
+
+class TestExactEvaluator:
+    @given(_any_profiles(), st.integers(-300, 300), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_m_values_is_eval_m_as_float(self, profile, j_from, length):
+        validate(profile)
+        values = m_values(profile, j_from, j_from + length)
+        exact = [eval_M(profile, j_from + k) for k in range(length + 1)]
+        for value, m in zip(values, exact):
+            assert type(m) is int or m in (POS_INF, NEG_INF)
+            assert value == float(m)
+        assert all(a >= b for a, b in zip(exact, exact[1:]))
+
+    @given(_any_profiles(), st.integers(1, 400) | st.sampled_from([2**40, 2**61, 2**70]))
+    @settings(max_examples=200, deadline=None)
+    def test_eval_m_matches_the_tail_definition(self, profile, t):
+        if profile.minus_tail.finite:
+            rise = _reference_rise(profile.minus_tail, t, Side.MINUS)
+            assert eval_M(profile, profile.j_lo - t) == profile.window[0] + rise
+        if profile.plus_tail.finite:
+            rise = _reference_rise(profile.plus_tail, t, Side.PLUS)
+            assert eval_M(profile, profile.j_hi + t) == profile.window[-1] - rise
+
+    def test_large_periodic_rise_does_not_wrap(self):
+        profile = DiagramProfile(0, (0,), PeriodicTail(1, 2**50), PeriodicTail(1, 1))
+        values = m_values(profile, -20_000, 0)
+        assert (values[:-1] >= values[1:]).all()
+        assert values.tolist() == [float(-j * 2**50) for j in range(-20_000, 1)]
+        assert eval_M(profile, -20_000) == 20_000 * 2**50
+
+    def test_value_beyond_float_range_is_refused(self):
+        profile = DiagramProfile(0, (0,), PeriodicTail(1, 10**400), PeriodicTail(1, 1))
+        assert eval_M(profile, -2) == 2 * 10**400
+        with pytest.raises(BorderOverflowError):
+            m_values(profile, -2, 0)
 
 
 class TestEvalN:
@@ -278,6 +393,11 @@ class TestTranspose:
     def test_zero_slope_blocks_rejected(self):
         with pytest.raises(UnsupportedTranspose):
             transpose(gb01_profile())
+
+    def test_half_plane_rejected_up_front(self):
+        half_plane = DiagramProfile(0, (0,), PeriodicTail(3, 0), PeriodicTail(2, 0))
+        with pytest.raises(UnsupportedTranspose, match="half-plane"):
+            transpose(half_plane)
 
 
 class TestSpecDocuments:

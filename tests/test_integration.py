@@ -20,6 +20,7 @@ from stairspec.diagram import (
     GeometricBlocksTail,
     InvertedBlocksTail,
     PeriodicTail,
+    UnsupportedTranspose,
     eval_M,
     eval_N,
     transpose,
@@ -93,6 +94,13 @@ def test_duality_on_random_transposable_profiles(profile):
     for tail in (profile.minus_tail, profile.plus_tail):
         if isinstance(tail, GeometricBlocksTail) and any(s == 0 for s in tail.slopes):
             return
+    flat = [isinstance(t, PeriodicTail) and t.rise == 0
+            for t in (profile.minus_tail, profile.plus_tail)]
+    if all(flat) and len(set(profile.window)) == 1:
+        # a half-plane: every row of its transpose is empty or full
+        with pytest.raises(UnsupportedTranspose, match="half-plane"):
+            transpose(profile)
+        return
     p = compute_params(profile) if not validate(profile).is_simple else None
     flipped = transpose(profile)
     for i in range(-25, 26):

@@ -16,6 +16,7 @@ from stairspec.oracle import (
     ParameterRegimeError,
     ScanVerdict,
     SeriesClass,
+    _window_points,
     gamma1_empty_check,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
@@ -186,6 +187,13 @@ class TestAdjointKernelWitness:
     def test_rejects_outside_bidisc(self):
         with pytest.raises(ValueError):
             joint_adjoint_kernel_smin(quarter_steps_profile(), 1.2, 0.5, (0, 10, 0, 10))
+
+    def test_sparse_path_is_reproducible(self):
+        profile, window = wold_mixed_profile(), (-20, 20, -20, 20)
+        assert len(_window_points(profile, window)[0]) > 500  # the eigsh branch
+        first = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
+        second = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
+        assert first.hex() == second.hex()
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stairspec.diagram import (
@@ -194,7 +195,7 @@ class TestGeometricBlockAverages:
         from stairspec.diagram import Side
 
         for k in range(12):
-            cum_end = tail.rise_at(start + length, Side.MINUS)
+            cum_end = int(tail.rises(np.array([start + length]), Side.MINUS)[0])
             average = (cum_end - cum_prev) / length
             assert abs(average - float(slopes[k % m])) <= 1.0 / length
             cum_prev = cum_end
