@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -210,11 +211,12 @@ def _cmd_sample(args) -> int:
     if args.resolution < 2:
         raise SpecParseError("--resolution must be >= 2")
     profile = _load_profile(args.spec)
+    rows = _grid_rows(profile, args.resolution, args.tol)
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["mu_abs", "lambda_abs", "taylor", "gamma2", "gamma3"])
-            for row in _grid_rows(profile, args.resolution, args.tol):
+            for row in rows:
                 writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", *row[2:]])
     except OSError as exc:
         raise SpecParseError(f"{args.out}: {exc}") from exc
@@ -339,7 +341,9 @@ def _cmd_oracle_t3(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="log-domain boundary tolerance (default 1e-12)")

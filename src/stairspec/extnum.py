@@ -87,6 +87,18 @@ class ExtReal:
     def __float__(self) -> float:
         return math.inf if self._frac is None else float(self._frac)
 
+    def as_float(self) -> float:
+        """The finite value as a float; BandDomainError for infinity or beyond float64."""
+        if self._frac is None:
+            raise BandDomainError("infinity has no finite float value")
+        try:
+            return float(self._frac)
+        except OverflowError as exc:
+            digits = math.log10(self._frac.numerator) - math.log10(self._frac.denominator)
+            raise BandDomainError(
+                f"exponent of about 1e{digits:.0f} is beyond the float64 range"
+            ) from exc
+
     @staticmethod
     def _coerce(other) -> "ExtReal | None":
         if isinstance(other, ExtReal):
@@ -141,7 +153,7 @@ def pow_ext(base: float, exponent: ExtReal) -> float:
         raise BandDomainError(f"base must lie in (0, 1]: {base}")
     if exponent.is_infinite:
         return 1.0 if base == 1.0 else 0.0
-    return base ** float(exponent.as_fraction())
+    return base ** exponent.as_float()
 
 
 class Membership(Enum):
@@ -195,7 +207,7 @@ def lower_slack(a: float, b: float, e: ExtReal) -> float:
         return math.inf
     if b == 0.0:
         return -math.inf  # a**e > 0 for a > 0, e < inf
-    return math.log(b) - float(e.as_fraction()) * math.log(a)
+    return math.log(b) - e.as_float() * math.log(a)
 
 
 def upper_slack(a: float, b: float, e: ExtReal) -> float:
@@ -212,7 +224,7 @@ def upper_slack(a: float, b: float, e: ExtReal) -> float:
         return math.inf if b == 0.0 else -math.inf  # 0**e = 0
     if b == 0.0:
         return math.inf
-    return float(e.as_fraction()) * math.log(a) - math.log(b)
+    return e.as_float() * math.log(a) - math.log(b)
 
 
 def _classify(min_slack: float, tol: float) -> Membership:

@@ -18,14 +18,13 @@ checks:
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .diagram import (
     DiagramProfile,
@@ -68,21 +67,102 @@ class WindowScanResult:
     verdict: ScanVerdict
 
 
-def _window_smin(spec: ShiftSpec, lambda_abs: float, start: int, n: int) -> float:
-    """Smallest singular value of the windowed dual operator lambda - OP.
+def _window_gram(
+    spec: ShiftSpec, lambda_abs: float, start: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the windowed dual operator lambda - OP, as (diag, off).
 
     OP maps e_j to |mu|**(M_{j-1}-M_j) e_{j-1}; restricted to coordinates
     [start, start+n) its image touches one extra row below, so the matrix is
-    (n+1) x n bidiagonal and the Gram matrix is symmetric tridiagonal, whose
-    smallest eigenvalue is computed directly.
+    (n+1) x n bidiagonal and its Gram matrix is symmetric tridiagonal.  The
+    window's smallest singular value is the square root of the smallest
+    eigenvalue of that tridiagonal, clipped at 0.
     """
     vals = m_values(spec.profile, start - 1, start + n - 1)
     drops = vals[:-1] - vals[1:]  # M_{j-1} - M_j for j = start .. start+n-1
     nu = np.power(spec.mu_abs, drops)
-    diag = lambda_abs**2 + nu**2
-    off = -lambda_abs * nu[1:]
-    w = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    return math.sqrt(max(float(w[0]), 0.0))
+    return lambda_abs**2 + nu**2, -lambda_abs * nu[1:]
+
+
+def _window_starts(j_min, j_max, n: int, j_scan: int, step: int) -> Iterator[int]:
+    """Distinct window starts of one scan size, ascending, generated lazily.
+
+    The candidates are range(-j_scan, j_scan + 1, step) and j_scan itself,
+    each clamped into [j_min, j_max - n + 1].  Clamping is monotone, so equal
+    starts are adjacent.  Grid points below the lower clamp all land on it,
+    so only the last of them is kept; those above the upper clamp land on it
+    as j_scan does, so none of them is kept.  The generator holds O(1) memory
+    and visits O(distinct starts) candidates whatever ``j_scan`` is.
+    """
+    lo = None if j_min == NEG_INF else int(j_min)
+    hi = None if j_max == POS_INF else int(j_max) - n + 1
+    grid = range(-j_scan, j_scan + 1, step)
+    if lo is not None:
+        grid = grid[max(-((grid.start - lo) // step) - 1, 0):]
+    if hi is not None:
+        grid = grid[: max((hi - grid.start) // step + 1, 0)]
+    last = None
+    for s in itertools.chain(grid, (j_scan,)):
+        if lo is not None:
+            s = max(s, lo)
+        if hi is not None:
+            s = min(s, hi)
+        if s != last:
+            yield s
+            last = s
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _min_window_eigenvalue(
+    spec: ShiftSpec, lambda_abs: float, n: int, starts: Iterator[int]
+) -> float:
+    """Smallest Gram eigenvalue over the windows of length ``n`` at ``starts``.
+
+    The result is bit-identical to solving every window, but a window costs
+    one exact solve (stebz, smallest eigenvalue by index) only when it can
+    still lower the running minimum ``best``.  A window is skipped when
+
+    * its tridiagonal is bit-for-bit the best window's (periodic tails repeat
+      windows exactly), so it would return ``best`` again;
+    * or a Sturm count finds no eigenvalue in (-1, best + margin].  stebz
+      returns the midpoint of a bracket narrower than
+      max(ulp * ||T||_1, 2 ulp * |w|, pivmin) whose upper end has a count of
+      at least one, so a solve returning less than ``best`` has that upper
+      end below best + margin, and Sturm counts are monotone.
+
+    Once ``best`` is at or below 0 the clipped smin is 0.0 and no window can
+    change it, so the scan of this size stops.
+    """
+    import scipy.linalg
+
+    best = math.inf
+    best_gram = None
+    for start in starts:
+        diag, off = _window_gram(spec, lambda_abs, start, n)
+        if best_gram is not None:
+            if np.array_equal(diag, best_gram[0]) and np.array_equal(off, best_gram[1]):
+                continue
+            norm = float(diag.max() + 2.0 * np.abs(off).max())  # >= ||T||_1
+            top = best + 4.0 * (_EPS * norm + _TINY)
+            # A tolerance as wide as the range ends the bisection at once:
+            # the call only counts the eigenvalues in (-1, top].
+            count = scipy.linalg.eigvalsh_tridiagonal(
+                diag, off, select="v", select_range=(-1.0, top),
+                tol=top + 2.0, lapack_driver="stebz",
+            ).size
+            if count == 0:
+                continue
+        w = float(
+            scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+        )
+        if w < best:
+            best, best_gram = w, (diag, off)
+            if best <= 0.0:
+                break
+    return best
 
 
 def window_smin_scan(
@@ -97,7 +177,8 @@ def window_smin_scan(
     """Minimum windowed smallest singular value per window size, with verdict.
 
     Window starts sweep [-j_scan, j_scan] (clamped into the shift's index
-    range) with the given stride, by default a quarter of the window size.
+    range) with the given stride, by default a quarter of the window size;
+    only the windows that can still lower a size's minimum are solved.
     Verdicts: inside when the ladder keeps halving and ends below ``tau_in``;
     outside when it ends at or above ``tau_out`` without significant decay;
     unresolved otherwise.
@@ -116,16 +197,9 @@ def window_smin_scan(
     minima = []
     for n in sizes:
         step = stride if stride is not None else max(1, n // 4)
-        starts = set(range(-j_scan, j_scan + 1, step))
-        starts.add(j_scan)
-        clamped = set()
-        for s in starts:
-            if spec.j_min != NEG_INF:
-                s = max(s, int(spec.j_min))
-            if spec.j_max != POS_INF:
-                s = min(s, int(spec.j_max) - n + 1)
-            clamped.add(s)
-        minima.append(min(_window_smin(spec, lambda_abs, s, n) for s in clamped))
+        starts = _window_starts(spec.j_min, spec.j_max, n, j_scan, step)
+        w = _min_window_eigenvalue(spec, lambda_abs, n, starts)
+        minima.append(math.sqrt(max(w, 0.0)))
 
     decays = all(b <= a / 2 for a, b in zip(minima, minima[1:]))
     flat = minima[-1] >= minima[0] / 2
@@ -286,6 +360,10 @@ def _in_diagram(row_minima: dict[int, float], i: int, j: int) -> bool:
 
 
 def _stacked_smin(entries: list[tuple[tuple, int, float]], n_cols: int) -> float:
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     rows: dict[tuple, int] = {}
     data, row_idx, col_idx = [], [], []
     for row_key, col, value in entries:

@@ -300,7 +300,7 @@ def _lower_slacks(cells: _Cells, e: ExtReal) -> np.ndarray:
     if e.is_infinite:
         return cells.full(math.inf)
     with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf on masked cells
-        slack = cells.log_b - float(e.as_fraction()) * cells.log_a
+        slack = cells.log_b - e.as_float() * cells.log_a
     slack = np.where(cells.b0, -math.inf, slack)
     return np.where(cells.a0, math.inf, slack)
 
@@ -313,7 +313,7 @@ def _upper_slacks(cells: _Cells, e: ExtReal) -> np.ndarray:
         # -log(b), which is +inf at b = 0; 0**0 is declared satisfied.
         return np.where(cells.a0, math.inf, -cells.log_b)
     with np.errstate(invalid="ignore"):  # inf - inf on masked cells
-        slack = float(e.as_fraction()) * cells.log_a - cells.log_b
+        slack = e.as_float() * cells.log_a - cells.log_b
     slack = np.where(cells.a0, -math.inf, slack)
     return np.where(cells.b0, math.inf, slack)
 

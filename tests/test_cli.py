@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, main
+from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, _build_parser, main
 from stairspec.diagram import profile_from_json, validate
 from stairspec.extnum import Membership
 from stairspec.params import compute_params
@@ -203,6 +207,14 @@ class TestSample:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_tolerance_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        assert main(
+            ["sample", spec("half_lines_1_2"), "--resolution", "5", "--tol=-1",
+             "--out", str(out_path)]
+        ) == 3
+        assert not out_path.exists()
+
     def test_threads_match_serial(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sample", spec("half_lines_1_2"), "--resolution", "17",
@@ -354,6 +366,82 @@ class TestFringeAndOracle:
         doc = json.loads(out)
         assert [entry["window"] for entry in doc["smin_ladder"]] == [6, 12, 24]
         assert all(entry["smin"] >= 0.1 for entry in doc["smin_ladder"])
+
+
+class TestSlopeBeyondFloat64:
+    """A slope beyond float64 is refused with exit 3 and a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--mc-samples", "100"],
+            ["member", "--mu", "0.5", "--lambda", "0.5"],
+            ["member", "--set", "gamma2", "--mu", "0.5", "--lambda", "0.5"],
+            ["member", "--set", "gamma3", "--mu", "0.5", "--lambda", "0.5"],
+            ["fringe", "--mu", "0.5"],
+            ["sample", "--resolution", "5"],
+        ],
+        ids=["report", "member-taylor", "member-gamma2", "member-gamma3", "fringe", "sample"],
+    )
+    def test_exits_3(self, capsys, tmp_path, argv):
+        path = _periodic_minus_spec(tmp_path, 10**400)
+        out_path = tmp_path / "grid.csv"
+        extra = ["--out", str(out_path)] if argv[0] == "sample" else []
+        assert main([argv[0], path, *argv[1:], *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric-regime error" in captured.err
+        assert "beyond the float64 range" in captured.err
+        assert not out_path.exists()
+
+
+class TestParserReuse:
+    """main reuses one parser; each call must answer as a fresh process would."""
+
+    CALLS = [
+        ["validate", spec("half_lines_1_2")],
+        ["member", spec("half_lines_1_2"), "--mu", "0.5", "--lambda", "0.6", "--set", "gamma2"],
+        ["oracle", "fringe", spec("line_slope1"), "--mu", "0.5", "--lambda", "0.5",
+         "--sizes", "8,16", "--j-scan", "4"],
+        ["member", spec("half_lines_1_2"), "--mu", "0.5"],  # argparse exits 2
+        ["params", spec("geometric_blocks_01")],
+        ["report", spec("line_slope2"), "--mc-samples", "50", "--seed", "4"],
+        ["member", spec("half_lines_1_2"), "--mu", "0.5", "--lambda", "0.6"],
+        ["oracle", "fringe", spec("line_slope1"), "--mu", "0.5", "--lambda", "0.5",
+         "--sizes", "8,16"],
+    ]
+
+    @staticmethod
+    def _answer(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_consecutive_calls_match_fresh_calls(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            _build_parser.cache_clear()
+            fresh.append(self._answer(capsys, argv))
+        _build_parser.cache_clear()
+        reused = [self._answer(capsys, argv) for argv in self.CALLS]
+        assert _build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert fresh[3][0] == ("exit", 2)
+        assert [code for code, _, _ in fresh if code != ("exit", 2)] == [0] * 7
+
+
+def test_import_leaves_scipy_unloaded():
+    import stairspec
+
+    env = {**os.environ, "PYTHONPATH": str(Path(stairspec.__file__).resolve().parents[1])}
+    code = "import sys, stairspec; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestArrayOutputsMatchScalar:
