@@ -95,6 +95,11 @@ class ParamEstimates:
     rho_plus: float
 
 
+# Border values per block of the eta scan: 512 KiB of float64, so a deep scan
+# holds a few small blocks at a time instead of arrays as long as n_max.
+_ETA_CHUNK = 1 << 16
+
+
 def estimate_params_bruteforce(
     profile: DiagramProfile, n_max: int, j_span: int, eta_cutoff: int | None = None
 ) -> ParamEstimates:
@@ -107,8 +112,9 @@ def estimate_params_bruteforce(
     max(16, sqrt(n_max))) discards transients so the estimate tracks the
     limit-superior rather than one-off early excursions.
 
-    Requires both tails finite over the scan; raises
-    :class:`ScanOverflowError` otherwise.
+    The border is read in blocks of at most ``_ETA_CHUNK`` values, so memory
+    stays O(j_span) whatever ``n_max`` is.  Requires both tails finite over
+    the scan; raises :class:`ScanOverflowError` otherwise.
     """
     if n_max < 2 or j_span < 0:
         raise ValueError("need n_max >= 2 and j_span >= 0")
@@ -120,19 +126,21 @@ def estimate_params_bruteforce(
         eta_cutoff = max(16, math.isqrt(n_max))
     eta_cutoff = min(eta_cutoff, n_max)
 
-    values = m_values(profile, -(j_span + n_max), j_span + n_max)
-    offset = j_span + n_max  # values[offset + j] == M_j
-
     # minus side: (M_{j-n} - M_j)/n over j in [-j_span, j_span]
-    j_idx = np.arange(-j_span, j_span + 1) + offset
-    minus_slopes = (values[j_idx - n_max] - values[j_idx]) / n_max
     # plus side: (M_j - M_{j+n})/n over the same window starts
-    plus_slopes = (values[j_idx] - values[j_idx + n_max]) / n_max
+    starts = m_values(profile, -j_span, j_span)
+    minus_slopes = (m_values(profile, -j_span - n_max, j_span - n_max) - starts) / n_max
+    plus_slopes = (starts - m_values(profile, n_max - j_span, n_max + j_span)) / n_max
 
-    ts = np.arange(eta_cutoff, n_max + 1)
-    m0 = values[offset]
-    eta_minus = float(((values[offset - ts] - m0) / ts).max())
-    eta_plus = float(((m0 - values[offset + ts]) / ts).max())
+    m0 = m_values(profile, 0, 0)[0]
+    minus_maxima, plus_maxima = [], []
+    for t_lo in range(eta_cutoff, n_max + 1, _ETA_CHUNK):
+        t_hi = min(t_lo + _ETA_CHUNK - 1, n_max)
+        ts = np.arange(t_lo, t_hi + 1)
+        minus_maxima.append(((m_values(profile, -t_hi, -t_lo)[::-1] - m0) / ts).max())
+        plus_maxima.append(((m0 - m_values(profile, t_lo, t_hi)) / ts).max())
+    eta_minus = float(np.max(minus_maxima))
+    eta_plus = float(np.max(plus_maxima))
 
     return ParamEstimates(
         delta_minus=float(minus_slopes.min()),

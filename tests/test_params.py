@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ from stairspec.diagram import (
     DiagramProfile,
     GeometricBlocksTail,
     PeriodicTail,
+    m_values,
     translate,
     transpose,
 )
+from stairspec import params
 from stairspec.extnum import EXT_INF, ExtReal, reciprocal
 from stairspec.params import (
     ScanOverflowError,
@@ -166,6 +169,31 @@ class TestEstimator:
             # running averages converge like 1/cutoff
             assert abs(est.eta_minus - float(exact.eta_minus)) <= 1e-2
             assert abs(est.eta_plus - float(exact.eta_plus)) <= 1e-2
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("n_max, j_span, eta_cutoff", [
+        (2, 0, None), (3, 1, 2), (200, 5, None), (257, 0, 17), (500, 3, 500),
+    ])
+    def test_blocked_scan_is_bit_identical(self, monkeypatch, chunk, n_max, j_span, eta_cutoff):
+        """The eta scan read in blocks gives the same bits as one whole-range array."""
+        monkeypatch.setattr(params, "_ETA_CHUNK", chunk)
+        for profile in (line_profile(3, 2), half_lines_profile(), gb01_profile(),
+                        transpose(_duality_suite()[8]),  # inverted tails on both sides
+                        DiagramProfile(-1, (5, 2), PeriodicTail(3, 2), PeriodicTail(2, 5))):
+            cut = max(16, math.isqrt(n_max)) if eta_cutoff is None else eta_cutoff
+            cut = min(cut, n_max)
+            values = m_values(profile, -(j_span + n_max), j_span + n_max)
+            mid = j_span + n_max  # values[mid + j] == M_j
+            j_idx = np.arange(-j_span, j_span + 1) + mid
+            minus = (values[j_idx - n_max] - values[j_idx]) / n_max
+            plus = (values[j_idx] - values[j_idx + n_max]) / n_max
+            ts = np.arange(cut, n_max + 1)
+            want = [minus.min(), plus.min(), ((values[mid - ts] - values[mid]) / ts).max(),
+                    ((values[mid] - values[mid + ts]) / ts).max(), minus.max(), plus.max()]
+            est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
+            got = [est.delta_minus, est.delta_plus, est.eta_minus, est.eta_plus,
+                   est.rho_minus, est.rho_plus]
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
     def test_scan_overflow(self):
         with pytest.raises(ScanOverflowError):
