@@ -22,17 +22,14 @@ from .diagram import (
     transpose,
     validate,
 )
-from .extnum import ExtReal, Membership, band_member, reciprocal
+from .extnum import ExtReal, Membership, band_member
 from .params import SpectralParams, compute_params, estimate_params_bruteforce
 from .regions import (
-    gamma2_member,
     gamma2_region,
-    gamma3_member,
     gamma3_region,
     parts_consistency_check,
     region_member,
     region_states,
-    taylor_member,
     taylor_region,
 )
 from .shifts import fringe_operator, ppi_census, ridge_bounds, sigma_ap_predict

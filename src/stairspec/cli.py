@@ -2,9 +2,10 @@
 
 Subcommands: validate | report | params | member | sample | raster | fringe |
 oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
-for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec, 3 valid spec
-but the requested computation is outside its numeric regime (simple diagram,
-|mu| out of range, scan through non-finite rows, border values beyond float64).
+for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec or probe sizes,
+3 valid spec but the requested computation is outside its numeric regime
+(simple diagram, a magnitude out of range or NaN, scan through non-finite rows,
+border values beyond float64).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .oracle import (
     DegenerateSpecError,
     EmptyWindowError,
     ParameterRegimeError,
+    ProbeSizeError,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
     window_smin_scan,
@@ -430,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecParseError, DiagramError) as exc:
+    except (SpecParseError, DiagramError, ProbeSizeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except (

@@ -461,6 +461,11 @@ class DiagramProfile:
     minus_tail: Tail
     plus_tail: Tail
 
+    @cached_property
+    def _structure(self) -> StructureReport:
+        # A raised DiagramError is not cached: every call re-checks and raises.
+        return _check_and_classify(self)
+
     @property
     def j_hi(self) -> int:
         return self.j_lo + len(self.window) - 1
@@ -479,8 +484,13 @@ def validate(profile: DiagramProfile) -> StructureReport:
     Raises a :class:`DiagramError` subclass on bad input.  On success reports
     simplicity, the defect-operator class, the Wold type of each isometry,
     and the first/last indices of finite border values (``+-inf`` when the
-    finite range is unbounded on that side).
+    finite range is unbounded on that side).  The report of a valid profile
+    is computed once and kept on the (immutable) profile.
     """
+    return profile._structure
+
+
+def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     if not profile.window:
         raise DiagramError("window must contain at least one value")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in profile.window):

@@ -7,6 +7,13 @@ reduce to the indeterminate forms ``0**0`` or ``1**inf`` are declared
 satisfied.  Membership is reported as a tri-state: points whose binding
 constraint holds only within a log-domain tolerance come back as boundary
 points rather than interior ones.
+
+One kernel evaluates these conventions: each is a mask over the log-domain
+band formula, combined with ``where``/``minimum``/``maximum``.  It runs at a
+single point on Python floats (``band_member``, ``envelope_pair_member`` and
+``regions.region_member``) or over whole numpy arrays
+(``regions.region_states``), with the same libm logs and the same float
+operations, so both give the same answer at every point.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import partial, total_ordering
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 DEFAULT_TOL = 1e-12
 
@@ -142,11 +152,6 @@ EXT_ZERO = ExtReal(0)
 EXT_INF = ExtReal.infinity()
 
 
-def reciprocal(x: ExtReal) -> ExtReal:
-    """1/x on [0, inf] with 1/0 = inf and 1/inf = 0."""
-    return x.reciprocal()
-
-
 def pow_ext(base: float, exponent: ExtReal) -> float:
     """base**exponent for base in (0, 1] and an exact exponent in [0, inf]."""
     if not 0.0 < base <= 1.0:
@@ -189,50 +194,154 @@ def check_tolerance(tol: float) -> None:
         raise BandDomainError(f"tolerance must be positive and finite: {tol}")
 
 
-def _check_magnitude(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise BandDomainError(f"{name} must lie in [0, 1]: {value}")
+# ---------------------------------------------------------------------------
+# The membership kernel: one mask per convention, at a point or over arrays
+# ---------------------------------------------------------------------------
+
+CODE_STATES = (Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE)
+"""Membership of each code the kernel returns: the ``Membership.rank`` order."""
+
+_OUT, _BOUNDARY, _IN = (state.rank for state in CODE_STATES)
 
 
-def lower_slack(a: float, b: float, e: ExtReal) -> float:
+def _ln(v: float) -> float:
+    """``math.log`` with log(0) = -inf."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``_ln``.
+
+    numpy's vectorized log differs from libm's by one ulp on a fraction of a
+    percent of inputs, so arrays take the same libm call as single points and
+    every slack is the same double on both paths.
+    """
+    return np.array([_ln(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _pick(cond: bool, x, y):
+    return x if cond else y
+
+
+def _same(value):
+    return value
+
+
+class _Cells(NamedTuple):
+    """Magnitudes of one call as the kernel sees them.
+
+    The logs of ``a = |mu|`` and ``b = |lambda|``, the convention masks
+    a = 0, a = 1, b = 0, b = 1, and the primitives the kernel combines them
+    with: ``where``, ``minimum``, ``maximum`` and ``full`` (a constant of the
+    call's shape).  ``of`` builds them over arrays with numpy's primitives,
+    ``at`` for one point with a conditional expression, ``min`` and ``max``.
+    """
+
+    log_a: Any
+    log_b: Any
+    a0: Any
+    a1: Any
+    b0: Any
+    b1: Any
+    where: Callable
+    minimum: Callable
+    maximum: Callable
+    full: Callable
+
+    @classmethod
+    def of(cls, mu_abs, lambda_abs) -> "_Cells":
+        """Arrays of magnitudes; each field keeps the shape of its own input.
+
+        numpy broadcasts the fields against each other, so a grid needs one
+        log per tick, not per cell.
+        """
+        a = np.asarray(mu_abs, dtype=float)
+        b = np.asarray(lambda_abs, dtype=float)
+        for name, x in (("|mu|", a), ("|lambda|", b)):
+            bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
+            if bad.any():
+                raise BandDomainError(f"{name} must lie in [0, 1]: {x[bad][0]}")
+        full = partial(np.full, np.broadcast_shapes(a.shape, b.shape))
+        return cls(_log(a), _log(b), a == 0.0, a == 1.0, b == 0.0, b == 1.0,
+                   np.where, np.minimum, np.maximum, full)
+
+    @classmethod
+    def at(cls, a: float, b: float) -> "_Cells":
+        """One point (a, b) = (|mu|, |lambda|)."""
+        if not 0.0 <= a <= 1.0:  # also catches NaN
+            raise BandDomainError(f"|mu| must lie in [0, 1]: {a}")
+        if not 0.0 <= b <= 1.0:
+            raise BandDomainError(f"|lambda| must lie in [0, 1]: {b}")
+        return cls(_ln(a), _ln(b), a == 0.0, a == 1.0, b == 0.0, b == 1.0,
+                   _pick, min, max, _same)
+
+
+def _lower_slacks(cells: _Cells, e: ExtReal):
     """Log-domain slack of the constraint a**e <= b (>= 0 means satisfied).
 
     Conventions: a = 0 always satisfies it (0**0 is declared satisfied and
     0**e = 0 otherwise), as does e = inf (a**inf = 0 for a < 1 and 1**inf is
-    declared satisfied).
+    declared satisfied); b = 0 fails it otherwise.  The masks overwrite the
+    NaN the formula gives on their cells.
     """
-    if a == 0.0:
-        return math.inf
     if e.is_infinite:
-        return math.inf
-    if b == 0.0:
-        return -math.inf  # a**e > 0 for a > 0, e < inf
-    return math.log(b) - e.as_float() * math.log(a)
+        return cells.full(math.inf)
+    slack = cells.log_b - e.as_float() * cells.log_a
+    slack = cells.where(cells.b0, -math.inf, slack)
+    return cells.where(cells.a0, math.inf, slack)
 
 
-def upper_slack(a: float, b: float, e: ExtReal) -> float:
-    """Log-domain slack of the constraint b <= a**e (>= 0 means satisfied)."""
-    if not e.is_infinite and e == EXT_ZERO:
-        if a == 0.0:
-            return math.inf  # 0**0 declared satisfied
-        return -math.log(b) if b > 0.0 else math.inf
+def _upper_slacks(cells: _Cells, e: ExtReal):
+    """Log-domain slack of the constraint b <= a**e (>= 0 means satisfied).
+
+    Conventions: 0**0 and 1**inf are declared satisfied, a**inf = 0 for
+    a < 1 and 0**e = 0 for e > 0.
+    """
     if e.is_infinite:
-        if a == 1.0:
-            return math.inf  # 1**inf declared satisfied
-        return math.inf if b == 0.0 else -math.inf  # a**inf = 0 for a < 1
-    if a == 0.0:
-        return math.inf if b == 0.0 else -math.inf  # 0**e = 0
-    if b == 0.0:
-        return math.inf
-    return e.as_float() * math.log(a) - math.log(b)
+        return cells.where(cells.a1 | cells.b0, math.inf, -math.inf)
+    if e == EXT_ZERO:
+        # -log(b), which is +inf at b = 0
+        return cells.where(cells.a0, math.inf, -cells.log_b)
+    slack = e.as_float() * cells.log_a - cells.log_b
+    slack = cells.where(cells.a0, -math.inf, slack)
+    return cells.where(cells.b0, math.inf, slack)
 
 
-def _classify(min_slack: float, tol: float) -> Membership:
-    if min_slack >= tol:
-        return Membership.INSIDE
-    if min_slack <= -tol:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY
+def _classify_slacks(cells: _Cells, slack, tol: float):
+    """Codes of slacks: inside from ``tol`` up, outside from ``-tol`` down."""
+    return cells.where(slack >= tol, _IN, cells.where(slack <= -tol, _OUT, _BOUNDARY))
+
+
+def _check_band(p: ExtReal, q: ExtReal) -> None:
+    if q < p:
+        raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
+
+
+def _band_states(cells: _Cells, p: ExtReal, q: ExtReal, tol: float):
+    """Codes of the closed band a**q <= b <= a**p, p <= q; see ``band_member``."""
+    p_zero = p == EXT_ZERO
+    if p_zero and q.is_infinite:
+        return cells.full(_IN)
+    if p_zero and q == EXT_ZERO:
+        return cells.where(cells.a0 | cells.b1, _IN, _OUT)
+    if p.is_infinite:  # p = q = inf
+        return cells.where(cells.a1 | cells.b0, _IN, _OUT)
+    if q.is_infinite:
+        slack = _upper_slacks(cells, p)
+    elif p_zero:
+        slack = _lower_slacks(cells, q)
+    else:
+        slack = cells.minimum(_lower_slacks(cells, q), _upper_slacks(cells, p))
+    # Both envelopes pinch to zero at the origin; it sits inside the band
+    # exactly when the band has an opening (p < q), else on its edge.
+    corner = _IN if p < q else _BOUNDARY
+    return cells.where(cells.a0 & cells.b0, corner, _classify_slacks(cells, slack, tol))
+
+
+def _envelope_states(cells: _Cells, lower_exp: ExtReal, upper_exp: ExtReal, tol: float):
+    """Codes of the envelope pair a**lower_exp <= b <= a**upper_exp."""
+    slack = cells.minimum(_lower_slacks(cells, lower_exp), _upper_slacks(cells, upper_exp))
+    return _classify_slacks(cells, slack, tol)
 
 
 def band_member(
@@ -254,34 +363,10 @@ def band_member(
     Points whose binding constraint holds within log-domain slack ``tol``
     (on either side) are reported as boundary.
     """
-    _check_magnitude("a", a)
-    _check_magnitude("b", b)
+    cells = _Cells.at(a, b)
     check_tolerance(tol)
-    if q < p:
-        raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
-
-    p_zero = not p.is_infinite and p == EXT_ZERO
-    if p_zero and q.is_infinite:
-        return BandMembership(Membership.INSIDE, tol)
-    if p_zero and q == EXT_ZERO:
-        state = Membership.INSIDE if (a == 0.0 or b == 1.0) else Membership.OUTSIDE
-        return BandMembership(state, tol)
-    if p.is_infinite:  # p = q = inf
-        state = Membership.INSIDE if (a == 1.0 or b == 0.0) else Membership.OUTSIDE
-        return BandMembership(state, tol)
-
-    if a == 0.0 and b == 0.0:
-        # Both envelopes pinch to zero; the corner sits inside the band
-        # exactly when the band has an opening (p < q), else on its edge.
-        state = Membership.INSIDE if p < q else Membership.BOUNDARY
-        return BandMembership(state, tol)
-
-    slacks = []
-    if not q.is_infinite:
-        slacks.append(lower_slack(a, b, q))
-    if not p_zero:
-        slacks.append(upper_slack(a, b, p))
-    return BandMembership(_classify(min(slacks), tol), tol)
+    _check_band(p, q)
+    return BandMembership(CODE_STATES[_band_states(cells, p, q, tol)], tol)
 
 
 def envelope_pair_member(
@@ -297,7 +382,6 @@ def envelope_pair_member(
     bands, where both constraints stay active even at exponent 0 or inf.
     Callers are expected to have dispatched corner conventions already.
     """
-    _check_magnitude("a", a)
-    _check_magnitude("b", b)
-    slack = min(lower_slack(a, b, lower_exp), upper_slack(a, b, upper_exp))
-    return BandMembership(_classify(slack, tol), tol)
+    cells = _Cells.at(a, b)
+    check_tolerance(tol)
+    return BandMembership(CODE_STATES[_envelope_states(cells, lower_exp, upper_exp, tol)], tol)

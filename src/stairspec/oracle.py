@@ -34,7 +34,7 @@ from .diagram import (
     m_values,
     validate,
 )
-from .extnum import DEFAULT_TOL, check_tolerance
+from .extnum import DEFAULT_TOL, BandDomainError, check_tolerance
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
@@ -52,6 +52,10 @@ class ParameterRegimeError(ValueError):
 
 class EmptyWindowError(ValueError):
     """The requested lattice window misses the diagram entirely."""
+
+
+class ProbeSizeError(ValueError):
+    """Window sizes or a term count that no probe can run with."""
 
 
 class ScanVerdict(Enum):
@@ -188,11 +192,11 @@ def window_smin_scan(
             "finite nilpotent block: membership holds exactly at lambda = 0"
         )
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be at least two strictly increasing window lengths")
+        raise ProbeSizeError("sizes must be at least two strictly increasing window lengths")
     if any(n < 2 for n in sizes):
-        raise ValueError("window sizes must be >= 2")
+        raise ProbeSizeError("window sizes must be >= 2")
     if not 0.0 <= lambda_abs <= 1.0:
-        raise ValueError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
 
     minima = []
     for n in sizes:
@@ -252,9 +256,9 @@ def gamma2_series_test(
             "empty rows below: the witness cannot exist for lambda != 0"
         )
     if not 0.0 < mu_abs < 1.0 or not 0.0 < lambda_abs < 1.0:
-        raise ValueError("need 0 < |mu| < 1 and 0 < |lambda| < 1")
+        raise BandDomainError(f"need 0 < |mu| < 1 and 0 < |lambda| < 1: {mu_abs}, {lambda_abs}")
     if n_terms < 8:
-        raise ValueError("need n_terms >= 8")
+        raise ProbeSizeError(f"need n_terms >= 8, got {n_terms}")
     check_tolerance(tol)
 
     log_mu = math.log(mu_abs)
@@ -402,8 +406,10 @@ def joint_adjoint_kernel_smin(
     """
     validate(profile)
     mu_abs, lam_abs = abs(mu), abs(lam)
-    if mu_abs > 1.0 or lam_abs > 1.0:
-        raise ValueError("the witness is only probed on the closed bidisc")
+    if not (mu_abs <= 1.0 and lam_abs <= 1.0):  # also catches NaN
+        raise BandDomainError(
+            f"the witness is only probed on the closed bidisc: {mu_abs}, {lam_abs}"
+        )
     cols, row_minima = _window_points(profile, window)
     entries: list[tuple[tuple, int, float]] = []
     for (i, j), c in cols.items():

@@ -16,15 +16,16 @@ shell (and up to a closed-versus-open layer for the middle stage), so
 membership is tri-state: points inside the unresolved layer report as
 boundary, never as inside or outside.
 
-Two evaluators share these semantics.  ``region_member`` answers one point
-in exact scalar steps and is the reference; ``region_states`` answers whole
-arrays of points at once as int8 codes (0 out, 1 boundary, 2 in, the
-``Membership.rank`` order) and serves grids, rasters and sampling.
+Each region is one ordered list of convention masks over the band kernel of
+``extnum`` (``_region_codes``).  ``region_member`` runs it at one point on
+Python floats; ``region_states`` runs it over whole arrays of points at once
+and returns int8 codes (0 out, 1 boundary, 2 in, the ``Membership.rank``
+order) for grids, rasters and sampling.  Both give the same answer at every
+point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,15 +33,18 @@ import numpy as np
 
 from .diagram import StructureReport, WoldType
 from .extnum import (
+    _BOUNDARY,
+    _IN,
+    _OUT,
+    CODE_STATES,
     DEFAULT_TOL,
-    BandDomainError,
     BandMembership,
     ExtReal,
-    Membership,
-    band_member,
-    best_membership,
+    _band_states,
+    _Cells,
+    _check_band,
+    _envelope_states,
     check_tolerance,
-    envelope_pair_member,
 )
 from .params import SpectralParams
 
@@ -101,14 +105,6 @@ def taylor_region(params: SpectralParams) -> RegionSpec:
     p = min(params.delta_minus, params.delta_plus)
     q = max(params.rho_minus, params.rho_plus)
     return RegionSpec(kind=RegionKind.TAYLOR, bands=((p, q),))
-
-
-def taylor_member(
-    params: SpectralParams, mu_abs: float, lambda_abs: float, tol: float = DEFAULT_TOL
-) -> BandMembership:
-    region = taylor_region(params)
-    p, q = region.bands[0]
-    return band_member(mu_abs, lambda_abs, p, q, tol)
 
 
 def gamma2_region(params: SpectralParams, structure: StructureReport) -> RegionSpec:
@@ -172,181 +168,17 @@ def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionS
     )
 
 
-def _check_point(mu_abs: float, lambda_abs: float) -> None:
-    if not 0.0 <= mu_abs <= 1.0:
-        raise BandDomainError(f"|mu| must lie in [0, 1]: {mu_abs}")
-    if not 0.0 <= lambda_abs <= 1.0:
-        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
-
-
-def _band_eval(
-    pair: tuple[ExtReal, ExtReal], a: float, b: float, tol: float
-) -> BandMembership:
-    p, q = pair
-    if p <= q:
-        return band_member(a, b, p, q, tol)
-    return envelope_pair_member(a, b, lower_exp=q, upper_exp=p, tol=tol)
-
-
 def region_member(
     region: RegionSpec, mu_abs: float, lambda_abs: float, tol: float = DEFAULT_TOL
 ) -> BandMembership:
-    """Tri-state membership of a magnitude pair in a region."""
+    """Tri-state membership of one magnitude pair in a region.
+
+    The point case of ``region_states``: the same masks, evaluated on
+    Python floats.  Raises ``BandDomainError`` like ``region_states``.
+    """
     check_tolerance(tol)
-    _check_point(mu_abs, lambda_abs)
-    a, b = mu_abs, lambda_abs
-
-    if region.kind is RegionKind.TAYLOR:
-        p, q = region.bands[0]
-        return band_member(a, b, p, q, tol)
-
-    if region.kind is RegionKind.GAMMA2:
-        if a == 0.0 and b == 0.0:
-            return BandMembership(Membership.INSIDE, tol)
-        if a == 1.0 and b == 1.0:
-            return BandMembership(Membership.BOUNDARY, tol)  # torus shell unresolved
-        if a == 1.0 or b == 1.0:
-            return BandMembership(Membership.OUTSIDE, tol)
-        if b == 0.0:
-            state = Membership.INSIDE if region.include_mu_axis else Membership.OUTSIDE
-            return BandMembership(state, tol)
-        if a == 0.0:
-            state = (
-                Membership.INSIDE if region.include_lambda_axis else Membership.OUTSIDE
-            )
-            return BandMembership(state, tol)
-        eta_minus, eta_plus = region.bands[0]
-        return envelope_pair_member(a, b, lower_exp=eta_plus, upper_exp=eta_minus, tol=tol)
-
-    # final-stage locus
-    if a == 1.0 and b == 1.0:
-        return BandMembership(Membership.BOUNDARY, tol)  # torus shell unresolved
-    if a == 0.0 and b == 0.0:
-        state = Membership.INSIDE if region.origin_included else Membership.OUTSIDE
-        return BandMembership(state, tol)
-    states = []
-    if region.include_t_cross_d and a == 1.0:
-        states.append(Membership.INSIDE)
-    if region.include_d_cross_t and b == 1.0:
-        states.append(Membership.INSIDE)
-    for pair in region.bands:
-        states.append(_band_eval(pair, a, b, tol).state)
-    if not states:
-        states.append(Membership.OUTSIDE)
-    return BandMembership(best_membership(*states), tol)
-
-
-# ---------------------------------------------------------------------------
-# Array evaluation: the same rules as region_member, one mask per convention
-# ---------------------------------------------------------------------------
-
-CODE_STATES = (Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE)
-"""Membership of each int8 code returned by ``region_states``."""
-
-_OUT, _BOUNDARY, _IN = (state.rank for state in CODE_STATES)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.log`` with log(0) = -inf.
-
-    The scalar path calls libm's log; numpy's vectorized log differs from it
-    by one ulp on a fraction of a percent of inputs, so the same libm call is
-    made here to keep every slack the same double as in ``region_member``.
-    """
-    values = [math.log(v) if v > 0.0 else -math.inf for v in x.ravel().tolist()]
-    return np.array(values, dtype=float).reshape(x.shape)
-
-
-@dataclass(frozen=True)
-class _Cells:
-    """Magnitude arrays, their logs and the convention masks of one call.
-
-    Each field keeps the shape of its own input; numpy broadcasts them
-    against each other, so a grid needs one log per tick, not per cell.
-    """
-
-    shape: tuple[int, ...]
-    log_a: np.ndarray
-    log_b: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-
-    @classmethod
-    def of(cls, mu_abs, lambda_abs) -> "_Cells":
-        a = np.asarray(mu_abs, dtype=float)
-        b = np.asarray(lambda_abs, dtype=float)
-        for name, x in (("|mu|", a), ("|lambda|", b)):
-            bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
-            if bad.any():
-                raise BandDomainError(f"{name} must lie in [0, 1]: {x[bad][0]}")
-        return cls(
-            shape=np.broadcast_shapes(a.shape, b.shape),
-            log_a=_log(a),
-            log_b=_log(b),
-            a0=a == 0.0,
-            a1=a == 1.0,
-            b0=b == 0.0,
-            b1=b == 1.0,
-        )
-
-    def full(self, value) -> np.ndarray:
-        return np.full(self.shape, value)
-
-
-def _lower_slacks(cells: _Cells, e: ExtReal) -> np.ndarray:
-    """Array form of ``extnum.lower_slack`` (a**e <= b)."""
-    if e.is_infinite:
-        return cells.full(math.inf)
-    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf on masked cells
-        slack = cells.log_b - e.as_float() * cells.log_a
-    slack = np.where(cells.b0, -math.inf, slack)
-    return np.where(cells.a0, math.inf, slack)
-
-
-def _upper_slacks(cells: _Cells, e: ExtReal) -> np.ndarray:
-    """Array form of ``extnum.upper_slack`` (b <= a**e)."""
-    if e.is_infinite:
-        return np.where(cells.a1 | cells.b0, math.inf, -math.inf)
-    if e == 0:
-        # -log(b), which is +inf at b = 0; 0**0 is declared satisfied.
-        return np.where(cells.a0, math.inf, -cells.log_b)
-    with np.errstate(invalid="ignore"):  # inf - inf on masked cells
-        slack = e.as_float() * cells.log_a - cells.log_b
-    slack = np.where(cells.a0, -math.inf, slack)
-    return np.where(cells.b0, math.inf, slack)
-
-
-def _classify_slacks(slack: np.ndarray, tol: float) -> np.ndarray:
-    return np.where(slack >= tol, _IN, np.where(slack <= -tol, _OUT, _BOUNDARY))
-
-
-def _band_states(cells: _Cells, p: ExtReal, q: ExtReal, tol: float) -> np.ndarray:
-    """Array form of ``extnum.band_member`` for a checked band p <= q."""
-    p_zero = p == 0
-    if p_zero and q.is_infinite:
-        return cells.full(_IN)
-    if p_zero and q == 0:
-        return np.where(cells.a0 | cells.b1, _IN, _OUT)
-    if p.is_infinite:
-        return np.where(cells.a1 | cells.b0, _IN, _OUT)
-    if q.is_infinite:
-        slack = _upper_slacks(cells, p)
-    elif p_zero:
-        slack = _lower_slacks(cells, q)
-    else:
-        slack = np.minimum(_lower_slacks(cells, q), _upper_slacks(cells, p))
-    corner = _IN if p < q else _BOUNDARY
-    return np.where(cells.a0 & cells.b0, corner, _classify_slacks(slack, tol))
-
-
-def _envelope_states(
-    cells: _Cells, lower_exp: ExtReal, upper_exp: ExtReal, tol: float
-) -> np.ndarray:
-    """Array form of ``extnum.envelope_pair_member``."""
-    slack = np.minimum(_lower_slacks(cells, lower_exp), _upper_slacks(cells, upper_exp))
-    return _classify_slacks(slack, tol)
+    code = _region_codes(region, _Cells.at(mu_abs, lambda_abs), tol)
+    return BandMembership(CODE_STATES[code], tol)
 
 
 def region_states(
@@ -357,66 +189,52 @@ def region_states(
     Returns an int8 array of the broadcast shape of ``mu_abs`` and
     ``lambda_abs`` holding 0 (out), 1 (boundary) or 2 (in), the
     ``Membership.rank`` of the answer ``region_member`` gives at each point;
-    ``CODE_STATES`` maps codes back to ``Membership``.  Every convention cell
-    (indeterminate forms, degenerate bands, axes, torus edges, corners) is a
-    mask applied over the band formula, in the scalar path's order of
-    precedence.  Raises ``BandDomainError`` if any magnitude lies outside
-    [0, 1] or is NaN, or if ``tol`` is not positive and finite.
+    ``CODE_STATES`` maps codes back to ``Membership``.  Raises
+    ``BandDomainError`` if any magnitude lies outside [0, 1] or is NaN, or if
+    ``tol`` is not positive and finite.
     """
     check_tolerance(tol)
-    return _region_codes(region, _Cells.of(mu_abs, lambda_abs), tol).astype(np.int8)
+    cells = _Cells.of(mu_abs, lambda_abs)
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf on masked cells
+        return _region_codes(region, cells, tol).astype(np.int8)
 
 
-def _region_codes(region: RegionSpec, cells: _Cells, tol: float) -> np.ndarray:
+def _region_codes(region: RegionSpec, cells: _Cells, tol: float):
+    """Codes of a region at a point or over arrays, as ``cells`` says.
+
+    Every convention cell (indeterminate forms, degenerate bands, axes, torus
+    edges, corners) is a mask applied over the band formula; later masks
+    take precedence.
+    """
+    where = cells.where
     if region.kind is RegionKind.TAYLOR:
         p, q = region.bands[0]
-        if q < p:
-            raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
+        _check_band(p, q)
         return _band_states(cells, p, q, tol)
 
     if region.kind is RegionKind.GAMMA2:
         eta_minus, eta_plus = region.bands[0]
         codes = _envelope_states(cells, lower_exp=eta_plus, upper_exp=eta_minus, tol=tol)
-        codes = np.where(cells.a0, _IN if region.include_lambda_axis else _OUT, codes)
-        codes = np.where(cells.b0, _IN if region.include_mu_axis else _OUT, codes)
-        codes = np.where(cells.a1 | cells.b1, _OUT, codes)
-        codes = np.where(cells.a1 & cells.b1, _BOUNDARY, codes)  # torus shell unresolved
-        return np.where(cells.a0 & cells.b0, _IN, codes)
+        codes = where(cells.a0, _IN if region.include_lambda_axis else _OUT, codes)
+        codes = where(cells.b0, _IN if region.include_mu_axis else _OUT, codes)
+        codes = where(cells.a1 | cells.b1, _OUT, codes)
+        codes = where(cells.a1 & cells.b1, _BOUNDARY, codes)  # torus shell unresolved
+        return where(cells.a0 & cells.b0, _IN, codes)
 
     # final-stage locus: the union of its parts, then the two corner rules
     codes = cells.full(_OUT)
     for p, q in region.bands:
-        if p <= q:
-            part = _band_states(cells, p, q, tol)
-        else:
+        if q < p:  # a crossed pair: empty away from its convention cells
             part = _envelope_states(cells, lower_exp=q, upper_exp=p, tol=tol)
-        codes = np.maximum(codes, part)
+        else:
+            part = _band_states(cells, p, q, tol)
+        codes = cells.maximum(codes, part)
     if region.include_t_cross_d:
-        codes = np.where(cells.a1, _IN, codes)
+        codes = where(cells.a1, _IN, codes)
     if region.include_d_cross_t:
-        codes = np.where(cells.b1, _IN, codes)
-    codes = np.where(cells.a0 & cells.b0, _IN if region.origin_included else _OUT, codes)
-    return np.where(cells.a1 & cells.b1, _BOUNDARY, codes)
-
-
-def gamma2_member(
-    params: SpectralParams,
-    structure: StructureReport,
-    mu_abs: float,
-    lambda_abs: float,
-    tol: float = DEFAULT_TOL,
-) -> BandMembership:
-    return region_member(gamma2_region(params, structure), mu_abs, lambda_abs, tol)
-
-
-def gamma3_member(
-    params: SpectralParams,
-    structure: StructureReport,
-    mu_abs: float,
-    lambda_abs: float,
-    tol: float = DEFAULT_TOL,
-) -> BandMembership:
-    return region_member(gamma3_region(params, structure), mu_abs, lambda_abs, tol)
+        codes = where(cells.b1, _IN, codes)
+    codes = where(cells.a0 & cells.b0, _IN if region.origin_included else _OUT, codes)
+    return where(cells.a1 & cells.b1, _BOUNDARY, codes)  # torus shell unresolved
 
 
 @dataclass(frozen=True)
@@ -461,11 +279,3 @@ def parts_consistency_check(
         mismatches=tuple(tuple(samples[i]) for i in np.flatnonzero(wrong)),
     )
 
-
-def modulus(value: complex | float | int) -> float:
-    """Reduce a complex sample point to its magnitude.
-
-    Region membership is rotation invariant, so only |mu| and |lambda|
-    matter; this is the single place complex inputs are accepted.
-    """
-    return abs(value)

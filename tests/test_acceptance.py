@@ -18,7 +18,7 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
-from stairspec.extnum import Membership, reciprocal
+from stairspec.extnum import Membership
 from stairspec.oracle import (
     ScanVerdict,
     SeriesClass,
@@ -28,12 +28,11 @@ from stairspec.oracle import (
 )
 from stairspec.params import compute_params, estimate_params_bruteforce
 from stairspec.regions import (
-    gamma2_member,
-    gamma3_member,
+    gamma2_region,
+    gamma3_region,
     parts_consistency_check,
-    taylor_member,
-    taylor_region,
     region_member,
+    taylor_region,
 )
 from stairspec.shifts import fringe_operator, ridge_bounds, sigma_ap_predict
 
@@ -63,7 +62,7 @@ def test_criterion_1_line_diagram_spectrum():
         inside_count = 0
         for a in grid:
             for b in grid:
-                state = taylor_member(params, float(a), float(b)).state
+                state = region_member(taylor_region(params), float(a), float(b)).state
                 on_curve = b**alpha == a  # exact rational oracle
                 if state is Membership.INSIDE:
                     inside_count += 1
@@ -136,10 +135,10 @@ def test_criterion_4_transpose_duality():
         p = compute_params(profile)
         d = compute_params(transpose(profile))
         identities = [
-            d.delta_plus == reciprocal(p.rho_minus),
-            d.rho_plus == reciprocal(p.delta_minus),
-            d.delta_minus == reciprocal(p.rho_plus),
-            d.rho_minus == reciprocal(p.delta_plus),
+            d.delta_plus == p.rho_minus.reciprocal(),
+            d.rho_plus == p.delta_minus.reciprocal(),
+            d.delta_minus == p.rho_plus.reciprocal(),
+            d.rho_minus == p.delta_plus.reciprocal(),
         ]
         if not all(identities):
             bad.append(idx)
@@ -255,8 +254,8 @@ def test_criterion_9_origin_behavior():
     for name, profile in canonical_nonsimple():
         params = compute_params(profile)
         structure = validate(profile)
-        g2 = gamma2_member(params, structure, 0.0, 0.0).state
-        g3 = gamma3_member(params, structure, 0.0, 0.0).state
+        g2 = region_member(gamma2_region(params, structure), 0.0, 0.0).state
+        g3 = region_member(gamma3_region(params, structure), 0.0, 0.0).state
         if g2 is not Membership.INSIDE:
             failures.append((name, "gamma2", g2))
         expected_g3 = (
@@ -275,8 +274,9 @@ def test_criterion_10_gamma2_series():
     outside_lam = 0.5**0.5
     v_in = gamma2_series_test(profile, 0.5, inside_lam, 4096)
     v_out = gamma2_series_test(profile, 0.5, outside_lam, 4096)
-    member_in = gamma2_member(params, structure, 0.5, inside_lam).state
-    member_out = gamma2_member(params, structure, 0.5, outside_lam).state
+    g2 = gamma2_region(params, structure)
+    member_in = region_member(g2, 0.5, inside_lam).state
+    member_out = region_member(g2, 0.5, outside_lam).state
     ok = (
         v_in.classification is SeriesClass.CONVERGES
         and member_in is Membership.INSIDE

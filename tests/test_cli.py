@@ -14,9 +14,10 @@ from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, _build_parser, ma
 from stairspec.diagram import profile_from_json, validate
 from stairspec.extnum import Membership
 from stairspec.params import compute_params
-from stairspec.regions import gamma2_region, gamma3_region, region_member, taylor_region
+from stairspec.regions import gamma2_region, gamma3_region, taylor_region
 
 from conftest import SPEC_DIR
+from membership_reference import region_member as reference_member
 
 ALL_SPECS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
 
@@ -350,6 +351,29 @@ class TestFringeAndOracle:
         )
         assert code in (0, 3)
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["fringe", "--mu", "0.5", "--lambda", "0.5", "--sizes", "64,16"], 2),
+            (["fringe", "--mu", "0.5", "--lambda", "0.5", "--sizes", "1,4"], 2),
+            (["fringe", "--mu", "0.5", "--lambda", "nan"], 3),
+            (["gamma2", "--mu", "0.5", "--lambda", "1.5"], 3),
+            (["gamma2", "--mu", "0.5", "--lambda", "0.5", "--terms", "4"], 2),
+            (["t3", "--mu", "0.5", "--lambda", "1.5"], 3),
+            (["t3", "--mu", "0.5", "--lambda", "nan"], 3),
+        ],
+        ids=["fringe-sizes-decreasing", "fringe-size-1", "fringe-lambda-nan",
+             "gamma2-lambda-1.5", "gamma2-terms-4", "t3-lambda-1.5", "t3-lambda-nan"],
+    )
+    def test_oracle_argument_errors_exit_with_message(self, capsys, argv, code):
+        command, *options = argv
+        assert main(["oracle", command, spec("half_lines_1_2"), *options]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "spec error: " if code == 2 else "numeric-regime error: "
+        assert captured.err.startswith(prefix)
+        assert "Traceback" not in captured.err
+
     def test_oracle_gamma2_regime_error(self, capsys):
         assert main(
             ["oracle", "gamma2", spec("quarter_plane_steps"),
@@ -445,7 +469,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 class TestArrayOutputsMatchScalar:
-    """sample, raster and report equal a plain loop over region_member, byte for byte."""
+    """sample, raster and report equal a loop over the scalar reference, byte for byte."""
 
     @staticmethod
     def _regions(name: str) -> dict:
@@ -469,7 +493,7 @@ class TestArrayOutputsMatchScalar:
         writer.writerow(["mu_abs", "lambda_abs", "taylor", "gamma2", "gamma3"])
         for a in ticks:
             for b in ticks:
-                states = [region_member(regions[s], a, b).state.value
+                states = [reference_member(regions[s], a, b).state.value
                           for s in ("taylor", "gamma2", "gamma3")]
                 writer.writerow([f"{a:.12g}", f"{b:.12g}", *states])
         assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
@@ -492,7 +516,7 @@ class TestArrayOutputsMatchScalar:
         expected = bytearray(f"P6\n{width} {height}\n255\n".encode("ascii"))
         for py in range(height):
             for px in range(width):
-                state = region_member(
+                state = reference_member(
                     region, px / (width - 1), (height - 1 - py) / (height - 1)
                 ).state
                 expected += bytes(colors[state])
@@ -507,7 +531,7 @@ class TestArrayOutputsMatchScalar:
         region = self._regions(name)["taylor"]
         points = np.random.default_rng(seed).random((samples, 2))
         inside = sum(
-            region_member(region, float(a), float(b)).state is Membership.INSIDE
+            reference_member(region, float(a), float(b)).state is Membership.INSIDE
             for a, b in points
         )
         fraction = inside / samples

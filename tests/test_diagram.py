@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stairspec import diagram as D
 from stairspec.diagram import (
     EMPTY_ROWS,
     FULL_ROWS,
@@ -35,8 +36,11 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
+from stairspec.params import compute_params
+from stairspec.shifts import fringe_operator
 
 from conftest import (
+    SPEC_DIR,
     canonical_nonsimple,
     gb01_profile,
     half_lines_profile,
@@ -102,6 +106,39 @@ class TestValidate:
         for profile in profiles:
             report = validate(profile)
             assert (report.defect_class is DefectClass.NON_NEGATIVE) == report.is_simple
+
+    @staticmethod
+    def _count_checks(monkeypatch) -> list:
+        calls = []
+        check = D._check_and_classify
+
+        def counted(profile):
+            calls.append(profile)
+            return check(profile)
+
+        monkeypatch.setattr(D, "_check_and_classify", counted)
+        return calls
+
+    def test_checked_once_per_profile(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        doc = json.loads((SPEC_DIR / "half_lines_1_2.json").read_text())
+        profile = profile_from_json(doc)
+        first = validate(profile)
+        compute_params(profile)
+        fringe_operator(profile, 0.5)
+        assert validate(profile) is first
+        assert calls == [profile]
+        other = profile_from_json(doc)  # an equal profile is a new object
+        assert validate(other) == first
+        assert len(calls) == 2
+
+    def test_failed_check_is_not_cached(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        bad = DiagramProfile(0, (0, 1), PeriodicTail(1, 1), PeriodicTail(1, 1))
+        for expected in (1, 2, 3):
+            with pytest.raises(MonotonicityViolation):
+                validate(bad)
+            assert len(calls) == expected
 
 
 class TestEvalM:

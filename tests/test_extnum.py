@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stairspec.extnum import (
+    DEFAULT_TOL,
     EXT_INF,
     BandDomainError,
     ExtReal,
@@ -14,17 +15,19 @@ from stairspec.extnum import (
     band_member,
     envelope_pair_member,
     pow_ext,
-    reciprocal,
 )
+
+import membership_reference as ref
+from membership_reference import exponent_pairs, square_points
 
 ZERO = ExtReal(0)
 
 
 class TestExtReal:
     def test_reciprocal_conventions(self):
-        assert reciprocal(ZERO) == EXT_INF
-        assert reciprocal(EXT_INF) == ZERO
-        assert reciprocal(ExtReal(Fraction(2, 3))) == ExtReal(Fraction(3, 2))
+        assert ZERO.reciprocal() == EXT_INF
+        assert EXT_INF.reciprocal() == ZERO
+        assert ExtReal(Fraction(2, 3)).reciprocal() == ExtReal(Fraction(3, 2))
 
     def test_total_order(self):
         values = [ZERO, ExtReal(Fraction(1, 3)), ExtReal(1), ExtReal(Fraction(7, 2)), EXT_INF]
@@ -61,7 +64,7 @@ class TestExtReal:
     @settings(max_examples=100, deadline=None)
     def test_reciprocal_involution(self, frac):
         x = ExtReal(frac)
-        assert reciprocal(reciprocal(x)) == x
+        assert x.reciprocal().reciprocal() == x
 
 
 FR = Fraction
@@ -108,6 +111,10 @@ class TestBandMember:
             band_member(0.5, 0.5, ExtReal(2), ExtReal(1))
         with pytest.raises(BandDomainError):
             band_member(0.5, 0.5, ZERO, EXT_INF, tol=0.0)
+        with pytest.raises(BandDomainError):
+            envelope_pair_member(0.5, math.nan, ZERO, EXT_INF)
+        with pytest.raises(BandDomainError):
+            envelope_pair_member(0.5, 0.5, ZERO, EXT_INF, tol=0.0)
 
     def test_full_square_case_on_random_points(self):
         rng = np.random.default_rng(7)
@@ -186,3 +193,24 @@ class TestEnvelopePair:
         assert envelope_pair_member(0.5, 0.6, lower, upper).state is Membership.INSIDE
         assert envelope_pair_member(0.5, 0.5, lower, upper).state is Membership.BOUNDARY
         assert envelope_pair_member(0.5, 0.3, lower, upper).state is Membership.OUTSIDE
+
+
+# ---------------------------------------------------------------------------
+# band_member and envelope_pair_member against the scalar reference
+# ---------------------------------------------------------------------------
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_band_kernels_match_reference(data):
+    p, q = data.draw(exponent_pairs)
+    tol = data.draw(st.sampled_from([DEFAULT_TOL, 1e-6, 0.05]))
+    for a, b in data.draw(st.lists(square_points([p, q]), min_size=1, max_size=20)):
+        assert envelope_pair_member(a, b, p, q, tol) == ref.envelope_pair_member(a, b, p, q, tol)
+        assert envelope_pair_member(a, b, q, p, tol) == ref.envelope_pair_member(a, b, q, p, tol)
+        if q < p:
+            with pytest.raises(BandDomainError):
+                band_member(a, b, p, q, tol)
+            with pytest.raises(BandDomainError):
+                ref.band_member(a, b, p, q, tol)
+        else:
+            assert band_member(a, b, p, q, tol) == ref.band_member(a, b, p, q, tol)

@@ -26,7 +26,7 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
-from stairspec.extnum import Membership, reciprocal
+from stairspec.extnum import Membership
 from stairspec.oracle import ScanVerdict, window_smin_scan
 from stairspec.params import compute_params, estimate_params_bruteforce
 from stairspec.regions import parts_consistency_check
@@ -107,8 +107,8 @@ def test_duality_on_random_transposable_profiles(profile):
         assert eval_M(flipped, i) == eval_N(profile, i)
     if p is not None:
         d = compute_params(flipped)
-        assert d.delta_plus == reciprocal(p.rho_minus)
-        assert d.rho_plus == reciprocal(p.delta_minus)
+        assert d.delta_plus == p.rho_minus.reciprocal()
+        assert d.rho_plus == p.delta_minus.reciprocal()
 
 
 def _transposed_gb_profile() -> DiagramProfile:

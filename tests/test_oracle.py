@@ -38,7 +38,7 @@ from stairspec.oracle import (
     window_smin_scan,
 )
 from stairspec.params import compute_params
-from stairspec.regions import gamma2_member
+from stairspec.regions import gamma2_region, region_member
 from stairspec.shifts import ShiftKind, fringe_operator, ridge_bounds, sigma_ap_predict
 
 from conftest import (
@@ -331,7 +331,7 @@ class TestSeries:
         for exponent in (0.70, 0.75, 0.80, 0.90, 0.55, 0.60, 1.2):
             lam = 0.5**exponent
             verdict = gamma2_series_test(profile, 0.5, lam, 4096)
-            member = gamma2_member(params, structure, 0.5, lam).state
+            member = region_member(gamma2_region(params, structure), 0.5, lam).state
             if member is Membership.INSIDE:
                 assert verdict.classification is SeriesClass.CONVERGES
             elif member is Membership.OUTSIDE and verdict.classification is not SeriesClass.BORDERLINE:

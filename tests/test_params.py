@@ -14,7 +14,7 @@ from stairspec.diagram import (
     transpose,
 )
 from stairspec import params
-from stairspec.extnum import EXT_INF, ExtReal, reciprocal
+from stairspec.extnum import EXT_INF, ExtReal
 from stairspec.params import (
     ScanOverflowError,
     SimpleDiagramError,
@@ -107,10 +107,10 @@ class TestTransposeDuality:
         for profile in suite:
             p = compute_params(profile)
             d = compute_params(transpose(profile))
-            assert d.delta_plus == reciprocal(p.rho_minus)
-            assert d.rho_plus == reciprocal(p.delta_minus)
-            assert d.delta_minus == reciprocal(p.rho_plus)
-            assert d.rho_minus == reciprocal(p.delta_plus)
+            assert d.delta_plus == p.rho_minus.reciprocal()
+            assert d.rho_plus == p.delta_minus.reciprocal()
+            assert d.delta_minus == p.rho_plus.reciprocal()
+            assert d.rho_minus == p.delta_plus.reciprocal()
 
 
 class TestEstimator:

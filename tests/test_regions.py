@@ -8,22 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stairspec.diagram import transpose, validate
-from stairspec.extnum import DEFAULT_TOL, BandDomainError, ExtReal, Membership, pow_ext
+from stairspec.extnum import DEFAULT_TOL, BandDomainError, ExtReal, Membership
 from stairspec.params import compute_params
 from stairspec.regions import (
     CODE_STATES,
     RegionKind,
     RegionSpec,
     WoldCase,
-    gamma2_member,
     gamma2_region,
-    gamma3_member,
     gamma3_region,
-    modulus,
     parts_consistency_check,
     region_member,
     region_states,
-    taylor_member,
     taylor_region,
     wold_case,
 )
@@ -36,6 +32,8 @@ from conftest import (
     quarter_steps_profile,
     wold_mixed_profile,
 )
+from membership_reference import exponent_pairs, square_points
+from membership_reference import region_member as reference_member
 
 FR = Fraction
 
@@ -46,57 +44,52 @@ def _ps(profile):
 
 class TestTaylor:
     def test_line_band_degenerate(self):
-        params, _ = _ps(line_profile())
-        region = taylor_region(params)
-        assert region.bands == ((ExtReal(1), ExtReal(1)),)
-        assert taylor_member(params, 0.5, 0.5).state is Membership.BOUNDARY
-        assert taylor_member(params, 0.5, 0.25).state is Membership.OUTSIDE
+        t = taylor_region(compute_params(line_profile()))
+        assert t.bands == ((ExtReal(1), ExtReal(1)),)
+        assert region_member(t, 0.5, 0.5).state is Membership.BOUNDARY
+        assert region_member(t, 0.5, 0.25).state is Membership.OUTSIDE
 
     def test_subset_of_quarter_plane_full_square(self):
-        params, _ = _ps(quarter_steps_profile())
-        region = taylor_region(params)
-        assert region.bands == ((ExtReal(0), ExtReal(None)),)
+        t = taylor_region(compute_params(quarter_steps_profile()))
+        assert t.bands == ((ExtReal(0), ExtReal(None)),)
         for a in (0.0, 0.3, 1.0):
             for b in (0.0, 0.6, 1.0):
-                assert taylor_member(params, a, b).state is Membership.INSIDE
+                assert region_member(t, a, b).state is Membership.INSIDE
 
     def test_half_lines_band(self):
-        params, _ = _ps(half_lines_profile())
-        region = taylor_region(params)
-        assert region.bands == ((ExtReal(FR(1, 2)), ExtReal(1)),)
-        assert taylor_member(params, 0.4, 0.5).state is Membership.INSIDE
-        assert taylor_member(params, 0.5, 0.8).state is Membership.OUTSIDE
+        t = taylor_region(compute_params(half_lines_profile()))
+        assert t.bands == ((ExtReal(FR(1, 2)), ExtReal(1)),)
+        assert region_member(t, 0.4, 0.5).state is Membership.INSIDE
+        assert region_member(t, 0.5, 0.8).state is Membership.OUTSIDE
 
     def test_rejects_points_outside_square(self):
-        params, _ = _ps(half_lines_profile())
+        t = taylor_region(compute_params(half_lines_profile()))
         with pytest.raises(BandDomainError):
-            taylor_member(params, 1.2, 0.5)
+            region_member(t, 1.2, 0.5)
         with pytest.raises(BandDomainError):
-            taylor_member(params, 0.5, -0.1)
+            region_member(t, 0.5, -0.1)
 
     def test_rotation_invariance_via_modulus(self):
-        params, _ = _ps(half_lines_profile())
+        t = taylor_region(compute_params(half_lines_profile()))
         rng = np.random.default_rng(3)
-        base = taylor_member(params, 0.4, 0.5).state
+        base = region_member(t, 0.4, 0.5).state
         for _ in range(100):
             phase_mu = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             phase_lam = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            state = taylor_member(
-                params, modulus(0.4 * phase_mu), modulus(0.5 * phase_lam)
-            ).state
+            state = region_member(t, abs(0.4 * phase_mu), abs(0.5 * phase_lam)).state
             assert state is base
 
     def test_transpose_symmetry(self):
         for name, profile in canonical_nonsimple():
             if name == "gb01":
                 continue  # zero-slope blocks have no transpose
-            params = compute_params(profile)
-            dual = compute_params(transpose(profile))
+            t = taylor_region(compute_params(profile))
+            dual = taylor_region(compute_params(transpose(profile)))
             rng = np.random.default_rng(5)
             for _ in range(50):
                 x, y = rng.uniform(0.05, 0.95, 2)
-                direct = taylor_member(params, float(x), float(y)).state
-                mirrored = taylor_member(dual, float(y), float(x)).state
+                direct = region_member(t, float(x), float(y)).state
+                mirrored = region_member(dual, float(y), float(x)).state
                 if Membership.BOUNDARY in (direct, mirrored):
                     continue
                 assert direct is mirrored, name
@@ -104,41 +97,39 @@ class TestTaylor:
 
 class TestGamma2:
     def test_both_mixed_fills_open_square(self):
-        params, structure = _ps(wold_mixed_profile())
+        g2 = gamma2_region(*_ps(wold_mixed_profile()))
         for a in (0.1, 0.5, 0.8):
             for b in (0.1, 0.5, 0.8):
-                assert gamma2_member(params, structure, a, b).state is Membership.INSIDE
+                assert region_member(g2, a, b).state is Membership.INSIDE
 
     def test_line_band_is_empty_strictly(self):
-        params, structure = _ps(line_profile())
-        assert gamma2_member(params, structure, 0.5, 0.5).state is Membership.BOUNDARY
-        assert gamma2_member(params, structure, 0.5, 0.6).state is Membership.OUTSIDE
+        g2 = gamma2_region(*_ps(line_profile()))
+        assert region_member(g2, 0.5, 0.5).state is Membership.BOUNDARY
+        assert region_member(g2, 0.5, 0.6).state is Membership.OUTSIDE
 
     def test_gb_strict_interior(self):
-        params, structure = _ps(gb01_profile())
-        assert gamma2_member(params, structure, 0.5, 0.5**0.8).state is Membership.INSIDE
-        assert gamma2_member(params, structure, 0.5, 0.5**0.5).state is Membership.OUTSIDE
+        g2 = gamma2_region(*_ps(gb01_profile()))
+        assert region_member(g2, 0.5, 0.5**0.8).state is Membership.INSIDE
+        assert region_member(g2, 0.5, 0.5**0.5).state is Membership.OUTSIDE
 
     def test_axis_rules(self):
-        params, structure = _ps(wold_mixed_profile())
-        assert gamma2_member(params, structure, 0.5, 0.0).state is Membership.INSIDE
-        assert gamma2_member(params, structure, 0.0, 0.5).state is Membership.INSIDE
-        params, structure = _ps(line_profile())
-        assert gamma2_member(params, structure, 0.5, 0.0).state is Membership.OUTSIDE
-        assert gamma2_member(params, structure, 0.0, 0.5).state is Membership.OUTSIDE
+        g2 = gamma2_region(*_ps(wold_mixed_profile()))
+        assert region_member(g2, 0.5, 0.0).state is Membership.INSIDE
+        assert region_member(g2, 0.0, 0.5).state is Membership.INSIDE
+        g2 = gamma2_region(*_ps(line_profile()))
+        assert region_member(g2, 0.5, 0.0).state is Membership.OUTSIDE
+        assert region_member(g2, 0.0, 0.5).state is Membership.OUTSIDE
 
     def test_torus_edges(self):
-        params, structure = _ps(wold_mixed_profile())
-        assert gamma2_member(params, structure, 1.0, 0.5).state is Membership.OUTSIDE
-        assert gamma2_member(params, structure, 0.5, 1.0).state is Membership.OUTSIDE
-        assert gamma2_member(params, structure, 1.0, 1.0).state is Membership.BOUNDARY
+        g2 = gamma2_region(*_ps(wold_mixed_profile()))
+        assert region_member(g2, 1.0, 0.5).state is Membership.OUTSIDE
+        assert region_member(g2, 0.5, 1.0).state is Membership.OUTSIDE
+        assert region_member(g2, 1.0, 1.0).state is Membership.BOUNDARY
 
     def test_origin_always_inside(self):
         for name, profile in canonical_nonsimple():
-            params, structure = _ps(profile)
-            assert (
-                gamma2_member(params, structure, 0.0, 0.0).state is Membership.INSIDE
-            ), name
+            g2 = gamma2_region(*_ps(profile))
+            assert region_member(g2, 0.0, 0.0).state is Membership.INSIDE, name
 
 
 class TestGamma3:
@@ -148,26 +139,25 @@ class TestGamma3:
         assert wold_case(validate(quarter_steps_profile())) is WoldCase.SHIFT_SHIFT
 
     def test_both_mixed_torus_strips(self):
-        params, structure = _ps(wold_mixed_profile())
-        assert gamma3_member(params, structure, 0.5, 0.5).state is Membership.OUTSIDE
-        assert gamma3_member(params, structure, 1.0, 0.3).state is Membership.INSIDE
-        assert gamma3_member(params, structure, 0.3, 1.0).state is Membership.INSIDE
-        assert gamma3_member(params, structure, 1.0, 1.0).state is Membership.BOUNDARY
+        g3 = gamma3_region(*_ps(wold_mixed_profile()))
+        assert region_member(g3, 0.5, 0.5).state is Membership.OUTSIDE
+        assert region_member(g3, 1.0, 0.3).state is Membership.INSIDE
+        assert region_member(g3, 0.3, 1.0).state is Membership.INSIDE
+        assert region_member(g3, 1.0, 1.0).state is Membership.BOUNDARY
 
     def test_line_collapses_to_diagonal(self):
-        params, structure = _ps(line_profile())
-        assert gamma3_member(params, structure, 0.5, 0.5).state is Membership.BOUNDARY
-        assert gamma3_member(params, structure, 0.5, 0.8).state is Membership.OUTSIDE
+        g3 = gamma3_region(*_ps(line_profile()))
+        assert region_member(g3, 0.5, 0.5).state is Membership.BOUNDARY
+        assert region_member(g3, 0.5, 0.8).state is Membership.OUTSIDE
 
     def test_gb_band_union(self):
-        params, structure = _ps(gb01_profile())
-        assert gamma3_member(params, structure, 0.5, 0.7).state is Membership.INSIDE
-        assert gamma3_member(params, structure, 0.5, 0.3).state is Membership.OUTSIDE
+        g3 = gamma3_region(*_ps(gb01_profile()))
+        assert region_member(g3, 0.5, 0.7).state is Membership.INSIDE
+        assert region_member(g3, 0.5, 0.3).state is Membership.OUTSIDE
 
     def test_origin_rule(self):
         for name, profile in canonical_nonsimple():
-            params, structure = _ps(profile)
-            state = gamma3_member(params, structure, 0.0, 0.0).state
+            state = region_member(gamma3_region(*_ps(profile)), 0.0, 0.0).state
             if name == "notched_plane":
                 assert state is Membership.OUTSIDE, name
             else:
@@ -176,22 +166,22 @@ class TestGamma3:
     def test_mu_axis_matches_extreme_slopes(self):
         # {|mu| = 0, |lambda| in (0,1)} membership holds iff an extreme slope
         # vanishes, matching the flat-run census downstream.
-        params, structure = _ps(gb01_profile())
-        assert gamma3_member(params, structure, 0.0, 0.7).state is Membership.INSIDE
-        params, structure = _ps(half_lines_profile())
-        assert gamma3_member(params, structure, 0.0, 0.7).state is Membership.OUTSIDE
+        g3 = gamma3_region(*_ps(gb01_profile()))
+        assert region_member(g3, 0.0, 0.7).state is Membership.INSIDE
+        g3 = gamma3_region(*_ps(half_lines_profile()))
+        assert region_member(g3, 0.0, 0.7).state is Membership.OUTSIDE
 
 
 class TestNesting:
     @pytest.mark.parametrize("name,profile", canonical_nonsimple())
     def test_gamma2_band_inside_taylor_band(self, name, profile):
         params, structure = _ps(profile)
+        t, g2 = taylor_region(params), gamma2_region(params, structure)
         rng = np.random.default_rng(9)
         for _ in range(200):
             a, b = rng.uniform(0.02, 0.98, 2)
-            g2 = gamma2_member(params, structure, float(a), float(b)).state
-            if g2 is Membership.INSIDE:
-                assert taylor_member(params, float(a), float(b)).state is not Membership.OUTSIDE
+            if region_member(g2, float(a), float(b)).state is Membership.INSIDE:
+                assert region_member(t, float(a), float(b)).state is not Membership.OUTSIDE
 
 
 class TestPartsConsistency:
@@ -231,14 +221,9 @@ class TestTolerance:
 
 
 # ---------------------------------------------------------------------------
-# region_states against region_member, code for code
+# region_states and region_member against the scalar reference, code for code
 # ---------------------------------------------------------------------------
 
-_exponents = st.one_of(
-    st.sampled_from([ExtReal(0), ExtReal(1), ExtReal(None)]),
-    st.fractions(min_value=0, max_value=6, max_denominator=8).map(ExtReal),
-)
-_pairs = st.one_of(st.tuples(_exponents, _exponents), _exponents.map(lambda e: (e, e)))
 _AXES = {  # Wold case -> (mu axis / t x D strip, lambda axis / D x t strip)
     WoldCase.MIXED_MIXED: (True, True),
     WoldCase.MIXED_W_SHIFT_Z: (True, False),
@@ -257,50 +242,39 @@ _GAMMA3_BANDS = {
 def _regions(draw) -> RegionSpec:
     kind = draw(st.sampled_from(RegionKind))
     if kind is RegionKind.TAYLOR:
-        return RegionSpec(kind, (tuple(sorted(draw(_pairs))),))
+        return RegionSpec(kind, (tuple(sorted(draw(exponent_pairs))),))
     case = draw(st.sampled_from(WoldCase))
     first, second = _AXES[case]
     if kind is RegionKind.GAMMA2:
-        return RegionSpec(kind, (draw(_pairs),), include_mu_axis=first,
+        return RegionSpec(kind, (draw(exponent_pairs),), include_mu_axis=first,
                           include_lambda_axis=second, wold_case=case)
-    bands = tuple(draw(_pairs) for _ in range(_GAMMA3_BANDS[case]))
+    bands = tuple(draw(exponent_pairs) for _ in range(_GAMMA3_BANDS[case]))
     return RegionSpec(kind, bands, include_t_cross_d=first, include_d_cross_t=second,
                       origin_included=draw(st.booleans()), wold_case=case)
-
-
-def _points(region: RegionSpec):
-    unit = st.floats(0.0, 1.0)
-    ends = st.sampled_from([0.0, 1.0])
-    exps = [e for pair in region.bands for e in pair] or [ExtReal(1)]
-    on_envelope = st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(exps)).map(
-        lambda ae: (ae[0], pow_ext(ae[0], ae[1]))
-    )
-    return st.one_of(
-        st.tuples(ends, unit),  # lambda axis and t x D edge
-        st.tuples(unit, ends),  # mu axis and D x t edge
-        st.tuples(ends, ends),  # corners
-        on_envelope,
-        st.tuples(unit, unit),
-    )
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_region_states_matches_region_member(data):
     region = data.draw(_regions())
-    points = data.draw(st.lists(_points(region), min_size=1, max_size=25))
+    exps = [e for pair in region.bands for e in pair] or [ExtReal(1)]
+    points = data.draw(st.lists(square_points(exps), min_size=1, max_size=25))
     tol = data.draw(st.sampled_from([DEFAULT_TOL, 1e-6, 0.05]))
     a = np.array([x for x, _ in points])
     b = np.array([y for _, y in points])
 
-    def scalar(x, y):
-        return region_member(region, float(x), float(y), tol).state.rank
+    def reference(x, y):
+        return reference_member(region, float(x), float(y), tol).state.rank
 
+    for x, y in points:
+        got = region_member(region, x, y, tol)
+        assert got.state.rank == reference(x, y)
+        assert got.tolerance_used == tol
     codes = region_states(region, a, b, tol)
     assert codes.dtype == np.int8
-    assert codes.tolist() == [scalar(x, y) for x, y in points]
+    assert codes.tolist() == [reference(x, y) for x, y in points]
     grid = region_states(region, a[:, None], b[None, :], tol)
-    assert grid.tolist() == [[scalar(x, y) for y in b] for x in a]
+    assert grid.tolist() == [[reference(x, y) for y in b] for x in a]
 
 
 class TestRegionStates:

@@ -12,7 +12,7 @@ from stairspec.diagram import (
 )
 from stairspec.extnum import ExtReal, Membership
 from stairspec.params import compute_params
-from stairspec.regions import gamma3_member
+from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
     MuOutOfRangeError,
     ShiftKind,
@@ -208,7 +208,7 @@ class TestPpiCensus:
             return
         params = compute_params(profile)
         census = ppi_census(profile, 64)
-        member = gamma3_member(params, structure, 0.0, 0.7).state
+        member = region_member(gamma3_region(params, structure), 0.0, 0.7).state
         zero_extreme = params.delta_minus == ExtReal(0) or params.delta_plus == ExtReal(0)
         assert census.truncated_indices_unbounded == zero_extreme
         assert (member is Membership.INSIDE) == zero_extreme, name
