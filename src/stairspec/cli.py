@@ -5,7 +5,7 @@ oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
 for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec or probe sizes,
 3 valid spec but the requested computation is outside its numeric regime
 (simple diagram, a magnitude out of range or NaN, scan through non-finite rows,
-border values beyond float64).
+border values beyond float64, a window scan over its budget).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .oracle import (
     EmptyWindowError,
     ParameterRegimeError,
     ProbeSizeError,
+    ScanBudgetError,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
     window_smin_scan,
@@ -332,6 +333,11 @@ def _cmd_oracle_t3(args) -> int:
     profile = _load_profile(args.spec)
     mu_abs = _parse_magnitude(args.mu, "mu")
     lam_abs = _parse_magnitude(args.lam, "lambda")
+    if args.window < 4:
+        raise ProbeSizeError(
+            f"--window must be >= 4 (the ladder probes window // 4, window // 2 "
+            f"and window), got {args.window}"
+        )
     ladder = []
     for size in (args.window // 4, args.window // 2, args.window):
         half = max(size // 2, 1)
@@ -444,6 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateSpecError,
         EmptyWindowError,
         BandDomainError,
+        ScanBudgetError,
     ) as exc:
         print(f"numeric-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME_ERROR

@@ -26,6 +26,7 @@ Tail families
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -83,6 +84,22 @@ _INT64_GUARD = 2**62
 
 def _top(ts: np.ndarray) -> int:
     return int(ts.max(initial=0))
+
+
+def _ints(values, *anchors: int) -> np.ndarray:
+    """Integers as an int64 array while they and ``anchors`` stay below the
+    guard, else as an object array of Python ints."""
+    if isinstance(values, range):
+        top = max(abs(values.start), abs(values.stop), *map(abs, anchors))
+        if top < _INT64_GUARD:
+            return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    a = np.asarray(values)
+    if a.dtype != np.int64:
+        a = np.array(values, dtype=object)
+    if not a.size:
+        return a.astype(np.int64)
+    top = max(int(a.max()), -int(a.min()), *map(abs, anchors))
+    return a.astype(np.int64 if top < _INT64_GUARD else object, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +483,10 @@ class DiagramProfile:
         # A raised DiagramError is not cached: every call re-checks and raises.
         return _check_and_classify(self)
 
+    @cached_property
+    def _window_values(self) -> np.ndarray:
+        return _ints(self.window)
+
     @property
     def j_hi(self) -> int:
         return self.j_lo + len(self.window) - 1
@@ -565,15 +586,38 @@ def _beyond(profile: DiagramProfile, ts: np.ndarray, side: Side) -> np.ndarray:
     return out
 
 
+def m_exact(profile: DiagramProfile, js) -> np.ndarray:
+    """Border values M_j at the integer indices ``js``, exact.
+
+    An int64 array while the indices and the tail arithmetic stay below the
+    guard, else an object array of Python ints; an empty row is +inf and a
+    full row -inf, both in an object array.
+    """
+    lo, hi = profile.j_lo, profile.j_hi
+    js = _ints(js, lo, hi)
+    below, above = js < lo, js > hi
+    n_below, n_above = np.count_nonzero(below), np.count_nonzero(above)
+    inside = ~(below | above)
+    parts = []
+    if n_below:
+        parts.append((below, _beyond(profile, lo - js[below], Side.MINUS)))
+    if n_above:
+        parts.append((above, _beyond(profile, js[above] - hi, Side.PLUS)))
+    if n_below + n_above < len(js) or not parts:
+        parts.append((inside, profile._window_values[(js[inside] - lo).astype(np.intp)]))
+    exact = all(part.dtype == np.int64 for _, part in parts)
+    # One part covers every index; +-inf rows still go to an object array.
+    if len(parts) == 1 and parts[0][1].dtype != np.float64:
+        return parts[0][1]
+    out = np.empty(len(js), dtype=np.int64 if exact else object)
+    for mask, part in parts:
+        out[mask] = part
+    return out
+
+
 def eval_M(profile: DiagramProfile, j: int) -> MValue:
     """Border value M_j, exact: a Python int, or +-inf at the degenerate tails."""
-    if j < profile.j_lo:
-        value = _beyond(profile, np.array([profile.j_lo - j]), Side.MINUS)[0]
-    elif j > profile.j_hi:
-        value = _beyond(profile, np.array([j - profile.j_hi]), Side.PLUS)[0]
-    else:
-        return profile.window[j - profile.j_lo]
-    return float(value) if isinstance(value, float) else int(value)
+    return m_exact(profile, [j]).item()
 
 
 def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
@@ -600,30 +644,49 @@ def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
     return out
 
 
-def eval_N(profile: DiagramProfile, i: int) -> MValue:
-    """Column border value N_i = inf{j : M_j <= i}.
+def n_exact(profile: DiagramProfile, cols) -> np.ndarray:
+    """Column border values N_i = inf{j : M_j <= i} at the integer columns ``cols``.
 
-    Returns -inf when every row reaches column i (a full column exists) and
-    +inf when no row does (an empty column).  Otherwise M is non-increasing
-    and crosses i: gallop out from the window to bracket the crossing, then
-    bisect.
+    -inf where every row reaches column i (a full column) and +inf where none
+    does (an empty column); types as for :func:`m_exact`.  Otherwise M is
+    non-increasing and crosses i.  The gallop points j_lo - 2**e and
+    j_hi + 2**e do not depend on the column: they are extended eight
+    exponents a call until they bracket every crossing, and then every
+    column is bisected at once, each step one :func:`m_exact` call over the
+    columns still open.
     """
-    if profile.minus_tail.is_rise_zero() and profile.window[0] <= i:
-        return NEG_INF
-    if profile.plus_tail.is_rise_zero() and profile.window[-1] > i:
-        return POS_INF
-    lo, hi, step = profile.j_lo - 1, profile.j_hi + 1, 1  # M_lo > i >= M_hi
-    while eval_M(profile, lo) <= i:
-        lo, hi, step = lo - step, lo, 2 * step
-    while eval_M(profile, hi) > i:
-        lo, hi, step = hi, hi + step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eval_M(profile, mid) <= i:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    cols = _ints(cols, profile.j_lo - 1, profile.j_hi + 1)
+    none = np.zeros(len(cols), dtype=bool)
+    full = cols >= profile.window[0] if profile.minus_tail.is_rise_zero() else none
+    empty = cols < profile.window[-1] if profile.plus_tail.is_rise_zero() else none
+    search = np.flatnonzero(~(full | empty))
+    c = hi = cols[search]
+    if c.size:
+        for reach in itertools.count(8, 8):
+            points = _ints([profile.j_lo - 2**e for e in reversed(range(reach))]
+                           + [profile.j_hi + 2**e for e in range(reach)])
+            rows = m_exact(profile, points)
+            if rows[0] > c.max() and rows[-1] <= c.min():
+                break
+        # Bracket each crossing as M_lo > c >= M_hi between two gallop points.
+        k = len(rows) - np.searchsorted(rows[::-1], c, side="right")
+        lo, hi = points[k - 1], points[k]
+        while (gap := np.flatnonzero(hi - lo > 1)).size:
+            mid = (lo[gap] + hi[gap]) // 2
+            reached = m_exact(profile, mid) <= c[gap]
+            hi[gap] = np.where(reached, mid, hi[gap])
+            lo[gap] = np.where(reached, lo[gap], mid)
+    if search.size == len(cols):
+        return hi
+    out = np.full(len(cols), NEG_INF, dtype=object)
+    out[empty], out[search] = POS_INF, hi
+    return out
+
+
+def eval_N(profile: DiagramProfile, i: int) -> MValue:
+    """Column border value N_i = inf{j : M_j <= i}: a Python int, or -inf for a
+    full column and +inf for an empty one."""
+    return n_exact(profile, [i]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +716,8 @@ def borders(profile: DiagramProfile, viewport: tuple[int, int, int, int]) -> Bor
         raise DiagramError(f"empty viewport: {viewport}")
     structure = validate(profile)
     vb, hb, inner, outer = [], [], [], []
-    for j in range(j_lo, j_hi + 1):
-        mj = eval_M(profile, j)
-        mprev = eval_M(profile, j - 1)
+    rows = m_exact(profile, range(j_lo - 1, j_hi + 1)).tolist()
+    for j, mprev, mj in zip(range(j_lo, j_hi + 1), rows, rows[1:]):
         mj_int = isinstance(mj, int)
         if mj_int and i_lo <= mj <= i_hi:
             vb.append((mj, j))
@@ -758,14 +820,12 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     if w_hi < w_lo:
         w_hi = w_lo
 
-    values = []
-    for k in range(w_lo, w_hi + 1):
-        n = eval_N(profile, k)
+    values = n_exact(profile, range(w_lo, w_hi + 1)).tolist()
+    for k, n in enumerate(values, w_lo):
         if not isinstance(n, int):
             raise UnsupportedTranspose(
                 f"transposed window value at column {k} is not finite"
             )
-        values.append(n)
 
     result = DiagramProfile(
         j_lo=w_lo, window=tuple(values), minus_tail=new_minus, plus_tail=new_plus
@@ -776,16 +836,18 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
 
 
 def _check_transpose(original: DiagramProfile, result: DiagramProfile) -> None:
-    """Probe eval_M(result, k) == eval_N(original, k) around and beyond the window."""
+    """Probe M_k of ``result`` == N_k of ``original`` around and beyond the window."""
     span = max(8, 4 * len(result.window))
     probes = list(range(result.j_lo - span, result.j_hi + span + 1))
     probes += [result.j_lo - span * 8, result.j_hi + span * 8]
-    for k in probes:
-        if eval_M(result, k) != eval_N(original, k):
-            raise AssertionError(
-                f"transpose self-check failed at column {k}: "
-                f"{eval_M(result, k)} != {eval_N(original, k)}"
-            )
+    rows, cols = m_exact(result, probes), n_exact(original, probes)
+    differ = np.flatnonzero(rows != cols)
+    if differ.size:
+        at = differ[0]
+        raise AssertionError(
+            f"transpose self-check failed at column {probes[at]}: "
+            f"{rows.item(at)} != {cols.item(at)}"
+        )
 
 
 # ---------------------------------------------------------------------------

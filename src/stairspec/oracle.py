@@ -30,7 +30,7 @@ from .diagram import (
     DiagramProfile,
     NEG_INF,
     POS_INF,
-    eval_M,
+    m_exact,
     m_values,
     validate,
 )
@@ -55,7 +55,15 @@ class EmptyWindowError(ValueError):
 
 
 class ProbeSizeError(ValueError):
-    """Window sizes or a term count that no probe can run with."""
+    """Window sizes, a scan range or a term count that no probe can run with."""
+
+
+class ScanBudgetError(ValueError):
+    """A window scan would sweep more window starts than its budget allows."""
+
+
+# The most candidate window starts one scan may sweep, summed over its sizes.
+WINDOW_START_BUDGET = 2**16
 
 
 class ScanVerdict(Enum):
@@ -182,7 +190,11 @@ def window_smin_scan(
 
     Window starts sweep [-j_scan, j_scan] (clamped into the shift's index
     range) with the given stride, by default a quarter of the window size;
-    only the windows that can still lower a size's minimum are solved.
+    only the windows that can still lower a size's minimum are solved.  A
+    size with stride ``step`` has 2 * j_scan // step + 2 candidate starts;
+    a scan whose candidates, summed over its sizes, exceed
+    ``WINDOW_START_BUDGET`` raises :class:`ScanBudgetError` before it
+    solves any window.
     Verdicts: inside when the ladder keeps halving and ends below ``tau_in``;
     outside when it ends at or above ``tau_out`` without significant decay;
     unresolved otherwise.
@@ -195,12 +207,22 @@ def window_smin_scan(
         raise ProbeSizeError("sizes must be at least two strictly increasing window lengths")
     if any(n < 2 for n in sizes):
         raise ProbeSizeError("window sizes must be >= 2")
+    if j_scan < 0:
+        raise ProbeSizeError(f"j_scan must be >= 0, got {j_scan}")
+    if stride is not None and stride < 1:
+        raise ProbeSizeError(f"stride must be >= 1, got {stride}")
     if not 0.0 <= lambda_abs <= 1.0:
         raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+    steps = [stride if stride is not None else max(1, n // 4) for n in sizes]
+    candidates = sum(2 * j_scan // step + 2 for step in steps)
+    if candidates > WINDOW_START_BUDGET:
+        raise ScanBudgetError(
+            f"j_scan = {j_scan} gives {candidates} candidate window starts, more than "
+            f"the budget of {WINDOW_START_BUDGET}"
+        )
 
     minima = []
-    for n in sizes:
-        step = stride if stride is not None else max(1, n // 4)
+    for n, step in zip(sizes, steps):
         starts = _window_starts(spec.j_min, spec.j_max, n, j_scan, step)
         w = _min_window_eigenvalue(spec, lambda_abs, n, starts)
         minima.append(math.sqrt(max(w, 0.0)))
@@ -342,7 +364,8 @@ def _window_points(
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
         raise EmptyWindowError(f"degenerate window: {window}")
-    row_minima = {j: eval_M(profile, j) for j in range(j_lo - 1, j_hi + 2)}
+    js = range(j_lo - 1, j_hi + 2)
+    row_minima = dict(zip(js, m_exact(profile, js).tolist()))
     cols: dict[tuple[int, int], int] = {}
     for j in range(j_lo, j_hi + 1):
         mj = row_minima[j]

@@ -23,6 +23,7 @@ from .diagram import (
     NEG_INF,
     POS_INF,
     eval_M,
+    m_exact,
     validate,
 )
 from .extnum import (
@@ -295,12 +296,12 @@ def ppi_census(profile: DiagramProfile, scan: int) -> PpiCensus:
     validate(profile)
     if scan < 1:
         raise ValueError("scan must be >= 1")
-    drops = []
-    for j in range(-scan, scan):
-        mj = eval_M(profile, j)
-        mnext = eval_M(profile, j + 1)
-        if isinstance(mj, int) and mj > mnext:
-            drops.append(j)
+    rows = m_exact(profile, range(-scan, scan + 1)).tolist()
+    drops = [
+        j
+        for j, mj, mnext in zip(range(-scan, scan), rows, rows[1:])
+        if isinstance(mj, int) and mj > mnext
+    ]
     histogram: dict[int, int] = {}
     for left, right in zip(drops, drops[1:]):
         gap = right - left

@@ -64,6 +64,26 @@ def canonical_nonsimple() -> list[tuple[str, DiagramProfile]]:
     ]
 
 
+def transpose_duality_suite() -> list[DiagramProfile]:
+    """Acceptance criterion 4's profiles: periodic, geometric and mixed tails."""
+    gb_a = GeometricBlocksTail((Fraction(1, 2), Fraction(2)), 2, 1)
+    gb_b = GeometricBlocksTail((Fraction(1, 3), Fraction(3), Fraction(1)), 2, 2)
+    gb_c = GeometricBlocksTail((Fraction(2, 3), Fraction(5, 2)), 3, 1)
+    return [
+        line_profile(),
+        line_profile(2, 1),
+        line_profile(1, 2),
+        line_profile(3, 2),
+        half_lines_profile(),
+        DiagramProfile(-1, (5, 2), PeriodicTail(3, 2), PeriodicTail(2, 5)),
+        DiagramProfile(0, (0,), PeriodicTail(1, 1), gb_a),
+        DiagramProfile(0, (3, 0), gb_b, PeriodicTail(1, 2)),
+        DiagramProfile(0, (0,), gb_a, gb_b),
+        DiagramProfile(2, (4, 1, 0), gb_c, gb_a),
+        wold_mixed_profile(),
+    ]
+
+
 @pytest.fixture
 def spec_dir() -> Path:
     return SPEC_DIR

@@ -42,6 +42,7 @@ from conftest import (
     half_lines_profile,
     line_profile,
     quarter_steps_profile,
+    transpose_duality_suite,
     wold_mixed_profile,
 )
 
@@ -114,22 +115,7 @@ def test_criterion_3_full_bidisc_cases():
 
 
 def test_criterion_4_transpose_duality():
-    gb_a = GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1)
-    gb_b = GeometricBlocksTail((FR(1, 3), FR(3), FR(1)), 2, 2)
-    gb_c = GeometricBlocksTail((FR(2, 3), FR(5, 2)), 3, 1)
-    suite = [
-        line_profile(),
-        line_profile(2, 1),
-        line_profile(1, 2),
-        line_profile(3, 2),
-        half_lines_profile(),
-        DiagramProfile(-1, (5, 2), PeriodicTail(3, 2), PeriodicTail(2, 5)),
-        DiagramProfile(0, (0,), PeriodicTail(1, 1), gb_a),
-        DiagramProfile(0, (3, 0), gb_b, PeriodicTail(1, 2)),
-        DiagramProfile(0, (0,), gb_a, gb_b),
-        DiagramProfile(2, (4, 1, 0), gb_c, gb_a),
-        wold_mixed_profile(),
-    ]
+    suite = transpose_duality_suite()
     bad = []
     for idx, profile in enumerate(suite):
         p = compute_params(profile)

@@ -374,6 +374,50 @@ class TestFringeAndOracle:
         assert captured.err.startswith(prefix)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("window", ["-8", "0", "3"])
+    def test_oracle_t3_window_below_4_exits_2(self, capsys, window):
+        argv = ["oracle", "t3", spec("wold_mixed_pair"), "--mu", "0.5", "--lambda", "0.5"]
+        assert main([*argv, f"--window={window}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error: --window must be >= 4")
+
+    def test_oracle_t3_window_4_is_the_smallest(self, capsys):
+        code, out = run(
+            capsys,
+            "oracle", "t3", spec("wold_mixed_pair"),
+            "--mu", "0.5", "--lambda", "0.5", "--window", "4",
+        )
+        assert code == 0
+        assert [entry["window"] for entry in json.loads(out)["smin_ladder"]] == [1, 2, 4]
+
+    def test_oracle_fringe_negative_j_scan_exits_2(self, capsys):
+        code = main(
+            ["oracle", "fringe", spec("half_lines_1_2"), "--mu", "0.5",
+             "--lambda", "0.5", "--j-scan=-5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("spec error: j_scan must be >= 0")
+
+    @pytest.mark.parametrize("name", ["half_lines_1_2", "quarter_plane_steps"])
+    def test_oracle_fringe_over_budget_exits_3_before_any_window(
+        self, capsys, monkeypatch, name
+    ):
+        from stairspec import oracle
+
+        def solved(*args):
+            raise AssertionError("a window was solved")
+
+        monkeypatch.setattr(oracle, "_window_gram", solved)
+        code = main(
+            ["oracle", "fringe", spec(name), "--mu", "0.5", "--lambda", "0.5",
+             "--sizes", "16,64", "--j-scan", "1000000000"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric-regime error: j_scan = 1000000000 gives")
+        assert "budget of 65536" in err
+
     def test_oracle_gamma2_regime_error(self, capsys):
         assert main(
             ["oracle", "gamma2", spec("quarter_plane_steps"),

@@ -1,7 +1,9 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,9 @@ from stairspec.diagram import (
     borders,
     eval_M,
     eval_N,
+    m_exact,
     m_values,
+    n_exact,
     profile_from_json,
     profile_to_json,
     translate,
@@ -48,6 +52,7 @@ from conftest import (
     notched_plane_profile,
     quarter_steps_profile,
     simple_quarter_profile,
+    transpose_duality_suite,
     wold_mixed_profile,
 )
 
@@ -226,7 +231,8 @@ def _finite_tails(draw, side: str):
     kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
     if kind == "periodic":
         rise = draw(st.integers(0, 7) | st.sampled_from(BIG))
-        return PeriodicTail(draw(st.integers(1, 5) | st.just(3 * 2**61)), rise)
+        period = draw(st.integers(1, 5) | st.sampled_from([3 * 2**61, 2**62, 10**20]))
+        return PeriodicTail(period, rise)
     slopes = draw(_slopes(positive=kind == "inverted"))
     inner = GeometricBlocksTail(slopes, draw(st.integers(2, 4)), draw(st.integers(1, 3)),
                                 draw(st.integers(0, 40)))
@@ -313,6 +319,139 @@ class TestEvalN:
                 lhs = n <= j
                 rhs = eval_M(profile, j) <= i
                 assert lhs == rhs, (name, i, j, n)
+
+
+def _reference_eval_N(profile: DiagramProfile, i: int):
+    """N_i by the scalar search n_exact replaced: gallop out from the window
+    one eval_M call at a time to bracket the crossing, then bisect."""
+    if profile.minus_tail.is_rise_zero() and profile.window[0] <= i:
+        return NEG_INF
+    if profile.plus_tail.is_rise_zero() and profile.window[-1] > i:
+        return POS_INF
+    lo, hi, step = profile.j_lo - 1, profile.j_hi + 1, 1  # M_lo > i >= M_hi
+    while eval_M(profile, lo) <= i:
+        lo, hi, step = lo - step, lo, 2 * step
+    while eval_M(profile, hi) > i:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eval_M(profile, mid) <= i:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _reference_row(profile: DiagramProfile, j: int):
+    """M_j straight from the window and the tail definitions."""
+    minus, plus = profile.minus_tail, profile.plus_tail
+    if j < profile.j_lo:
+        if not minus.finite:
+            return POS_INF
+        return profile.window[0] + _reference_rise(minus, profile.j_lo - j, Side.MINUS)
+    if j > profile.j_hi:
+        if not plus.finite:
+            return NEG_INF
+        return profile.window[-1] - _reference_rise(plus, j - profile.j_hi, Side.PLUS)
+    return profile.window[j - profile.j_lo]
+
+
+# Translations of a profile's window values and indices, past the integers
+# float64 holds exactly.
+SHIFTS = [0, 2**53, -(2**53), 10**17, -(10**17)]
+FAR = [1000, -1000, 10**6, -(10**6), 2**40, -(2**40), 2**70, -(2**70)]
+
+
+def _same(got: list, want: list) -> bool:
+    return got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestColumnBorders:
+    """n_exact searches every column at once; it must equal the scalar search."""
+
+    @given(_any_profiles(), st.sampled_from(SHIFTS), st.sampled_from(SHIFTS),
+           st.lists(st.tuples(st.sampled_from([0, -1]),
+                              st.integers(-8, 8) | st.sampled_from(FAR[:4])),
+                    min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_n_exact_is_the_scalar_search(self, profile, di, dj, offsets):
+        profile = translate(profile, di, dj)
+        validate(profile)
+        cols = [profile.window[k] + off for k, off in offsets]
+        want = [_reference_eval_N(profile, i) for i in cols]
+        assert _same(n_exact(profile, cols).tolist(), want)
+        assert _same([eval_N(profile, i) for i in cols], want)
+
+    @given(_any_profiles(), st.sampled_from(SHIFTS), st.sampled_from(SHIFTS),
+           st.lists(st.integers(-12, 12) | st.sampled_from(FAR), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_m_exact_is_the_tail_definition(self, profile, di, dj, offsets):
+        profile = translate(profile, di, dj)
+        validate(profile)
+        js = [profile.j_lo + off for off in offsets]
+        got = m_exact(profile, js)
+        assert got.dtype in (np.int64, object)
+        assert _same(got.tolist(), [_reference_row(profile, j) for j in js])
+
+    def test_every_tail_kind_is_drawn(self):
+        kinds = set()
+
+        @given(_any_profiles())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def collect(profile):
+            for tail in (profile.minus_tail, profile.plus_tail):
+                kinds.add("rise_zero" if tail.is_rise_zero() else tail.kind)
+
+        collect()
+        assert kinds == {"empty", "full", "periodic", "rise_zero", "geometric", "inverted"}
+
+    def test_transposes_make_no_scalar_calls(self, monkeypatch):
+        from stairspec import oracle, shifts
+
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        for module in (D, shifts, oracle):
+            monkeypatch.setattr(module, "eval_M", counted("eval_M", eval_M), raising=False)
+            monkeypatch.setattr(module, "eval_N", counted("eval_N", eval_N), raising=False)
+        for profile in transpose_duality_suite():
+            transpose(transpose(transpose(profile)))
+            borders(profile, (-20, 20, -20, 20))
+            shifts.ppi_census(profile, 64)
+            oracle.joint_adjoint_kernel_smin(profile, 0.5, 0.5, (-6, 6, -6, 6))
+        assert calls == []
+
+    def test_transposes_are_unchanged(self):
+        """repr of the single, double and triple transposes of criterion 4's
+        suite, recorded from the per-column eval_N implementation."""
+        recorded = json.loads((Path(__file__).parent / "transpose_reprs.json").read_text())
+        got = []
+        for profile in transpose_duality_suite():
+            once = transpose(profile)
+            twice = transpose(once)
+            got.append([repr(once), repr(twice), repr(transpose(twice))])
+        assert got == recorded
+
+    @pytest.mark.parametrize(
+        "original,result,message",
+        [
+            (line_profile(),
+             DiagramProfile(-1, (1, 0), PeriodicTail(1, 1), PeriodicTail(1, 2)),
+             "column 1: -2 != -1"),
+            (quarter_steps_profile(), line_profile(), "column -8: 8 != inf"),
+            (line_profile(), quarter_steps_profile(), "column -8: inf != 8"),
+        ],
+        ids=["finite", "empty-column", "empty-row"],
+    )
+    def test_failed_self_check_names_the_first_column(self, original, result, message):
+        with pytest.raises(AssertionError) as failure:
+            D._check_transpose(original, result)
+        assert str(failure.value) == f"transpose self-check failed at {message}"
 
 
 class TestBorders:

@@ -23,11 +23,15 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
+from stairspec import oracle
 from stairspec.extnum import Membership
 from stairspec.oracle import (
+    WINDOW_START_BUDGET,
     DegenerateSpecError,
     EmptyWindowError,
     ParameterRegimeError,
+    ProbeSizeError,
+    ScanBudgetError,
     ScanVerdict,
     SeriesClass,
     _window_points,
@@ -48,6 +52,33 @@ from conftest import (
     quarter_steps_profile,
     wold_mixed_profile,
 )
+
+
+class TestScanBudget:
+    """A scan's candidate window starts are counted, and refused over budget,
+    before any window is solved."""
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        spec = fringe_operator(line_profile(), 0.5)
+        monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", 20)
+        # steps 4 and 16: 2 * 27 // 4 + 2 + 2 * 27 // 16 + 2 == 20
+        window_smin_scan(spec, 0.3, [16, 64], j_scan=27)
+        with pytest.raises(ScanBudgetError, match="gives 21 candidate window starts"):
+            window_smin_scan(spec, 0.3, [16, 64], j_scan=28)
+        with pytest.raises(ScanBudgetError):
+            window_smin_scan(spec, 0.3, [16, 64], j_scan=5, stride=1)
+
+    def test_largest_benchmarked_scan_is_well_inside(self, monkeypatch):
+        spec = fringe_operator(gb01_profile(), 0.5)
+        monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", WINDOW_START_BUDGET // 100)
+        result = window_smin_scan(spec, 0.3, [256, 1024, 4096], j_scan=4096)
+        assert result.verdict is ScanVerdict.OUTSIDE_AP_SPECTRUM
+
+    @pytest.mark.parametrize("j_scan,stride", [(-1, None), (-5, 4), (4, 0), (4, -2)])
+    def test_negative_range_or_stride_is_refused(self, j_scan, stride):
+        spec = fringe_operator(line_profile(), 0.5)
+        with pytest.raises(ProbeSizeError):
+            window_smin_scan(spec, 0.3, [16, 64], j_scan=j_scan, stride=stride)
 
 
 class TestWindowSminScan:
