@@ -68,7 +68,7 @@ def _load_profile(path: str) -> DiagramProfile:
             doc = json.load(handle)
     except OSError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an int, too deep
         raise SpecParseError(f"{path}: invalid JSON: {exc}") from exc
     return profile_from_json(doc)
 
@@ -271,7 +271,7 @@ def _cmd_fringe(args) -> int:
         {
             "kind": spec.kind.value,
             "mu_abs": mu_abs,
-            "weights_first_32": [spec.weight(j) for j in _fringe_weight_indices(spec)],
+            "weights_first_32": spec.weights(_fringe_weight_indices(spec)),
             "ridge_bounds": bounds.to_json(),
         }
     )

@@ -234,6 +234,30 @@ class _BlockTable:
         return tuple(np.array(v, dtype=object) for v in (self.starts, self.targets, self.slopes))
 
 
+def _cycle_end_sums(slopes: tuple[Fraction, ...], ratio: int) -> tuple[list[int], int]:
+    """Numerators of the cycle-end averages, one per phase, over their common
+    denominator.
+
+    With the slopes written as integers a_k over their lcm, the phase ending
+    on slope k averages to S_k / (lcm * (1 + r + ... + r**(m-1))), where
+    S_k = sum_d a_{k-d} r**(m-1-d) over d < m.  S_{m-1} is the integer Horner
+    sum of a_{m-1}, ..., a_0, and S_{k-1} = r * S_k - a_k * (r**m - 1) gives
+    the other phases exactly, one multiplication each.
+    """
+    m, r = len(slopes), ratio
+    lcm = math.lcm(*(s.denominator for s in slopes))
+    scaled = [s.numerator * (lcm // s.denominator) for s in slopes]
+    cycle = r**m - 1
+    acc = 0
+    for a in reversed(scaled):
+        acc = acc * r + a
+    sums = [acc] * m
+    for k in range(m - 1, 0, -1):
+        acc = acc * r - scaled[k] * cycle
+        sums[k - 1] = acc
+    return sums, lcm * (cycle // (r - 1))
+
+
 @dataclass(frozen=True)
 class GeometricBlocksTail:
     """Blocks of length base_len * ratio**k cycling through rational slopes.
@@ -309,20 +333,14 @@ class GeometricBlocksTail:
 
     def cycle_end_averages(self) -> tuple[Fraction, ...]:
         """Limits of running averages along block ends, one per phase."""
-        m = len(self.slopes)
-        r = self.ratio
-        out = []
-        for phase in range(m):
-            weighted = sum(
-                self.slopes[(phase - d) % m] * Fraction(1, r**d) for d in range(m)
-            )
-            out.append((Fraction(r - 1, r) * weighted) / (1 - Fraction(1, r**m)))
-        return tuple(out)
+        numerators, denominator = _cycle_end_sums(self.slopes, self.ratio)
+        return tuple(Fraction(n, denominator) for n in numerators)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
+        numerators, denominator = _cycle_end_sums(self.slopes, self.ratio)
         return (
             ExtReal(min(self.slopes)),
-            ExtReal(max(self.cycle_end_averages())),
+            ExtReal(Fraction(max(numerators), denominator)),
             ExtReal(max(self.slopes)),
         )
 
@@ -408,10 +426,10 @@ class InvertedBlocksTail:
         return False
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        averages = self.inner.cycle_end_averages()
+        numerators, denominator = _cycle_end_sums(self.inner.slopes, self.inner.ratio)
         return (
             ExtReal(1 / max(self.inner.slopes)),
-            ExtReal(1 / min(averages)),
+            ExtReal(Fraction(denominator, min(numerators))),
             ExtReal(1 / min(self.inner.slopes)),
         )
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial, total_ordering
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -34,30 +34,34 @@ class BandDomainError(ValueError):
     """Raised when a magnitude or exponent argument leaves the supported domain."""
 
 
-@total_ordering
 class ExtReal:
     """An exact element of [0, inf]: a reduced nonnegative fraction or infinity.
 
     Instances are immutable and totally ordered, with every finite value
-    below infinity.  Finite comparisons are exact (cross-multiplication via
-    ``fractions.Fraction``), never floating point.
+    below infinity.  The value is kept as two ints, a numerator and a
+    denominator in lowest terms, with infinity as 1/0; every comparison is
+    one exact cross-multiplication ``a.n * b.d < b.n * a.d``, which orders
+    infinity correctly too, never floating point.  The float value is
+    taken once, when the value is built.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_n", "_d", "_float")
 
-    _frac: Fraction | None  # None encodes infinity
+    _n: int
+    _d: int  # 0 encodes infinity, with _n = 1
+    _float: float | None  # None when the finite value is beyond float64
 
     def __init__(self, value: "ExtReal | Fraction | int | None" = 0):
-        if isinstance(value, ExtReal):
-            object.__setattr__(self, "_frac", value._frac)
+        if type(value) is ExtReal:
+            _init(self, value._n, value._d)
             return
         if value is None:
-            object.__setattr__(self, "_frac", None)
+            _init(self, 1, 0)
             return
-        frac = Fraction(value)
-        if frac < 0:
+        frac = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        if frac.numerator < 0:
             raise BandDomainError(f"negative value not representable: {value}")
-        object.__setattr__(self, "_frac", frac)
+        _init(self, frac.numerator, frac.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
@@ -79,73 +83,108 @@ class ExtReal:
 
     @property
     def is_infinite(self) -> bool:
-        return self._frac is None
+        return not self._d
 
     def as_fraction(self) -> Fraction:
-        if self._frac is None:
+        if not self._d:
             raise BandDomainError("infinity has no fractional value")
-        return self._frac
+        return Fraction(self._n, self._d)
 
     def reciprocal(self) -> "ExtReal":
         """1/x with the conventions 1/0 = inf and 1/inf = 0."""
-        if self._frac is None:
-            return ExtReal(0)
-        if self._frac == 0:
-            return ExtReal(None)
-        return ExtReal(1 / self._frac)
+        if not self._n:
+            return EXT_INF
+        out = ExtReal.__new__(ExtReal)
+        _init(out, self._d, self._n)  # still in lowest terms
+        return out
 
     def __float__(self) -> float:
-        return math.inf if self._frac is None else float(self._frac)
+        if self._float is None:
+            raise OverflowError("integer division result too large for a float")
+        return self._float
 
     def as_float(self) -> float:
         """The finite value as a float; BandDomainError for infinity or beyond float64."""
-        if self._frac is None:
+        if self._d and self._float is not None:
+            return self._float
+        if not self._d:
             raise BandDomainError("infinity has no finite float value")
-        try:
-            return float(self._frac)
-        except OverflowError as exc:
-            digits = math.log10(self._frac.numerator) - math.log10(self._frac.denominator)
-            raise BandDomainError(
-                f"exponent of about 1e{digits:.0f} is beyond the float64 range"
-            ) from exc
+        digits = math.log10(self._n) - math.log10(self._d)
+        raise BandDomainError(f"exponent of about 1e{digits:.0f} is beyond the float64 range")
 
     @staticmethod
     def _coerce(other) -> "ExtReal | None":
-        if isinstance(other, ExtReal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            try:
-                return ExtReal(other)
-            except BandDomainError:
-                return None
+        """A nonnegative int or Fraction as an ExtReal; None for anything else."""
+        if isinstance(other, (int, Fraction)) and other >= 0:
+            return ExtReal(other)
         return None
 
     def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self._frac == coerced._frac
+        if type(other) is not ExtReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._n == other._n and self._d == other._d
 
     def __lt__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        if self._frac is None:
-            return False
-        if coerced._frac is None:
-            return True
-        return self._frac < coerced._frac
+        if type(other) is not ExtReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._n * other._d < other._n * self._d
+
+    def __le__(self, other) -> bool:
+        if type(other) is not ExtReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._n * other._d <= other._n * self._d
+
+    def __gt__(self, other) -> bool:
+        if type(other) is not ExtReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._n * other._d > other._n * self._d
+
+    def __ge__(self, other) -> bool:
+        if type(other) is not ExtReal:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._n * other._d >= other._n * self._d
 
     def __hash__(self) -> int:
-        return hash(("ExtReal", self._frac))
+        # The hash of the equal int or Fraction, so mixed keys agree.
+        return hash(Fraction(self._n, self._d)) if self._d else hash(math.inf)
 
     def __str__(self) -> str:
-        if self._frac is None:
+        if not self._d:
             return "inf"
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        try:
+            return f"{self._n}/{self._d}"
+        except ValueError as exc:  # past the interpreter's int-to-str digit limit
+            raise BandDomainError(
+                "exponent has more decimal digits than the interpreter writes "
+                f"({self._n.bit_length()}-bit numerator, {self._d.bit_length()}-bit denominator)"
+            ) from exc
 
     def __repr__(self) -> str:
         return f"ExtReal({str(self)!r})"
+
+
+def _init(x: ExtReal, n: int, d: int) -> None:
+    """Set the reduced pair of a new ExtReal and take its float once.
+
+    ``n / d`` is int true division, correctly rounded like ``float(Fraction)``.
+    """
+    object.__setattr__(x, "_n", n)
+    object.__setattr__(x, "_d", d)
+    try:
+        value = n / d if d else math.inf
+    except OverflowError:
+        value = None
+    object.__setattr__(x, "_float", value)
 
 
 EXT_ZERO = ExtReal(0)

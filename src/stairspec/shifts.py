@@ -22,7 +22,6 @@ from .diagram import (
     MValue,
     NEG_INF,
     POS_INF,
-    eval_M,
     m_exact,
     validate,
 )
@@ -73,24 +72,31 @@ class ShiftSpec:
             return 0.0
         return self.mu_abs ** int(drop)
 
+    def weights(self, js, down: bool = False) -> list[float]:
+        """``weight(j)``, or ``down_weight(j)`` if ``down``, for every j in ``js``.
+
+        The border rows of every edge come from one exact evaluation.
+        """
+        js = list(js)
+        adjoint = self.kind is ShiftKind.UNILATERAL_ADJOINT
+        for j in js:
+            if adjoint and not down:
+                if j > self.j_max:
+                    raise ValueError(f"index {j} above the shift range")
+            elif j < self.j_min or j > self.j_max:
+                raise ValueError(f"index {j} outside the shift range")
+            elif not down and j + 1 > self.j_max:
+                raise ValueError(f"edge {j} -> {j + 1} leaves the shift range")
+        top = js if down or adjoint else [j + 1 for j in js]  # edge (t - 1, t)
+        rows = m_exact(self.profile, [t - 1 for t in top] + top).tolist()
+        return [self._pow_drop(a - b) for a, b in zip(rows[: len(js)], rows[len(js) :])]
+
     def weight(self, j: int) -> float:
-        if self.kind is ShiftKind.UNILATERAL_ADJOINT:
-            if j > self.j_max:
-                raise ValueError(f"index {j} above the shift range")
-            return self._pow_drop(eval_M(self.profile, j - 1) - eval_M(self.profile, j))
-        if j < self.j_min or j > self.j_max:
-            raise ValueError(f"index {j} outside the shift range")
-        lo = eval_M(self.profile, j)
-        hi = eval_M(self.profile, j + 1) if j + 1 <= self.j_max else NEG_INF
-        if hi == NEG_INF:
-            raise ValueError(f"edge {j} -> {j + 1} leaves the shift range")
-        return self._pow_drop(lo - hi)
+        return self.weights([j])[0]
 
     def down_weight(self, j: int) -> float:
         """|mu|**(M_{j-1} - M_j) for j in the index range."""
-        if j < self.j_min or j > self.j_max:
-            raise ValueError(f"index {j} outside the shift range")
-        return self._pow_drop(eval_M(self.profile, j - 1) - eval_M(self.profile, j))
+        return self.weights([j], down=True)[0]
 
 
 def fringe_operator(profile: DiagramProfile, mu_abs: float) -> ShiftSpec:
@@ -253,18 +259,14 @@ def sigma_ap_predict(
         state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
         return BandMembership(state, tol)
     if spec.kind is ShiftKind.UNILATERAL:
-        state = _radius_interval_member(lambda_abs, 0.0, bounds.r_minus_value, tol)
-        return BandMembership(state, tol)
-    if spec.kind is ShiftKind.UNILATERAL_ADJOINT:
-        state = _radius_interval_member(
-            lambda_abs, bounds.i_minus_value, bounds.r_minus_value, tol
-        )
-        return BandMembership(state, tol)
-    states = (
-        _radius_interval_member(lambda_abs, bounds.i_plus_value, bounds.r_plus_value, tol),
-        _radius_interval_member(lambda_abs, bounds.r_plus_value, bounds.i_minus_value, tol),
-        _radius_interval_member(lambda_abs, bounds.i_minus_value, bounds.r_minus_value, tol),
-    )
+        intervals = ((0.0, bounds.r_minus_value),)
+    elif spec.kind is ShiftKind.UNILATERAL_ADJOINT:
+        intervals = ((bounds.i_minus_value, bounds.r_minus_value),)
+    else:
+        i_plus, r_plus = bounds.i_plus_value, bounds.r_plus_value
+        i_minus, r_minus = bounds.i_minus_value, bounds.r_minus_value
+        intervals = ((i_plus, r_plus), (r_plus, i_minus), (i_minus, r_minus))
+    states = (_radius_interval_member(lambda_abs, lo, hi, tol) for lo, hi in intervals)
     return BandMembership(best_membership(*states), tol)
 
 

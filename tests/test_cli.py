@@ -292,6 +292,24 @@ class TestFringeAndOracle:
         assert len(doc["weights_first_32"]) == 32
         assert doc["ridge_bounds"]["i_minus"]["value"] == 0.5
 
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_fringe_makes_no_scalar_calls(self, capsys, monkeypatch, name):
+        """The printed weights come from one exact border evaluation."""
+        from stairspec import diagram, shifts
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_M(*args)
+
+        eval_M = diagram.eval_M
+        for module in (diagram, shifts):
+            monkeypatch.setattr(module, "eval_M", counted, raising=False)
+        code, out = run(capsys, "fringe", spec(name), "--mu", "0.5")
+        assert code == 0 and len(json.loads(out)["weights_first_32"]) == 32
+        assert calls == []
+
     def test_oracle_fringe(self, capsys):
         code, out = run(
             capsys,

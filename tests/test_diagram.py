@@ -40,6 +40,7 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
+from stairspec.extnum import ExtReal
 from stairspec.params import compute_params
 from stairspec.shifts import fringe_operator
 
@@ -252,6 +253,43 @@ def _any_profiles(draw):
     minus = draw(st.just(EMPTY_ROWS) | _finite_tails("minus"))
     plus = draw(st.just(FULL_ROWS) | _finite_tails("plus"))
     return DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
+
+
+def _reference_cycle_end_averages(slopes: tuple, ratio: int) -> tuple[Fraction, ...]:
+    """The cycle-end averages by the Fraction loop the integer sums replaced:
+    per phase, the slopes back along one cycle weighted by r**-d, chained in
+    Fraction products."""
+    m, r = len(slopes), ratio
+    out = []
+    for phase in range(m):
+        weighted = sum(slopes[(phase - d) % m] * Fraction(1, r**d) for d in range(m))
+        out.append((Fraction(r - 1, r) * weighted) / (1 - Fraction(1, r**m)))
+    return tuple(out)
+
+
+class TestCycleEndAverages:
+    @given(st.lists(st.just(FR(0)) | st.builds(Fraction, st.integers(0, 12) | st.sampled_from(BIG),
+                                                st.integers(1, 9)),
+                    min_size=1, max_size=6),
+           st.integers(2, 9), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_sums_are_the_fraction_loop(self, slopes, ratio, base_len):
+        slopes = tuple(slopes)
+        want = _reference_cycle_end_averages(slopes, ratio)
+        numerators, denominator = D._cycle_end_sums(slopes, ratio)
+        assert tuple(FR(n, denominator) for n in numerators) == want
+        if len(set(slopes)) == 1:  # a single slope is a periodic tail, not a block tail
+            assert want == (slopes[0],) * len(slopes)
+            return
+        tail = GeometricBlocksTail(slopes, ratio, base_len)
+        got = tail.cycle_end_averages()
+        assert got == want and all(type(v) is Fraction for v in got)
+        assert tail.asymptotics() == (
+            ExtReal(min(slopes)), ExtReal(max(want)), ExtReal(max(slopes)))
+        if min(slopes) > 0:
+            for mode in InversionMode:
+                assert InvertedBlocksTail(tail, mode).asymptotics() == (
+                    ExtReal(1 / max(slopes)), ExtReal(1 / min(want)), ExtReal(1 / min(slopes)))
 
 
 class TestExactEvaluator:

@@ -214,3 +214,80 @@ def test_band_kernels_match_reference(data):
                 ref.band_member(a, b, p, q, tol)
         else:
             assert band_member(a, b, p, q, tol) == ref.band_member(a, b, p, q, tol)
+
+
+# ---------------------------------------------------------------------------
+# ExtReal against fractions.Fraction
+# ---------------------------------------------------------------------------
+
+HUGE = [10**20, 2**1100, 10**400, 2**1024, 2**1024 - 2**970]
+_ints = st.integers(0, 10**6) | st.sampled_from(HUGE)
+# An ExtReal's model: a nonnegative Fraction, or None for infinity.
+_models = (
+    st.none()
+    | st.just(Fraction(0))
+    | st.builds(Fraction, _ints, st.integers(1, 10**6) | st.sampled_from(HUGE))
+)
+
+
+def _operands(x: Fraction | None) -> list:
+    """Every form an operand with the value x may take: an ExtReal, and for a
+    finite x its Fraction and, when integral, its int."""
+    if x is None:
+        return [ExtReal(None)]
+    forms = [ExtReal(x), x]
+    return forms + [int(x)] if x.denominator == 1 else forms
+
+
+def _key(x: Fraction | None) -> tuple:
+    return (1, 0) if x is None else (0, x)
+
+
+def _same_float(x: ExtReal, model: Fraction | None):
+    """float(x) is float(model) bit for bit, or both overflow; as_float agrees."""
+    if model is None:
+        assert float(x) == math.inf
+        with pytest.raises(BandDomainError, match="infinity"):
+            x.as_float()
+        return
+    try:
+        want = float(model)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(x)
+        digits = math.log10(model.numerator) - math.log10(model.denominator)
+        with pytest.raises(BandDomainError) as raised:
+            x.as_float()
+        assert str(raised.value) == f"exponent of about 1e{digits:.0f} is beyond the float64 range"
+        return
+    assert float(x).hex() == want.hex()
+    assert x.as_float().hex() == want.hex()
+
+
+@given(_models, _models)
+@settings(max_examples=400, deadline=None)
+def test_extreal_is_fraction_with_infinity(a, b):
+    x = ExtReal(a)
+    assert x.is_infinite == (a is None)
+    if a is not None:
+        assert x.as_fraction() == a and type(x.as_fraction()) is Fraction
+    assert str(x) == ("inf" if a is None else f"{a.numerator}/{a.denominator}")
+    assert ExtReal.parse(str(x)) == x
+    _same_float(x, a)
+    inverse = None if a == 0 else (Fraction(0) if a is None else 1 / a)
+    assert x.reciprocal() == ExtReal(inverse)
+    _same_float(x.reciprocal(), inverse)
+
+    ka, kb = _key(a), _key(b)
+    for left in _operands(a):
+        for right in _operands(b):
+            if not (isinstance(left, ExtReal) or isinstance(right, ExtReal)):
+                continue
+            assert (left < right) == (ka < kb)
+            assert (left <= right) == (ka <= kb)
+            assert (left > right) == (ka > kb)
+            assert (left >= right) == (ka >= kb)
+            assert (left == right) == (ka == kb)
+            assert (left != right) == (ka != kb)
+            if ka == kb:
+                assert hash(left) == hash(right)

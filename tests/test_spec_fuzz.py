@@ -1,0 +1,128 @@
+"""The input contract on spec documents: every document the CLI is given either
+gets an answer (exit 0) or is refused with a message (exit 2 for a malformed or
+invalid spec, 3 for one outside the numeric regime), never a traceback."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stairspec.cli import main
+
+HUGE = [10**20, 10**400]
+_ints = st.integers(-3, 12) | st.sampled_from(HUGE + [-(10**20)])
+_positive = st.integers(1, 5) | st.sampled_from(HUGE)
+_slope_texts = st.builds("{}/{}".format, st.integers(0, 9) | st.sampled_from(HUGE), _positive)
+# What a corrupted field gets: non-integers, negatives, empty lists, huge ints.
+_bad = st.sampled_from([1.5, -0.0, "3", "x", "1/0", None, True, [], {}, float("nan"),
+                        -1, 0, -(10**400), 10**400, {"kind": "spiral"}])
+
+
+def _tail(kind: str, **fields):
+    return {"kind": kind, **fields}
+
+
+_periodic = st.builds(lambda p, r: _tail("periodic", period=p, rise=r),
+                      _positive, st.just(0) | _positive)
+# Deep geometric parameters: up to twelve slopes, huge ratios and block lengths.
+_geometric = st.builds(lambda s, r, b: _tail("geometric", slopes=s, ratio=r, base_len=b),
+                       st.lists(_slope_texts | st.integers(0, 3), min_size=1, max_size=12),
+                       st.integers(2, 9) | st.sampled_from(HUGE), _positive)
+_minus_tails = st.just(_tail("empty")) | _periodic | _geometric
+_plus_tails = st.just(_tail("full")) | _periodic | _geometric
+
+
+def _slots(node, out):
+    """Every (container, key) of a document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@st.composite
+def _documents(draw):
+    """Valid documents, each with zero to two fields replaced, dropped or added."""
+    swap = draw(st.integers(0, 9)) == 0  # a tail on the wrong side
+    doc = copy.deepcopy({
+        "window": {"j_lo": draw(_ints),
+                   "values": sorted(draw(st.lists(_ints, min_size=1, max_size=4)), reverse=True)},
+        "minus_tail": draw(_plus_tails if swap else _minus_tails),
+        "plus_tail": draw(_minus_tails if swap else _plus_tails),
+    })
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        node, key = draw(st.sampled_from(_slots(doc, [])))
+        action = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
+        if action == "replace":
+            node[key] = copy.deepcopy(draw(_bad))
+        elif action == "drop":
+            node.pop(key)
+        elif isinstance(node, dict):
+            node["extra"] = 1
+        else:
+            node.append(copy.deepcopy(draw(_ints | _bad)))
+    return doc if draw(st.integers(0, 19)) else copy.deepcopy(draw(_bad))
+
+
+# Commands that read only the document and the exponents.
+COMMANDS = [
+    ["validate"],
+    ["params"],
+    ["report", "--mc-samples", "50"],
+]
+MEMBER = ["member", "--mu", "0.5", "--lambda", "0.3"]
+
+_DEEP = {
+    "window": {"j_lo": 0, "values": [0]},
+    "minus_tail": _tail("geometric", slopes=[f"{k}/{k + 1}" for k in range(12)],
+                        ratio=10**400, base_len=1),
+    "plus_tail": _tail("periodic", period=1, rise=1),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(_documents(), st.sampled_from(["taylor", "gamma2", "gamma3"]))
+@settings(max_examples=60, deadline=None)
+@example(_DEEP, "gamma2")
+@example({**_DEEP, "minus_tail": _tail("periodic", period=1, rise=10**400)}, "taylor")
+@example({**_DEEP, "minus_tail": _tail("periodic", period=10**400, rise=1)}, "gamma3")
+@example({**_DEEP, "plus_tail": _tail("geometric", slopes=[str(10**400), "1"], ratio=2,
+                                      base_len=10**400)}, "taylor")
+def test_spec_documents_exit_0_2_or_3(doc, region):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        for argv in COMMANDS + [MEMBER + ["--set", region]]:
+            code, err = _run([argv[0], str(path), *argv[1:]])
+            assert code in (0, 2, 3), (argv, err)
+            assert "Traceback" not in err
+            assert (code == 0) == (err == ""), (argv, err)
+
+
+def test_unreadable_json_exits_2(tmp_path):
+    """Integers longer than the interpreter converts, nesting deeper than it
+    parses, and bytes that are not UTF-8 are spec errors too."""
+    cases = {
+        "long_int": '{"window": {"j_lo": 0, "values": [' + "1" * 5000 + "]}}",
+        "deep": "[" * 100_000,
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert _run(["validate", str(path)])[0] == 2, name
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"x": "\xe9"}')
+    assert _run(["validate", str(path)])[0] == 2
