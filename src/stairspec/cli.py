@@ -252,14 +252,14 @@ def _cmd_raster(args) -> int:
     return EXIT_OK
 
 
-def _fringe_weight_indices(spec) -> list[int]:
+def _fringe_weight_indices(spec) -> range:
     if spec.kind is ShiftKind.UNILATERAL_ADJOINT:
         top = int(spec.j_max)
-        return list(range(top - 31, top + 1))
+        return range(top - 31, top + 1)
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
-        return list(range(int(spec.j_min), int(spec.j_max)))
+        return range(int(spec.j_min), int(spec.j_max))
     start = int(spec.j_min) if spec.j_min != -math.inf else spec.profile.j_lo
-    return list(range(start, start + 32))
+    return range(start, start + 32)
 
 
 def _cmd_fringe(args) -> int:
@@ -271,7 +271,7 @@ def _cmd_fringe(args) -> int:
         {
             "kind": spec.kind.value,
             "mu_abs": mu_abs,
-            "weights_first_32": spec.weights(_fringe_weight_indices(spec)),
+            "weights_first_32": spec.weights(_fringe_weight_indices(spec)).tolist(),
             "ridge_bounds": bounds.to_json(),
         }
     )

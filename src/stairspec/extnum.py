@@ -66,6 +66,10 @@ class ExtReal:
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the slots refuse writes
+        return ExtReal, (Fraction(self._n, self._d) if self._d else None,)
+
     @classmethod
     def infinity(cls) -> "ExtReal":
         return cls(None)

@@ -84,15 +84,14 @@ def _window_gram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix of the windowed dual operator lambda - OP, as (diag, off).
 
-    OP maps e_j to |mu|**(M_{j-1}-M_j) e_{j-1}; restricted to coordinates
-    [start, start+n) its image touches one extra row below, so the matrix is
-    (n+1) x n bidiagonal and its Gram matrix is symmetric tridiagonal.  The
-    window's smallest singular value is the square root of the smallest
-    eigenvalue of that tridiagonal, clipped at 0.
+    OP maps e_j to |mu|**(M_{j-1}-M_j) e_{j-1}, with the weights read from
+    ``ShiftSpec.weights``; restricted to coordinates [start, start+n) its
+    image touches one extra row below, so the matrix is (n+1) x n bidiagonal
+    and its Gram matrix is symmetric tridiagonal.  The window's smallest
+    singular value is the square root of the smallest eigenvalue of that
+    tridiagonal, clipped at 0.
     """
-    vals = m_values(spec.profile, start - 1, start + n - 1)
-    drops = vals[:-1] - vals[1:]  # M_{j-1} - M_j for j = start .. start+n-1
-    nu = np.power(spec.mu_abs, drops)
+    nu = spec.weights(range(start, start + n), down=True)
     return lambda_abs**2 + nu**2, -lambda_abs * nu[1:]
 
 
@@ -357,53 +356,69 @@ def gamma2_series_test(
 # ---------------------------------------------------------------------------
 
 
-def _window_points(
-    profile: DiagramProfile, window: tuple[int, int, int, int]
-) -> tuple[dict[tuple[int, int], int], dict[int, float]]:
-    """Column index for each lattice point of the diagram inside the window."""
+def _lattice_stack(
+    profile: DiagramProfile,
+    window: tuple[int, int, int, int],
+    a: float,
+    b: float,
+    step: int,
+):
+    """The stacked matrix of (a - W) and (b - Z) on a lattice window, as CSR.
+
+    Columns are the diagram points (i, j) inside ``window``, row by row from
+    j_lo and along each row from its first column; each maps to a*e_(i,j) -
+    e_(i+step,j) on the ``w`` side and to b*e_(i,j) - e_(i,j+step) on the
+    ``z`` side.  ``step = +1`` gives the forward shifts, whose images stay in
+    the diagram; ``step = -1`` gives their adjoints, which drop the images
+    that leave it.  Image rows are numbered by their first appearance in
+    that order.
+    """
+    import scipy.sparse
+
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
         raise EmptyWindowError(f"degenerate window: {window}")
-    js = range(j_lo - 1, j_hi + 2)
-    row_minima = dict(zip(js, m_exact(profile, js).tolist()))
-    cols: dict[tuple[int, int], int] = {}
-    for j in range(j_lo, j_hi + 1):
-        mj = row_minima[j]
-        if mj == POS_INF:
-            continue
-        start = i_lo if mj == NEG_INF else max(i_lo, int(mj))
-        for i in range(start, i_hi + 1):
-            cols[(i, j)] = len(cols)
-    if not cols:
+    width, height = i_hi - i_lo + 1, j_hi - j_lo + 3
+    # Rows k = 0 .. height - 1 are j_lo - 1 .. j_hi + 1, and column offsets
+    # x = i - (i_lo - 1) run over 0 .. width + 1.  With the row minima as
+    # offsets clipped to that range, (x, k) is in the diagram exactly when
+    # cut[k] <= x.  Object arithmetic keeps borders beyond int64 exact.
+    rows = m_exact(profile, range(j_lo - 1, j_hi + 2)).astype(object) - (i_lo - 1)
+    cut = np.minimum(np.maximum(rows, 0), width + 1).astype(np.int64)
+    starts = np.maximum(cut[1:-1], 1)  # first column of rows j_lo .. j_hi
+    counts = width + 1 - starts
+    n_cols = int(counts.sum())
+    if not n_cols:
         raise EmptyWindowError("window does not intersect the diagram")
-    return cols, row_minima
+    k = np.repeat(np.arange(1, height - 1), counts)
+    x = np.arange(n_cols) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+
+    # Four entries per column: w self, w image, z self, z image.
+    sides = np.array([0, 0, 1, 1])
+    xs = x[:, None] + np.array([0, step, 0, 0])
+    ks = k[:, None] + np.array([0, 0, 0, step])
+    values = np.broadcast_to(np.array([a, -1.0, b, -1.0]), xs.shape)
+    present = np.ones(xs.shape, dtype=bool)
+    if step < 0:
+        present[:, 1] = cut[k] <= x - 1
+        present[:, 3] = cut[k - 1] <= x
+    keys = ((sides * (width + 2) + xs) * height + ks)[present]  # one int per image row
+    _, first_seen, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first_seen), dtype=np.int64)
+    rank[np.argsort(first_seen)] = np.arange(len(first_seen))
+    cols = np.broadcast_to(np.arange(n_cols)[:, None], xs.shape)[present]
+    return scipy.sparse.coo_matrix(
+        (values[present], (rank[inverse], cols)), shape=(len(rank), n_cols)
+    ).tocsr()
 
 
-def _in_diagram(row_minima: dict[int, float], i: int, j: int) -> bool:
-    mj = row_minima.get(j)
-    if mj is None:
-        return False  # outside the tracked row range; never queried in practice
-    return mj <= i
-
-
-def _stacked_smin(entries: list[tuple[tuple, int, float]], n_cols: int) -> float:
+def _stacked_smin(matrix) -> float:
     import scipy.linalg
-    import scipy.sparse
     import scipy.sparse.linalg
 
-    rows: dict[tuple, int] = {}
-    data, row_idx, col_idx = [], [], []
-    for row_key, col, value in entries:
-        r = rows.setdefault(row_key, len(rows))
-        row_idx.append(r)
-        col_idx.append(col)
-        data.append(value)
-    matrix = scipy.sparse.coo_matrix(
-        (data, (row_idx, col_idx)), shape=(len(rows), n_cols)
-    ).tocsr()
+    n_cols = matrix.shape[1]
     if n_cols <= 500:
-        dense = matrix.toarray()
-        return float(scipy.linalg.svdvals(dense)[-1])
+        return float(scipy.linalg.svdvals(matrix.toarray())[-1])
     gram = (matrix.T @ matrix).tocsc()
     w = scipy.sparse.linalg.eigsh(
         gram, k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), return_eigenvectors=False
@@ -433,16 +448,7 @@ def joint_adjoint_kernel_smin(
         raise BandDomainError(
             f"the witness is only probed on the closed bidisc: {mu_abs}, {lam_abs}"
         )
-    cols, row_minima = _window_points(profile, window)
-    entries: list[tuple[tuple, int, float]] = []
-    for (i, j), c in cols.items():
-        entries.append((("w", i, j), c, mu_abs))
-        if _in_diagram(row_minima, i - 1, j):
-            entries.append((("w", i - 1, j), c, -1.0))
-        entries.append((("z", i, j), c, lam_abs))
-        if _in_diagram(row_minima, i, j - 1):
-            entries.append((("z", i, j - 1), c, -1.0))
-    return _stacked_smin(entries, len(cols))
+    return _stacked_smin(_lattice_stack(profile, window, mu_abs, lam_abs, -1))
 
 
 @dataclass(frozen=True)
@@ -470,15 +476,9 @@ def gamma1_empty_check(
     evidence that the first-stage locus is empty there.
     """
     validate(profile)
-    cols, row_minima = _window_points(profile, window)
     results = []
     for mu, lam in samples:
         mu_abs, lam_abs = abs(mu), abs(lam)
-        entries: list[tuple[tuple, int, float]] = []
-        for (i, j), c in cols.items():
-            entries.append((("w", i, j), c, mu_abs))
-            entries.append((("w", i + 1, j), c, -1.0))
-            entries.append((("z", i, j), c, lam_abs))
-            entries.append((("z", i, j + 1), c, -1.0))
-        results.append((mu_abs, lam_abs, _stacked_smin(entries, len(cols))))
+        smin = _stacked_smin(_lattice_stack(profile, window, mu_abs, lam_abs, +1))
+        results.append((mu_abs, lam_abs, smin))
     return Gamma1Report(tuple(results), tau_out)

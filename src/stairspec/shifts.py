@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .diagram import (
     DiagramProfile,
     MValue,
@@ -35,6 +37,11 @@ from .extnum import (
     pow_ext,
 )
 from .params import SpectralParams
+
+
+# Drops above this give weight 0.0: every float |mu| < 1 is at most
+# 1 - 2**-53, and (1 - 2**-53)**(2**64) underflows.
+_DROP_CAP = 2**64
 
 
 class MuOutOfRangeError(ValueError):
@@ -58,7 +65,8 @@ class ShiftSpec:
     dropped throughout: every spectral set used downstream is rotation
     invariant, so only weight magnitudes matter.  ``down_weight(j)`` is the
     uniform descending-edge magnitude |mu|**(M_{j-1} - M_j) used to assemble
-    truncated matrices of the dual operator.
+    truncated matrices of the dual operator.  Both are the length-1 case of
+    ``weights``, the one place that turns drops into weights.
     """
 
     kind: ShiftKind
@@ -67,36 +75,38 @@ class ShiftSpec:
     j_min: MValue
     j_max: MValue
 
-    def _pow_drop(self, drop: MValue) -> float:
-        if drop == POS_INF:
-            return 0.0
-        return self.mu_abs ** int(drop)
-
-    def weights(self, js, down: bool = False) -> list[float]:
+    def weights(self, js: range, down: bool = False) -> np.ndarray:
         """``weight(j)``, or ``down_weight(j)`` if ``down``, for every j in ``js``.
 
-        The border rows of every edge come from one exact evaluation.
+        ``js`` is a range of step 1.  The border rows of its edges come from
+        one exact evaluation, and each weight is |mu| to the exact integer
+        drop.  A drop across an empty row (+inf), or one too large for a
+        float, gives 0.0: it is capped at ``_DROP_CAP`` first.
         """
-        js = list(js)
         adjoint = self.kind is ShiftKind.UNILATERAL_ADJOINT
-        for j in js:
+        if js:
+            first, last = js[0], js[-1]
             if adjoint and not down:
-                if j > self.j_max:
-                    raise ValueError(f"index {j} above the shift range")
-            elif j < self.j_min or j > self.j_max:
-                raise ValueError(f"index {j} outside the shift range")
-            elif not down and j + 1 > self.j_max:
-                raise ValueError(f"edge {j} -> {j + 1} leaves the shift range")
-        top = js if down or adjoint else [j + 1 for j in js]  # edge (t - 1, t)
-        rows = m_exact(self.profile, [t - 1 for t in top] + top).tolist()
-        return [self._pow_drop(a - b) for a, b in zip(rows[: len(js)], rows[len(js) :])]
+                if last > self.j_max:
+                    raise ValueError(f"index {last} above the shift range")
+            elif first < self.j_min or last > self.j_max:
+                bad = first if first < self.j_min else last
+                raise ValueError(f"index {bad} outside the shift range")
+            elif not down and last + 1 > self.j_max:
+                raise ValueError(f"edge {last} -> {last + 1} leaves the shift range")
+        top = js.start if down or adjoint else js.start + 1  # edges (t - 1, t) from t = top
+        rows = m_exact(self.profile, range(top - 1, top + len(js)))
+        drops = rows[:-1] - rows[1:]
+        if drops.dtype == object:
+            drops = np.minimum(drops, _DROP_CAP).astype(np.float64)
+        return np.power(self.mu_abs, drops)
 
     def weight(self, j: int) -> float:
-        return self.weights([j])[0]
+        return float(self.weights(range(j, j + 1))[0])
 
     def down_weight(self, j: int) -> float:
         """|mu|**(M_{j-1} - M_j) for j in the index range."""
-        return self.weights([j], down=True)[0]
+        return float(self.weights(range(j, j + 1), down=True)[0])
 
 
 def fringe_operator(profile: DiagramProfile, mu_abs: float) -> ShiftSpec:
@@ -167,6 +177,15 @@ class RidgeBounds:
         }
 
 
+# The SpectralParams fields of (i_minus, i_plus, r_minus, r_plus) per kind.
+_RIDGE_FIELDS = {
+    ShiftKind.BILATERAL: ("rho_plus", "rho_minus", "delta_plus", "delta_minus"),
+    ShiftKind.UNILATERAL_ADJOINT: ("rho_minus",) * 2 + ("delta_minus",) * 2,
+    ShiftKind.UNILATERAL: ("rho_plus",) * 2 + ("delta_plus",) * 2,
+    ShiftKind.FINITE_NILPOTENT: None,  # all four bounds infinite
+}
+
+
 def ridge_bounds(spec: ShiftSpec, params: SpectralParams) -> RidgeBounds:
     """Map the spectral parameters onto the dual shift's product bounds.
 
@@ -176,41 +195,9 @@ def ridge_bounds(spec: ShiftSpec, params: SpectralParams) -> RidgeBounds:
     r^- = mu**delta_plus, r^+ = mu**delta_minus; the one-sided kinds keep
     the pair from their finite side.
     """
-    if spec.kind is ShiftKind.BILATERAL:
-        return RidgeBounds(
-            spec.mu_abs,
-            i_minus=params.rho_plus,
-            i_plus=params.rho_minus,
-            r_minus=params.delta_plus,
-            r_plus=params.delta_minus,
-            kind=spec.kind,
-        )
-    if spec.kind is ShiftKind.UNILATERAL_ADJOINT:
-        return RidgeBounds(
-            spec.mu_abs,
-            i_minus=params.rho_minus,
-            i_plus=params.rho_minus,
-            r_minus=params.delta_minus,
-            r_plus=params.delta_minus,
-            kind=spec.kind,
-        )
-    if spec.kind is ShiftKind.UNILATERAL:
-        return RidgeBounds(
-            spec.mu_abs,
-            i_minus=params.rho_plus,
-            i_plus=params.rho_plus,
-            r_minus=params.delta_plus,
-            r_plus=params.delta_plus,
-            kind=spec.kind,
-        )
-    return RidgeBounds(
-        spec.mu_abs,
-        i_minus=EXT_INF,
-        i_plus=EXT_INF,
-        r_minus=EXT_INF,
-        r_plus=EXT_INF,
-        kind=spec.kind,
-    )
+    fields = _RIDGE_FIELDS[spec.kind]
+    exponents = [EXT_INF] * 4 if fields is None else [getattr(params, f) for f in fields]
+    return RidgeBounds(spec.mu_abs, *exponents, kind=spec.kind)
 
 
 def _radius_interval_member(

@@ -436,6 +436,17 @@ class TestFringeAndOracle:
         assert err.startswith("numeric-regime error: j_scan = 1000000000 gives")
         assert "budget of 65536" in err
 
+    @pytest.mark.parametrize("lam", ["0.5", "0.9"])
+    def test_oracle_fringe_weighs_drops_beyond_float64_as_zero(self, capsys, tmp_path, lam):
+        """|mu| to a drop of 10**400 is 0.0, as it already is for a drop of 2000."""
+        answers = [
+            run(capsys, "oracle", "fringe", _periodic_minus_spec(tmp_path, rise),
+                "--mu", "0.5", "--lambda", lam)
+            for rise in (2000, 10**400)
+        ]
+        assert answers[0][0] == 0
+        assert answers[1] == answers[0]
+
     def test_oracle_gamma2_regime_error(self, capsys):
         assert main(
             ["oracle", "gamma2", spec("quarter_plane_steps"),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stairspec.diagram import validate
 from stairspec.extnum import (
     DEFAULT_TOL,
     EXT_INF,
@@ -16,11 +19,19 @@ from stairspec.extnum import (
     envelope_pair_member,
     pow_ext,
 )
+from stairspec.params import compute_params
+from stairspec.regions import gamma3_region
 
 import membership_reference as ref
+from conftest import half_lines_profile
 from membership_reference import exponent_pairs, square_points
 
 ZERO = ExtReal(0)
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
 
 
 class TestExtReal:
@@ -57,6 +68,26 @@ class TestExtReal:
         assert pow_ext(0.5, EXT_INF) == 0.0
         assert pow_ext(1.0, EXT_INF) == 1.0
         assert pow_ext(0.25, ExtReal(Fraction(1, 2))) == 0.5
+
+    @pytest.mark.parametrize("value", [0, Fraction(3, 7), None, 10**400], ids=str)
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, value, how):
+        x = ExtReal(value)
+        y = _ROUND_TRIPS[how](x)
+        assert type(y) is ExtReal and y == x and str(y) == str(x)
+        if value == 10**400:
+            with pytest.raises(BandDomainError, match="beyond the float64 range"):
+                y.as_float()
+        else:
+            assert float(y) == float(x)
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_params_and_regions_round_trip(self, how):
+        profile = half_lines_profile()
+        params = compute_params(profile)
+        region = gamma3_region(params, validate(profile))
+        assert _ROUND_TRIPS[how](params) == params
+        assert _ROUND_TRIPS[how](region) == region
 
     @given(
         st.fractions(min_value=0, max_value=1000) | st.none(),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,8 @@ from stairspec.diagram import (
     InversionMode,
     PeriodicTail,
     m_values,
+    profile_from_json,
+    translate,
     transpose,
     validate,
 )
@@ -34,7 +38,8 @@ from stairspec.oracle import (
     ScanBudgetError,
     ScanVerdict,
     SeriesClass,
-    _window_points,
+    _lattice_stack,
+    _stacked_smin,
     _window_starts,
     gamma1_empty_check,
     gamma2_series_test,
@@ -45,6 +50,7 @@ from stairspec.params import compute_params
 from stairspec.regions import gamma2_region, region_member
 from stairspec.shifts import ShiftKind, fringe_operator, ridge_bounds, sigma_ap_predict
 
+import lattice_reference as ref
 from conftest import (
     gb01_profile,
     half_lines_profile,
@@ -330,6 +336,46 @@ class TestScanMatchesEveryWindowSolved:
         assert zeros > 0
 
 
+_TRANSLATIONS = [2**53, -(2**53), 10**17, -(10**17), 10**30, -(10**30)]
+
+
+class TestTranslationInvariance:
+    """Translating a diagram along i moves every border value and no drop, so
+    window scans must answer bit for bit as on the untranslated diagram."""
+
+    @given(
+        _scan_profiles(),
+        st.sampled_from(_TRANSLATIONS),
+        st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.lists(st.integers(2, 48), min_size=2, max_size=3, unique=True).map(sorted),
+        st.integers(0, 48),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_window_scan_is_bit_identical(self, profile, di, mu, lam, sizes, j_scan):
+        result = window_smin_scan(fringe_operator(profile, mu), lam, sizes, j_scan=j_scan)
+        moved = window_smin_scan(
+            fringe_operator(translate(profile, di, 0), mu), lam, sizes, j_scan=j_scan
+        )
+        assert [x.hex() for x in moved.smin_by_size] == [x.hex() for x in result.smin_by_size]
+        assert moved.verdict is result.verdict
+
+    @pytest.mark.parametrize("di", [10**17, 10**30])
+    @pytest.mark.parametrize("name", [
+        "half_lines_1_2", "geometric_blocks_01", "quarter_plane_steps", "wold_mixed_pair",
+    ])
+    def test_shipped_specs(self, spec_dir, name, di):
+        """Weights from float64 differences of the border made half-lines
+        + 10**17 at |lambda| = 0.3 read smin 1.39e-5, unresolved, not 0.212."""
+        profile = profile_from_json(json.loads((spec_dir / f"{name}.json").read_text()))
+        for lam in (0.3, 0.5):
+            result = window_smin_scan(fringe_operator(profile, 0.5), lam, [16, 64, 256], 256)
+            moved = window_smin_scan(
+                fringe_operator(translate(profile, di, 0), 0.5), lam, [16, 64, 256], 256
+            )
+            assert moved == result
+
+
 class TestSeries:
     def test_gb_converges_inside_band(self):
         verdict = gamma2_series_test(gb01_profile(), 0.5, 0.5**0.8, 4096)
@@ -407,7 +453,7 @@ class TestAdjointKernelWitness:
 
     def test_sparse_path_is_reproducible(self):
         profile, window = wold_mixed_profile(), (-20, 20, -20, 20)
-        assert len(_window_points(profile, window)[0]) > 500  # the eigsh branch
+        assert _lattice_stack(profile, window, 0.5, 0.5, -1).shape[1] > 500  # the eigsh branch
         first = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
         second = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
         assert first.hex() == second.hex()
@@ -441,3 +487,71 @@ class TestGamma1Check:
             for n in (10, 20, 40)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A profile with any tails and a window around it, translated together."""
+    window = [draw(st.integers(-2, 2))]
+    for drop in draw(st.lists(st.integers(0, 3), max_size=4)):
+        window.append(window[-1] - drop)
+    minus = draw(st.sampled_from([EMPTY_ROWS, PeriodicTail(1, 0)]) | _scan_tails("minus"))
+    plus = draw(st.sampled_from([FULL_ROWS, PeriodicTail(1, 0)]) | _scan_tails("plus"))
+    profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
+    i_lo, j_lo = draw(st.integers(-10, 8)), draw(st.integers(-10, 8))
+    i_hi = i_lo + draw(st.integers(-1, 36))  # -1: a degenerate window
+    j_hi = j_lo + draw(st.integers(0, 24))
+    di = draw(st.sampled_from([0, 0, 10**30]))
+    return translate(profile, di, 0), (i_lo + di, i_hi + di, j_lo, j_hi)
+
+
+class TestLatticeStackMatchesReference:
+    """_lattice_stack builds, entry for entry, the point-by-point assembly."""
+
+    @given(
+        _lattice_cases(),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, case, a, b, step):
+        profile, window = case
+        try:
+            expected = ref.lattice_stack(profile, window, a, b, step)
+        except EmptyWindowError as exc:
+            with pytest.raises(EmptyWindowError) as raised:
+                _lattice_stack(profile, window, a, b, step)
+            assert str(raised.value) == str(exc)
+            return
+        got = _lattice_stack(profile, window, a, b, step)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(got, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        try:
+            want = ref.stacked_smin(expected)
+        except ArpackNoConvergence:
+            # The shared shift-invert solver can fail on a cluster of tiny
+            # eigenvalues (forward maps, b near 0); it must fail the same way.
+            with pytest.raises(ArpackNoConvergence):
+                _stacked_smin(got)
+            return
+        assert _stacked_smin(got).hex() == want.hex()
+
+    def test_both_solver_paths_and_errors_are_drawn(self):
+        seen = set()
+
+        @given(_lattice_cases())
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        def collect(case):
+            try:
+                n_cols = len(ref.window_points(*case)[0])
+            except EmptyWindowError as exc:
+                seen.add(str(exc).split(":")[0])
+                return
+            seen.add("sparse" if n_cols > 500 else "dense")
+
+        collect()
+        errors = {"degenerate window", "window does not intersect the diagram"}
+        assert seen == {"dense", "sparse"} | errors

@@ -8,9 +8,10 @@ from stairspec.diagram import (
     FULL_ROWS,
     DiagramProfile,
     PeriodicTail,
+    translate,
     validate,
 )
-from stairspec.extnum import ExtReal, Membership
+from stairspec.extnum import EXT_INF, ExtReal, Membership
 from stairspec.params import compute_params
 from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
@@ -69,7 +70,70 @@ class TestFringeOperator:
                 fringe_operator(line_profile(), bad)
 
 
+class TestWeights:
+    """ShiftSpec.weights: |mu| to the exact drops, over a range of edges."""
+
+    def test_drop_beyond_float64_is_zero(self):
+        profile = DiagramProfile(0, (0,), PeriodicTail(1, 10**400), PeriodicTail(1, 1))
+        spec = fringe_operator(profile, 0.5)
+        assert spec.weights(range(-3, 3), down=True).tolist() == [0.0] * 4 + [0.5] * 2
+        assert spec.weights(range(-3, 3)).tolist() == [0.0] * 3 + [0.5] * 3
+
+    def test_drop_across_an_empty_row_is_zero(self):
+        spec = fringe_operator(quarter_steps_profile(), 0.5)
+        assert spec.down_weight(0) == 0.0  # M_{-1} is +inf
+        assert spec.weights(range(0, 3), down=True).tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("name,profile", canonical_nonsimple())
+    @pytest.mark.parametrize("di", [2**53 + 1, 10**30])
+    def test_translation_keeps_every_weight(self, name, profile, di):
+        spec = fringe_operator(profile, 0.3)
+        moved = fringe_operator(translate(profile, di, 0), 0.3)
+        top = int(spec.j_max) if spec.j_max != math.inf else 40
+        js = range(max(spec.j_min, top - 80), top + 1)
+        for down in (False, True):
+            edges = js if down or spec.kind is ShiftKind.UNILATERAL_ADJOINT else js[:-1]
+            expected = spec.weights(edges, down=down)
+            assert moved.weights(edges, down=down).tobytes() == expected.tobytes()
+            one = spec.down_weight if down else spec.weight
+            assert [one(j) for j in edges] == expected.tolist()
+
+    def test_range_checks_read_the_ends(self):
+        unilateral = fringe_operator(quarter_steps_profile(), 0.5)  # j_min = 0
+        with pytest.raises(ValueError, match="index -1 outside the shift range"):
+            unilateral.weights(range(-1, 5), down=True)
+        adjoint = fringe_operator(wold_mixed_profile(), 0.5)  # j_max = 1
+        with pytest.raises(ValueError, match="index 2 above the shift range"):
+            adjoint.weights(range(-5, 3))
+        assert adjoint.weights(range(-5, 2)).tolist() == [1.0] * 6 + [0.5]
+        finite = fringe_operator(DiagramProfile(0, (2, 1, 0), EMPTY_ROWS, FULL_ROWS), 0.5)
+        with pytest.raises(ValueError, match="edge 2 -> 3 leaves the shift range"):
+            finite.weights(range(0, 3))
+        assert finite.weights(range(0, 0)).tolist() == []
+
+
 class TestRidgeBounds:
+    def test_fields_per_kind(self):
+        cases = [
+            (half_lines_profile(), ShiftKind.BILATERAL,
+             ("rho_plus", "rho_minus", "delta_plus", "delta_minus")),
+            (quarter_steps_profile(), ShiftKind.UNILATERAL,
+             ("rho_plus",) * 2 + ("delta_plus",) * 2),
+            (wold_mixed_profile(), ShiftKind.UNILATERAL_ADJOINT,
+             ("rho_minus",) * 2 + ("delta_minus",) * 2),
+        ]
+        for profile, kind, fields in cases:
+            spec, rb = _fringe(profile)
+            params = compute_params(profile)
+            assert spec.kind is kind
+            assert (rb.i_minus, rb.i_plus, rb.r_minus, rb.r_plus) == tuple(
+                getattr(params, f) for f in fields
+            )
+        spec, rb = _fringe(DiagramProfile(0, (1, 0), EMPTY_ROWS, FULL_ROWS))
+        assert spec.kind is ShiftKind.FINITE_NILPOTENT
+        assert (rb.i_minus, rb.i_plus, rb.r_minus, rb.r_plus) == (EXT_INF,) * 4
+        assert rb.i_minus_value == 0.0
+
     def test_line_all_half(self):
         _, rb = _fringe(line_profile())
         assert (
