@@ -5,7 +5,8 @@ oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
 for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec or probe sizes,
 3 valid spec but the requested computation is outside its numeric regime
 (simple diagram, a magnitude out of range or NaN, scan through non-finite rows,
-border values beyond float64, a window scan over its budget).
+border values beyond float64, a window scan over its budget, a sparse
+eigensolver that does not converge).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .oracle import (
     ParameterRegimeError,
     ProbeSizeError,
     ScanBudgetError,
+    SolverConvergenceError,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
     window_smin_scan,
@@ -451,6 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         EmptyWindowError,
         BandDomainError,
         ScanBudgetError,
+        SolverConvergenceError,
     ) as exc:
         print(f"numeric-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME_ERROR

@@ -62,6 +62,10 @@ class ScanBudgetError(ValueError):
     """A window scan would sweep more window starts than its budget allows."""
 
 
+class SolverConvergenceError(ValueError):
+    """The sparse eigensolver of a lattice witness did not converge."""
+
+
 # The most candidate window starts one scan may sweep, summed over its sizes.
 WINDOW_START_BUDGET = 2**16
 
@@ -332,7 +336,14 @@ def gamma2_series_test(
     if p.eta_plus.is_infinite:
         predicted_plus = 0.0
     else:
-        predicted_plus = mu_abs ** (2.0 * float(p.eta_plus)) / lambda_abs**2
+        eta_plus = float(p.eta_plus)
+        try:
+            predicted_plus = mu_abs ** (2.0 * eta_plus) / lambda_abs**2
+        except ZeroDivisionError:  # |lambda|**2 underflows: take the ratio through logs
+            try:
+                predicted_plus = math.exp(2.0 * (eta_plus * math.log(mu_abs) - math.log(lambda_abs)))
+            except OverflowError:
+                predicted_plus = math.inf
 
     margin = 10.0 * tol
     if root_minus > 1.0 + margin or root_plus > 1.0 + margin:
@@ -420,9 +431,14 @@ def _stacked_smin(matrix) -> float:
     if n_cols <= 500:
         return float(scipy.linalg.svdvals(matrix.toarray())[-1])
     gram = (matrix.T @ matrix).tocsc()
-    w = scipy.sparse.linalg.eigsh(
-        gram, k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), return_eigenvectors=False
-    )
+    try:
+        w = scipy.sparse.linalg.eigsh(
+            gram, k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise SolverConvergenceError(
+            f"the sparse eigensolver did not converge on a {n_cols}-column lattice window"
+        ) from exc
     return math.sqrt(max(float(w[0]), 0.0))
 
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import DiagramProfile, m_values, validate
+from .diagram import (
+    _INT64_GUARD,
+    BorderOverflowError,
+    DiagramProfile,
+    Side,
+    m_exact,
+    validate,
+)
 from .extnum import ExtReal
 
 
@@ -95,9 +102,68 @@ class ParamEstimates:
     rho_plus: float
 
 
-# Border values per block of the eta scan: 512 KiB of float64, so a deep scan
-# holds a few small blocks at a time instead of arrays as long as n_max.
+# The eta scan reads the border in blocks of at most ``_ETA_CHUNK`` steps, and
+# trims a visited block to sub-blocks of ``_ETA_SUB`` steps: a block of
+# float64 is 512 KiB, so a deep scan holds a few small arrays at a time.
 _ETA_CHUNK = 1 << 16
+_ETA_SUB = 1 << 12
+
+
+def _float_drops(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper - lower`` of two exact border reads, rounded once to float64.
+
+    Each operand is monotone (or one value, broadcast), so its ends bound it:
+    the difference runs in int64 while every end is below the guard and on
+    Python ints otherwise.  A difference beyond float64 raises
+    :class:`BorderOverflowError`.
+    """
+    ends = (upper[0], upper[-1], lower[0], lower[-1])
+    if upper.dtype == lower.dtype == np.int64 and max(abs(int(v)) for v in ends) < _INT64_GUARD:
+        drops = upper - lower
+    else:
+        drops = upper.astype(object) - lower.astype(object)
+    try:
+        return drops.astype(np.float64)
+    except OverflowError as exc:
+        raise BorderOverflowError("a border difference is beyond the float64 range") from exc
+
+
+def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, t_last: int) -> float:
+    """max of float(g(t)) / t over t in [t_first, t_last], with t_first >= 1.
+
+    g is the exact rise away from index 0: M_{-t} - M_0 on the minus side and
+    M_0 - M_t on the plus side.  It is a non-decreasing integer >= 0, so on
+    [lo, hi] every quotient is at most g(hi) / lo, and since float rounding
+    is monotone, ``float(g(hi)) / lo`` bounds every quotient the scan
+    computes there.  Blocks are visited by descending bound; the scan stops
+    at the first bound that cannot beat the running maximum, and reads a
+    visited block only from its first to its last sub-block whose bound
+    still can.  A value never read is never the maximum, so the result is
+    that of the whole range.
+    """
+    s = -1 if side is Side.MINUS else 1
+
+    def rises(js) -> np.ndarray:
+        rows = m_exact(profile, js)
+        return _float_drops(rows, m0) if s < 0 else _float_drops(m0, rows)
+
+    los = np.arange(t_first, t_last + 1, _ETA_CHUNK)
+    his = np.minimum(los + _ETA_CHUNK - 1, t_last)
+    bounds = rises(s * his) / los
+    best = -math.inf
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] <= best:
+            break
+        sub_los = np.arange(los[k], his[k] + 1, _ETA_SUB)
+        sub_his = np.minimum(sub_los + _ETA_SUB - 1, his[k])
+        live = np.flatnonzero(rises(s * sub_his) / sub_los > best)
+        if not live.size:
+            continue
+        lo, hi = int(sub_los[live[0]]), int(sub_his[live[-1]])
+        quotients = rises(range(s * lo, s * (hi + 1), s))
+        quotients /= np.arange(lo, hi + 1, dtype=np.float64)
+        best = max(best, quotients.max())
+    return float(best)
 
 
 def estimate_params_bruteforce(
@@ -112,12 +178,19 @@ def estimate_params_bruteforce(
     max(16, sqrt(n_max))) discards transients so the estimate tracks the
     limit-superior rather than one-off early excursions.
 
-    The border is read in blocks of at most ``_ETA_CHUNK`` values, so memory
-    stays O(j_span) whatever ``n_max`` is.  Requires both tails finite over
-    the scan; raises :class:`ScanOverflowError` otherwise.
+    Every difference of border values is taken exactly and then rounded once
+    to float64, so the estimate does not change when the diagram is
+    translated; a difference beyond float64 raises
+    :class:`BorderOverflowError`.  The eta scan skips the blocks that cannot
+    raise its maximum (see :func:`_eta_max`) and reads the rest in blocks of
+    at most ``_ETA_CHUNK`` values, so memory stays O(j_span + _ETA_CHUNK)
+    plus one bound per block.  Requires both tails finite over the scan;
+    raises :class:`ScanOverflowError` otherwise.
     """
     if n_max < 2 or j_span < 0:
         raise ValueError("need n_max >= 2 and j_span >= 0")
+    if eta_cutoff is not None and eta_cutoff < 1:
+        raise ValueError("need eta_cutoff >= 1")
     if not profile.minus_tail.finite:
         raise ScanOverflowError("minus tail has empty rows inside the scan")
     if not profile.plus_tail.finite:
@@ -128,25 +201,20 @@ def estimate_params_bruteforce(
 
     # minus side: (M_{j-n} - M_j)/n over j in [-j_span, j_span]
     # plus side: (M_j - M_{j+n})/n over the same window starts
-    starts = m_values(profile, -j_span, j_span)
-    minus_slopes = (m_values(profile, -j_span - n_max, j_span - n_max) - starts) / n_max
-    plus_slopes = (starts - m_values(profile, n_max - j_span, n_max + j_span)) / n_max
+    starts = m_exact(profile, range(-j_span, j_span + 1))
+    minus_slopes = _float_drops(
+        m_exact(profile, range(-j_span - n_max, j_span - n_max + 1)), starts
+    ) / n_max
+    plus_slopes = _float_drops(
+        starts, m_exact(profile, range(n_max - j_span, n_max + j_span + 1))
+    ) / n_max
 
-    m0 = m_values(profile, 0, 0)[0]
-    minus_maxima, plus_maxima = [], []
-    for t_lo in range(eta_cutoff, n_max + 1, _ETA_CHUNK):
-        t_hi = min(t_lo + _ETA_CHUNK - 1, n_max)
-        ts = np.arange(t_lo, t_hi + 1)
-        minus_maxima.append(((m_values(profile, -t_hi, -t_lo)[::-1] - m0) / ts).max())
-        plus_maxima.append(((m0 - m_values(profile, t_lo, t_hi)) / ts).max())
-    eta_minus = float(np.max(minus_maxima))
-    eta_plus = float(np.max(plus_maxima))
-
+    m0 = m_exact(profile, [0])
     return ParamEstimates(
         delta_minus=float(minus_slopes.min()),
         delta_plus=float(plus_slopes.min()),
-        eta_minus=eta_minus,
-        eta_plus=eta_plus,
+        eta_minus=_eta_max(profile, Side.MINUS, m0, eta_cutoff, n_max),
+        eta_plus=_eta_max(profile, Side.PLUS, m0, eta_cutoff, n_max),
         rho_minus=float(minus_slopes.max()),
         rho_plus=float(plus_slopes.max()),
     )

@@ -4,12 +4,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from stairspec.diagram import (
     EMPTY_ROWS,
     FULL_ROWS,
     DiagramProfile,
     GeometricBlocksTail,
+    InvertedBlocksTail,
+    InversionMode,
     PeriodicTail,
 )
 
@@ -82,6 +86,33 @@ def transpose_duality_suite() -> list[DiagramProfile]:
         DiagramProfile(2, (4, 1, 0), gb_c, gb_a),
         wold_mixed_profile(),
     ]
+
+
+# Translations along i: to 2**53, where float64 stops holding every integer,
+# past it inside int64 (10**17), and past int64 (10**30).
+TRANSLATIONS = [2**53, -(2**53), 10**17, -(10**17), 10**30, -(10**30)]
+
+_SLOPES = st.lists(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
+    min_size=2, max_size=3, unique=True,
+)
+
+
+@st.composite
+def finite_tails(draw, side: str):
+    """A periodic, geometric or inverted tail for ``side`` ("minus" or "plus")."""
+    kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
+    if kind == "periodic":
+        return PeriodicTail(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    slopes = tuple(draw(_SLOPES))
+    if kind == "inverted":
+        slopes = tuple(s for s in slopes if s > 0)
+        assume(len(slopes) >= 2)
+    inner = GeometricBlocksTail(slopes, draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+    if kind == "geometric":
+        return inner
+    mode = InversionMode.CEIL_INVERSE if side == "minus" else InversionMode.FLOOR_INVERSE
+    return InvertedBlocksTail(inner, mode, draw(st.integers(0, 3)))
 
 
 @pytest.fixture

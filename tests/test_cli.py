@@ -464,6 +464,26 @@ class TestFringeAndOracle:
         assert [entry["window"] for entry in doc["smin_ladder"]] == [6, 12, 24]
         assert all(entry["smin"] >= 0.1 for entry in doc["smin_ladder"])
 
+    def test_oracle_t3_solver_failure_exits_3(self, capsys, monkeypatch):
+        """A sparse solve that does not converge is refused with a message."""
+        import scipy.sparse.linalg
+
+        def diverged(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", diverged)
+        code = main(
+            ["oracle", "t3", spec("wold_mixed_pair"), "--mu", "0.5", "--lambda", "0.5",
+             "--window", "40"]  # the 40 rung has 1681 columns: the sparse path
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric-regime error: the sparse eigensolver did not")
+        assert "Traceback" not in captured.err
+
 
 class TestSlopeBeyondFloat64:
     """A slope beyond float64 is refused with exit 3 and a message, never a traceback."""

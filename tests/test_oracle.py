@@ -18,8 +18,6 @@ from stairspec.diagram import (
     POS_INF,
     DiagramProfile,
     GeometricBlocksTail,
-    InvertedBlocksTail,
-    InversionMode,
     PeriodicTail,
     m_values,
     profile_from_json,
@@ -38,6 +36,7 @@ from stairspec.oracle import (
     ScanBudgetError,
     ScanVerdict,
     SeriesClass,
+    SolverConvergenceError,
     _lattice_stack,
     _stacked_smin,
     _window_starts,
@@ -52,6 +51,8 @@ from stairspec.shifts import ShiftKind, fringe_operator, ridge_bounds, sigma_ap_
 
 import lattice_reference as ref
 from conftest import (
+    TRANSLATIONS,
+    finite_tails,
     gb01_profile,
     half_lines_profile,
     line_profile,
@@ -239,35 +240,13 @@ class TestWindowStarts:
         assert peak < 64 * 1024
 
 
-_SLOPES = st.lists(
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]),
-    min_size=2, max_size=3, unique=True,
-)
-
-
-@st.composite
-def _scan_tails(draw, side: str):
-    kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
-    if kind == "periodic":
-        return PeriodicTail(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
-    slopes = tuple(draw(_SLOPES))
-    if kind == "inverted":
-        slopes = tuple(s for s in slopes if s > 0)
-        assume(len(slopes) >= 2)
-    inner = GeometricBlocksTail(slopes, draw(st.integers(2, 3)), draw(st.integers(1, 3)))
-    if kind == "geometric":
-        return inner
-    mode = InversionMode.CEIL_INVERSE if side == "minus" else InversionMode.FLOOR_INVERSE
-    return InvertedBlocksTail(inner, mode, draw(st.integers(0, 3)))
-
-
 @st.composite
 def _scan_profiles(draw):
     window = [draw(st.integers(-2, 2))]
     for drop in draw(st.lists(st.integers(0, 2), max_size=3)):
         window.append(window[-1] - drop)
-    minus = draw(st.just(EMPTY_ROWS) | _scan_tails("minus"))
-    plus = draw(st.just(FULL_ROWS) | _scan_tails("plus"))
+    minus = draw(st.just(EMPTY_ROWS) | finite_tails("minus"))
+    plus = draw(st.just(FULL_ROWS) | finite_tails("plus"))
     profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
     structure = validate(profile)
     assume(not structure.is_simple)
@@ -336,16 +315,13 @@ class TestScanMatchesEveryWindowSolved:
         assert zeros > 0
 
 
-_TRANSLATIONS = [2**53, -(2**53), 10**17, -(10**17), 10**30, -(10**30)]
-
-
 class TestTranslationInvariance:
     """Translating a diagram along i moves every border value and no drop, so
     window scans must answer bit for bit as on the untranslated diagram."""
 
     @given(
         _scan_profiles(),
-        st.sampled_from(_TRANSLATIONS),
+        st.sampled_from(TRANSLATIONS),
         st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95),
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
         st.lists(st.integers(2, 48), min_size=2, max_size=3, unique=True).map(sorted),
@@ -495,8 +471,8 @@ def _lattice_cases(draw):
     window = [draw(st.integers(-2, 2))]
     for drop in draw(st.lists(st.integers(0, 3), max_size=4)):
         window.append(window[-1] - drop)
-    minus = draw(st.sampled_from([EMPTY_ROWS, PeriodicTail(1, 0)]) | _scan_tails("minus"))
-    plus = draw(st.sampled_from([FULL_ROWS, PeriodicTail(1, 0)]) | _scan_tails("plus"))
+    minus = draw(st.sampled_from([EMPTY_ROWS, PeriodicTail(1, 0)]) | finite_tails("minus"))
+    plus = draw(st.sampled_from([FULL_ROWS, PeriodicTail(1, 0)]) | finite_tails("plus"))
     profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
     i_lo, j_lo = draw(st.integers(-10, 8)), draw(st.integers(-10, 8))
     i_hi = i_lo + draw(st.integers(-1, 36))  # -1: a degenerate window
@@ -533,8 +509,9 @@ class TestLatticeStackMatchesReference:
             want = ref.stacked_smin(expected)
         except ArpackNoConvergence:
             # The shared shift-invert solver can fail on a cluster of tiny
-            # eigenvalues (forward maps, b near 0); it must fail the same way.
-            with pytest.raises(ArpackNoConvergence):
+            # eigenvalues (forward maps, b near 0); it must fail there too,
+            # with the error the CLI maps to exit 3.
+            with pytest.raises(SolverConvergenceError):
                 _stacked_smin(got)
             return
         assert _stacked_smin(got).hex() == want.hex()

@@ -1,17 +1,23 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stairspec import diagram
 from stairspec.diagram import (
     EMPTY_ROWS,
+    BorderOverflowError,
     DiagramProfile,
     GeometricBlocksTail,
     PeriodicTail,
     m_values,
     translate,
     transpose,
+    validate,
 )
 from stairspec import params
 from stairspec.extnum import EXT_INF, ExtReal
@@ -23,7 +29,9 @@ from stairspec.params import (
 )
 
 from conftest import (
+    TRANSLATIONS,
     canonical_nonsimple,
+    finite_tails,
     gb01_profile,
     half_lines_profile,
     line_profile,
@@ -202,6 +210,113 @@ class TestEstimator:
             )
         with pytest.raises(ScanOverflowError):
             estimate_params_bruteforce(wold_mixed_profile(), 100, 10)
+
+
+def _whole_range(profile, n_max, j_span, eta_cutoff):
+    """The six estimates from one float64 array of the whole scanned range."""
+    cut = max(16, math.isqrt(n_max)) if eta_cutoff is None else eta_cutoff
+    cut = min(cut, n_max)
+    values = m_values(profile, -(j_span + n_max), j_span + n_max)
+    mid = j_span + n_max  # values[mid + j] == M_j
+    j_idx = np.arange(-j_span, j_span + 1) + mid
+    minus = (values[j_idx - n_max] - values[j_idx]) / n_max
+    plus = (values[j_idx] - values[j_idx + n_max]) / n_max
+    ts = np.arange(cut, n_max + 1)
+    return [minus.min(), plus.min(), ((values[mid - ts] - values[mid]) / ts).max(),
+            ((values[mid] - values[mid + ts]) / ts).max(), minus.max(), plus.max()]
+
+
+def _hexes(est) -> list[str]:
+    return [float(x).hex() for x in (est.delta_minus, est.delta_plus, est.eta_minus,
+                                     est.eta_plus, est.rho_minus, est.rho_plus)]
+
+
+@st.composite
+def _finite_profiles(draw):
+    """Profiles whose border is finite everywhere, with tails of every kind."""
+    window = [draw(st.integers(-3, 3))]
+    for drop in draw(st.lists(st.integers(0, 3), max_size=3)):
+        window.append(window[-1] - drop)
+    profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window),
+                             draw(finite_tails("minus")), draw(finite_tails("plus")))
+    validate(profile)
+    return profile
+
+
+class TestExactDifferences:
+    """Differences of border values are exact integers before their one rounding."""
+
+    @given(_finite_profiles(), st.sampled_from(TRANSLATIONS),
+           st.integers(2, 20_000), st.integers(0, 8), st.none() | st.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_translation_is_bit_identical(self, profile, di, n_max, j_span, eta_cutoff):
+        want = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
+        moved = estimate_params_bruteforce(translate(profile, di, 0), n_max, j_span, eta_cutoff)
+        assert _hexes(moved) == _hexes(want)
+
+    def test_border_values_beyond_float64(self):
+        """Rows beyond float64 are fine while their differences are not."""
+        moved = translate(half_lines_profile(), 10**400, 0)
+        assert _hexes(estimate_params_bruteforce(moved, 5000, 3)) == _hexes(
+            estimate_params_bruteforce(half_lines_profile(), 5000, 3))
+
+    @pytest.mark.parametrize("minus, plus", [
+        (PeriodicTail(1, 10**400), PeriodicTail(1, 1)),
+        (PeriodicTail(1, 1), PeriodicTail(1, 10**400)),
+    ])
+    def test_difference_beyond_float64_raises(self, minus, plus):
+        with pytest.raises(BorderOverflowError, match="border difference"):
+            estimate_params_bruteforce(DiagramProfile(0, (0,), minus, plus), 100, 2)
+
+
+class TestPrunedEtaScan:
+    """The eta scan skips blocks whose bound cannot raise its maximum."""
+
+    @given(_finite_profiles(), st.sampled_from([1, 3, 64]), st.sampled_from([1, 3, 64]),
+           st.integers(2, 400), st.integers(0, 6), st.none() | st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_whole_range(self, profile, chunk, sub, n_max, j_span, eta_cutoff):
+        with mock.patch.object(params, "_ETA_CHUNK", chunk), \
+                mock.patch.object(params, "_ETA_SUB", sub):
+            est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
+        want = _whole_range(profile, n_max, j_span, eta_cutoff)
+        assert _hexes(est) == [float(x).hex() for x in want]
+
+    @staticmethod
+    def _reads(monkeypatch) -> list[int]:
+        """Border values the estimator evaluates, counted per call."""
+        reads = []
+
+        def counted(evaluate):
+            def wrapper(profile, *args):
+                out = evaluate(profile, *args)
+                reads.append(len(out))
+                return out
+            return wrapper
+
+        for name in ("m_exact", "m_values"):
+            if hasattr(params, name):
+                monkeypatch.setattr(params, name, counted(getattr(diagram, name)))
+        return reads
+
+    def test_ties_skip_blocks(self, monkeypatch):
+        """On a slope-1 line every quotient is exactly 1: a block of one step
+        bounds at 1, which ties the maximum and is skipped."""
+        monkeypatch.setattr(params, "_ETA_CHUNK", 1)
+        monkeypatch.setattr(params, "_ETA_SUB", 1)
+        reads = self._reads(monkeypatch)
+        est = estimate_params_bruteforce(line_profile(), 200, 0, 10)
+        assert est.eta_minus == est.eta_plus == 1.0
+        # the window rows and M_0, then per side: 191 block bounds, and one
+        # block visited with its sub-block bound and its single value
+        assert reads == [1, 1, 1, 1, 191, 1, 1, 191, 1, 1]
+
+    def test_criterion_5_profile_reads_under_60_percent(self, monkeypatch):
+        """Depth 10**6 on the slope-(0, 1) block tail: 2 * 10**6 values in range."""
+        reads = self._reads(monkeypatch)
+        est = estimate_params_bruteforce(gb01_profile(), 10**6, 2)
+        assert abs(est.eta_minus - 2 / 3) < 1e-3
+        assert sum(reads) < 0.6 * 2 * 10**6
 
 
 class TestGeometricBlockAverages:

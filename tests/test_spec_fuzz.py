@@ -1,6 +1,7 @@
-"""The input contract on spec documents: every document the CLI is given either
-gets an answer (exit 0) or is refused with a message (exit 2 for a malformed or
-invalid spec, 3 for one outside the numeric regime), never a traceback."""
+"""The CLI's input contract: every spec document and every flag value it is
+given either gets an answer (exit 0) or is refused with a message (exit 2 for
+a malformed or invalid spec or probe size, 3 for one outside the numeric
+regime), never a traceback."""
 
 import contextlib
 import copy
@@ -13,6 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairspec.cli import main
+from stairspec.oracle import WINDOW_START_BUDGET
+
+from conftest import SPEC_DIR
 
 HUGE = [10**20, 10**400]
 _ints = st.integers(-3, 12) | st.sampled_from(HUGE + [-(10**20)])
@@ -90,7 +94,10 @@ _DEEP = {
 def _run(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag it cannot parse
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -126,3 +133,54 @@ def test_unreadable_json_exits_2(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"x": "\xe9"}')
     assert _run(["validate", str(path)])[0] == 2
+
+
+# Flag values: magnitudes and tolerances out of range, NaN and inf, text that
+# is no number, and probe sizes from tiny to over the window-start budget.
+_REALS = ["0", "-0", "0.5", "1", "-0.5", "1.5", "nan", "inf", "-inf", "1e-300",
+          "5e-324", "1e308", "x", "", "0.3,0.4", "nan,0", "0,inf", "1,1", "0.5,", ","]
+_magnitudes = st.sampled_from(_REALS) | st.floats(-2, 2).map(repr)
+_tolerances = st.sampled_from(["0", "-1", "-0", "nan", "inf", "-inf", "1e-12", "5e-324",
+                               "1e308", "x"]) | st.floats(-1, 1).map(repr)
+_sizes = (st.lists(st.integers(-4, 40) | st.sampled_from([256, 1024, 4096]), max_size=4)
+          .map(lambda xs: ",".join(map(str, xs)))
+          | st.sampled_from(["4,abc", ",", "16,", "1e3,2000", " 8, 16", "16,16", "0x10,32"]))
+# A j_scan past 256 is drawn only beyond the budget, where the scan is refused.
+_j_scans = st.integers(-3, 256) | st.sampled_from([WINDOW_START_BUDGET, 10**9, 10**18, 2**70])
+_terms = st.integers(-2, 9) | st.integers(8, 2048) | st.just(2**16)
+_windows = st.integers(-8, 5) | st.integers(4, 48)
+_SPECS = sorted(path.name for path in SPEC_DIR.glob("*.json"))
+
+
+@st.composite
+def _flag_argvs(draw):
+    command = draw(st.sampled_from(["member", "fringe", "gamma2", "t3"]))
+    spec = str(SPEC_DIR / draw(st.sampled_from(_SPECS)))
+    flags = [f"--mu={draw(_magnitudes)}", f"--lambda={draw(_magnitudes)}",
+             f"--tol={draw(_tolerances)}"]
+    if command == "member":
+        set_name = draw(st.sampled_from(["taylor", "gamma2", "gamma3"]))
+        return ["member", spec, *flags, f"--set={set_name}"]
+    extra = {
+        "fringe": lambda: [f"--sizes={draw(_sizes)}", f"--j-scan={draw(_j_scans)}"],
+        "gamma2": lambda: [f"--terms={draw(_terms)}"],
+        "t3": lambda: [f"--window={draw(_windows)}"],
+    }[command]()
+    return ["oracle", command, spec, *flags, *extra]
+
+
+def _oracle(command: str, spec: str, *flags: str) -> list[str]:
+    return ["oracle", command, str(SPEC_DIR / f"{spec}.json"), *flags]
+
+
+@given(_flag_argvs())
+@settings(max_examples=40, deadline=None)
+# |lambda|**2 underflows to 0.0 in the predicted upward root
+@example(_oracle("gamma2", "geometric_blocks_01", "--mu=0.5", "--lambda=1e-300", "--terms=64"))
+@example(_oracle("fringe", "half_lines_1_2", "--mu=0.5", "--lambda=nan", "--j-scan=1000000000"))
+@example(_oracle("t3", "wold_mixed_pair", "--mu=inf", "--lambda=0.5", "--window=3"))
+def test_cli_flags_exit_0_2_or_3(argv):
+    code, err = _run(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), (argv, err)
