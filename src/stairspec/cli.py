@@ -5,7 +5,7 @@ oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
 for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec or probe sizes,
 3 valid spec but the requested computation is outside its numeric regime
 (simple diagram, a magnitude out of range or NaN, scan through non-finite rows,
-border values beyond float64, a window scan over its budget, a sparse
+border differences beyond float64, a window scan over its budget, a sparse
 eigensolver that does not converge).
 """
 
@@ -126,6 +126,8 @@ def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
 def _cmd_report(args) -> int:
     if args.mc_samples < 1:
         raise SpecParseError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+    if args.seed < 0:
+        raise SpecParseError(f"--seed must be >= 0, got {args.seed}")
     profile = _load_profile(args.spec)
     structure = validate(profile)
     doc = {"input": profile_to_json(profile), "structure": structure.to_json()}

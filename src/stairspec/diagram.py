@@ -69,7 +69,7 @@ class SpecParseError(DiagramError):
 
 
 class BorderOverflowError(ValueError):
-    """A border value asked for as a float is beyond the float64 range."""
+    """A border value or difference asked for as a float is beyond the float64 range."""
 
 
 class Side(Enum):
@@ -509,9 +509,6 @@ class DiagramProfile:
     def j_hi(self) -> int:
         return self.j_lo + len(self.window) - 1
 
-    def m(self, j: int) -> MValue:
-        return eval_M(self, j)
-
 
 def _window_has_drop(profile: DiagramProfile) -> bool:
     return any(a > b for a, b in zip(profile.window, profile.window[1:]))
@@ -638,28 +635,38 @@ def eval_M(profile: DiagramProfile, j: int) -> MValue:
     return m_exact(profile, [j]).item()
 
 
+def float_drops(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper - lower`` of two exact border reads, rounded once to float64.
+
+    Each operand is monotone (or one value, broadcast), so its ends bound it:
+    the difference runs in int64 while every end is below the guard and on
+    Python ints otherwise.  A difference beyond float64 raises
+    :class:`BorderOverflowError`.
+    """
+    ends = (upper[0], upper[-1], lower[0], lower[-1])
+    if upper.dtype == lower.dtype == np.int64 and max(abs(int(v)) for v in ends) < _INT64_GUARD:
+        drops = upper - lower
+    else:
+        drops = upper.astype(object) - lower.astype(object)
+    try:
+        return drops.astype(np.float64)
+    except OverflowError as exc:
+        raise BorderOverflowError("a border difference is beyond the float64 range") from exc
+
+
 def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
-    """M_j over j_from..j_to inclusive, as float64 (+-inf allowed).
+    """M_j over j_from..j_to inclusive, as float64 (+-inf allowed): the
+    float64 view of :func:`m_exact`.
 
     Raises :class:`BorderOverflowError` when a finite value is beyond the
     float64 range.
     """
-    out = np.empty(max(j_to - j_from + 1, 0), dtype=np.float64)
-    lo, hi = profile.j_lo, profile.j_hi
-    n_minus = min(max(lo - j_from, 0), len(out))  # indices below the window
-    n_plus = min(max(j_to - hi, 0), len(out))  # and above it
-    below = _beyond(profile, np.arange(lo - j_from, lo - j_from - n_minus, -1), Side.MINUS)
-    above = _beyond(profile, np.arange(j_to - hi - n_plus + 1, j_to - hi + 1), Side.PLUS)
-    inside = profile.window[max(j_from - lo, 0) : max(j_to - lo + 1, 0)]
     try:
-        out[:n_minus] = below
-        out[n_minus : len(out) - n_plus] = inside
-        out[len(out) - n_plus :] = above
+        return m_exact(profile, range(j_from, j_to + 1)).astype(np.float64)
     except OverflowError as exc:
         raise BorderOverflowError(
             f"a border value in [{j_from}, {j_to}] is beyond the float64 range"
         ) from exc
-    return out
 
 
 def n_exact(profile: DiagramProfile, cols) -> np.ndarray:

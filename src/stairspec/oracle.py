@@ -26,14 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagram import (
-    DiagramProfile,
-    NEG_INF,
-    POS_INF,
-    m_exact,
-    m_values,
-    validate,
-)
+from .diagram import DiagramProfile, NEG_INF, POS_INF, float_drops, m_exact, validate
 from .extnum import DEFAULT_TOL, BandDomainError, check_tolerance
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
@@ -270,10 +263,14 @@ def gamma2_series_test(
 
     The candidate witness vector has squared norm proportional to
     sum over j of |mu|**(-2 M_j) |lambda|**(-2 j); membership requires both
-    the downward (j <= 0) and upward (j >= 1) halves to converge.  The
-    empirical |j|-th roots of the tail terms are compared against 1 with
-    margin 10*tol, and the exact root-test limits |lambda|^2/|mu|^(2 eta-)
-    and |mu|^(2 eta+)/|lambda|^2 are reported alongside.
+    the downward (j <= 0) and upward (j >= 1) halves to converge.  The terms
+    are normalized at row r = min(0, j1), row 0 or else the last finite row:
+    each is |mu|**(-2 (M_j - M_r)) |lambda|**(-2 j) with the drop M_j - M_r
+    taken exactly, so roots and partial sums do not change when the diagram
+    is translated.  The empirical |j|-th roots of the tail terms are
+    compared against 1 with margin 10*tol, and the exact root-test limits
+    |lambda|^2/|mu|^(2 eta-) and |mu|^(2 eta+)/|lambda|^2 are reported
+    alongside.
     """
     structure = validate(profile)
     if structure.j0 != NEG_INF:
@@ -288,25 +285,22 @@ def gamma2_series_test(
 
     log_mu = math.log(mu_abs)
     log_lam = math.log(lambda_abs)
+    m_r = m_exact(profile, [min(0, structure.j1)])
 
-    m_minus = m_values(profile, -n_terms, 0)[::-1]  # index t -> M_{-t}
-    js_minus = -np.arange(0, n_terms + 1, dtype=np.float64)
-    log_terms_minus = -2.0 * m_minus * log_mu - 2.0 * js_minus * log_lam
+    def log_terms(js: np.ndarray) -> np.ndarray:
+        """log(|mu|**(-2 (M_j - M_r)) |lambda|**(-2 j)) at the rows js; -inf above j1."""
+        drops = np.full(len(js), -math.inf)
+        finite = js <= structure.j1
+        if finite.any():
+            drops[finite] = float_drops(m_exact(profile, js[finite]), m_r)
+        return -2.0 * drops * log_mu - 2.0 * js * log_lam
 
+    log_terms_minus = log_terms(-np.arange(0, n_terms + 1))  # index t -> j = -t
     plus_top = min(structure.j1, n_terms)  # the upward series is finite under full rows
-    if plus_top >= 1:
-        m_plus = m_values(profile, 1, plus_top)
-        js_plus = np.arange(1, plus_top + 1, dtype=np.float64)
-        log_terms_plus = -2.0 * m_plus * log_mu - 2.0 * js_plus * log_lam
-    else:
-        log_terms_plus = np.empty(0, dtype=np.float64)
+    log_terms_plus = log_terms(np.arange(1, plus_top + 1))
 
     partial_minus = np.logaddexp.accumulate(log_terms_minus)
-    partial_plus = (
-        np.logaddexp.accumulate(log_terms_plus)
-        if len(log_terms_plus)
-        else np.empty(0, dtype=np.float64)
-    )
+    partial_plus = np.logaddexp.accumulate(log_terms_plus)
 
     samples = []
     n = 1
@@ -322,7 +316,7 @@ def gamma2_series_test(
     tail = np.arange(n_terms // 2, n_terms + 1)
     with np.errstate(over="ignore"):  # a root beyond float64 is reported as inf
         root_minus = float(np.exp(log_terms_minus[tail] / tail).max())
-        if structure.j1 != POS_INF or len(log_terms_plus) == 0:
+        if structure.j1 != POS_INF:
             root_plus = 0.0
         else:
             tail_plus = np.arange(n_terms // 2, plus_top + 1)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    _INT64_GUARD,
-    BorderOverflowError,
-    DiagramProfile,
-    Side,
-    m_exact,
-    validate,
-)
+from .diagram import DiagramProfile, Side, float_drops, m_exact, validate
 from .extnum import ExtReal
 
 
@@ -109,25 +102,6 @@ _ETA_CHUNK = 1 << 16
 _ETA_SUB = 1 << 12
 
 
-def _float_drops(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """``upper - lower`` of two exact border reads, rounded once to float64.
-
-    Each operand is monotone (or one value, broadcast), so its ends bound it:
-    the difference runs in int64 while every end is below the guard and on
-    Python ints otherwise.  A difference beyond float64 raises
-    :class:`BorderOverflowError`.
-    """
-    ends = (upper[0], upper[-1], lower[0], lower[-1])
-    if upper.dtype == lower.dtype == np.int64 and max(abs(int(v)) for v in ends) < _INT64_GUARD:
-        drops = upper - lower
-    else:
-        drops = upper.astype(object) - lower.astype(object)
-    try:
-        return drops.astype(np.float64)
-    except OverflowError as exc:
-        raise BorderOverflowError("a border difference is beyond the float64 range") from exc
-
-
 def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, t_last: int) -> float:
     """max of float(g(t)) / t over t in [t_first, t_last], with t_first >= 1.
 
@@ -145,7 +119,7 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
 
     def rises(js) -> np.ndarray:
         rows = m_exact(profile, js)
-        return _float_drops(rows, m0) if s < 0 else _float_drops(m0, rows)
+        return float_drops(rows, m0) if s < 0 else float_drops(m0, rows)
 
     los = np.arange(t_first, t_last + 1, _ETA_CHUNK)
     his = np.minimum(los + _ETA_CHUNK - 1, t_last)
@@ -202,10 +176,10 @@ def estimate_params_bruteforce(
     # minus side: (M_{j-n} - M_j)/n over j in [-j_span, j_span]
     # plus side: (M_j - M_{j+n})/n over the same window starts
     starts = m_exact(profile, range(-j_span, j_span + 1))
-    minus_slopes = _float_drops(
+    minus_slopes = float_drops(
         m_exact(profile, range(-j_span - n_max, j_span - n_max + 1)), starts
     ) / n_max
-    plus_slopes = _float_drops(
+    plus_slopes = float_drops(
         starts, m_exact(profile, range(n_max - j_span, n_max + j_span + 1))
     ) / n_max
 

@@ -127,6 +127,14 @@ class TestReport:
         assert code == 2
         assert "--mc-samples must be >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        """np.random.default_rng refused the seed with a traceback (exit 1)."""
+        code = main(["report", spec("half_lines_1_2"), "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spec error: --seed must be >= 0, got -1\n"
+
 
 class TestMember:
     def test_inside(self, capsys):
@@ -339,6 +347,21 @@ class TestFringeAndOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["classification"] == "converges"
+
+    @pytest.mark.parametrize("name", ["half_lines_1_2", "wold_mixed_pair"])
+    def test_oracle_gamma2_is_translation_invariant(self, capsys, tmp_path, name):
+        """Absolute float64 borders made half-lines + 10**17 answer "diverges"
+        with both roots inf; the series reads exact drops only."""
+        doc = json.loads((SPEC_DIR / f"{name}.json").read_text())
+        doc["window"]["values"] = [v + 10**17 for v in doc["window"]["values"]]
+        path = tmp_path / "translated.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--mu", "0.5", "--lambda", "0.6", "--terms", "256"]
+        answers = [run(capsys, "oracle", "gamma2", where, *argv)
+                   for where in (spec(name), str(path))]
+        assert answers[0][0] == 0
+        assert answers[1] == answers[0]
+        assert json.loads(answers[0][1])["classification"] == "converges"
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_oracle_gamma2_bad_tolerance_exits_3(self, capsys, tol):

@@ -443,6 +443,26 @@ class TestColumnBorders:
         collect()
         assert kinds == {"empty", "full", "periodic", "rise_zero", "geometric", "inverted"}
 
+    @given(_any_profiles(), st.sampled_from(["below", "above", "across"]),
+           st.integers(1, 40) | st.sampled_from([2**40, 2**62 - 8, 2**62, 2**63, 2**70]),
+           st.integers(1, 24), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_m_exact_on_runs_of_rows(self, profile, where, far, length, as_range):
+        """A range or int array of rows wholly below the window, wholly above
+        it, or across it reads the window value plus or minus the reference
+        rise, also at indices past the int64 guard."""
+        validate(profile)
+        lo, hi = profile.j_lo, profile.j_hi
+        below = range(lo - far - length + 1, lo - far + 1)
+        above = range(hi + far, hi + far + length)
+        js = {"below": below, "above": above, "across": range(lo - length, hi + length + 1)}[where]
+        if not as_range:
+            js = list(js) if where != "across" else [*below, *range(lo, hi + 1), *above]
+            js = np.array(js, dtype=object if max(map(abs, js)) >= 2**63 else np.int64)
+        got = m_exact(profile, js)
+        assert got.dtype in (np.int64, object)
+        assert _same(got.tolist(), [_reference_row(profile, int(j)) for j in js])
+
     def test_transposes_make_no_scalar_calls(self, monkeypatch):
         from stairspec import oracle, shifts
 

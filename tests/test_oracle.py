@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stairspec.diagram import (
@@ -56,6 +56,7 @@ from conftest import (
     gb01_profile,
     half_lines_profile,
     line_profile,
+    notched_plane_profile,
     quarter_steps_profile,
     wold_mixed_profile,
 )
@@ -317,7 +318,8 @@ class TestScanMatchesEveryWindowSolved:
 
 class TestTranslationInvariance:
     """Translating a diagram along i moves every border value and no drop, so
-    window scans must answer bit for bit as on the untranslated diagram."""
+    window scans and the series must answer bit for bit as on the
+    untranslated diagram."""
 
     @given(
         _scan_profiles(),
@@ -351,6 +353,28 @@ class TestTranslationInvariance:
             )
             assert moved == result
 
+    @given(
+        _scan_profiles().filter(lambda profile: validate(profile).j0 == NEG_INF),
+        st.sampled_from(TRANSLATIONS),
+        st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95),
+        st.sampled_from([0.3, 0.6, 0.9]) | st.floats(0.05, 0.95),
+        st.integers(8, 300),
+    )
+    @example(translate(notched_plane_profile(), 0, -3), 10**17, 0.5, 0.6, 64)  # row 0 full
+    # every downward row full
+    @example(DiagramProfile(-20, (0,), PeriodicTail(1, 1), FULL_ROWS), 10**30, 0.5, 0.6, 8)
+    @settings(max_examples=150, deadline=None)
+    def test_series_is_bit_identical(self, profile, di, mu, lam, n_terms):
+        def bits(verdict):
+            sums = [(n, down.hex(), up.hex()) for n, down, up in verdict.log10_partial_sums]
+            roots = (verdict.root_minus, verdict.root_plus,
+                     verdict.predicted_root_minus, verdict.predicted_root_plus)
+            return verdict.classification, [x.hex() for x in roots], sums
+
+        result = gamma2_series_test(profile, mu, lam, n_terms)
+        moved = gamma2_series_test(translate(profile, di, 0), mu, lam, n_terms)
+        assert bits(moved) == bits(result)
+
 
 class TestSeries:
     def test_gb_converges_inside_band(self):
@@ -367,6 +391,18 @@ class TestSeries:
         verdict = gamma2_series_test(line_profile(), 0.5, 0.5, 512)
         assert verdict.classification is SeriesClass.BORDERLINE
         assert verdict.root_minus == 1.0 and verdict.root_plus == 1.0
+
+    @pytest.mark.parametrize("lam", [0.3, 0.6])
+    @pytest.mark.parametrize("profile", [
+        wold_mixed_profile(), translate(notched_plane_profile(), 5, -3),
+    ], ids=["wold_mixed_pair", "notched_plane_row_0_full"])
+    def test_flat_minus_root_is_its_limit(self, profile, lam):
+        """Rows below r = min(0, j1) are all M_r, so each downward term is
+        |lambda|**(2t) exactly; wold_mixed_pair's M_0 = 1 read 0.0917 at
+        |mu| = 0.3, |lambda| = 0.3 when the terms carried |mu|**(-2 M_0)."""
+        verdict = gamma2_series_test(profile, 0.3, lam, 256)
+        assert verdict.root_minus == pytest.approx(lam**2, rel=1e-12)
+        assert verdict.predicted_root_minus == pytest.approx(lam**2, rel=1e-12)
 
     def test_parameter_regime_rejected(self):
         with pytest.raises(ParameterRegimeError):
