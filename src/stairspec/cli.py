@@ -2,10 +2,13 @@
 
 Subcommands: validate | report | params | member | sample | raster | fringe |
 oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
-for the schema.  Exit codes: 0 ok, 2 malformed or invalid spec or probe sizes,
-3 valid spec but the requested computation is outside its numeric regime
-(simple diagram, a magnitude out of range or NaN, scan through non-finite rows,
-border differences beyond float64, a window scan over its budget, a sparse
+for the schema.  The exit code is the base class of the error that stops a
+command: 0 ok, 2 for a ``SpecError`` (a malformed or invalid spec or probe
+size), 3 for a ``RegimeError`` (a valid spec whose requested computation is
+outside its numeric regime: a simple diagram asked for its parameters,
+regions or fringe shift, ``fringe`` and ``oracle fringe`` included; a
+magnitude out of range or NaN, a scan through non-finite rows, border
+differences beyond float64, a window scan over its budget, a sparse
 eigensolver that does not converge).
 """
 
@@ -22,27 +25,20 @@ import sys
 import numpy as np
 
 from .diagram import (
-    BorderOverflowError,
-    DiagramError,
     DiagramProfile,
     SpecParseError,
     profile_from_json,
     profile_to_json,
     validate,
 )
-from .extnum import DEFAULT_TOL, BandDomainError, Membership
+from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError
 from .oracle import (
-    DegenerateSpecError,
-    EmptyWindowError,
-    ParameterRegimeError,
     ProbeSizeError,
-    ScanBudgetError,
-    SolverConvergenceError,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
     window_smin_scan,
 )
-from .params import ScanOverflowError, SimpleDiagramError, compute_params
+from .params import compute_params
 from .regions import (
     CODE_STATES,
     RegionSpec,
@@ -53,7 +49,7 @@ from .regions import (
     taylor_region,
     wold_case,
 )
-from .shifts import MuOutOfRangeError, ShiftKind, fringe_operator, ridge_bounds
+from .shifts import ShiftKind, fringe_operator, ridge_bounds
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -88,12 +84,7 @@ def _parse_magnitude(text: str, name: str) -> float:
 
 def _region_triple(profile: DiagramProfile) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
     structure = validate(profile)
-    if structure.is_simple:
-        raise SimpleDiagramError(
-            "simple diagram: the pair is doubly commuting and the band "
-            "machinery does not apply"
-        )
-    params = compute_params(profile)
+    params = compute_params(profile)  # refuses a simple diagram
     return (
         taylor_region(params),
         gamma2_region(params, structure),
@@ -442,21 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecParseError, DiagramError, ProbeSizeError) as exc:
+    except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except (
-        BorderOverflowError,
-        SimpleDiagramError,
-        ScanOverflowError,
-        MuOutOfRangeError,
-        ParameterRegimeError,
-        DegenerateSpecError,
-        EmptyWindowError,
-        BandDomainError,
-        ScanBudgetError,
-        SolverConvergenceError,
-    ) as exc:
+    except RegimeError as exc:
         print(f"numeric-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME_ERROR
 

@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .extnum import EXT_INF, ExtReal
+from .extnum import EXT_INF, ExtReal, RegimeError, SpecError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -44,7 +44,7 @@ POS_INF = float("inf")
 MValue = Union[int, float]  # integer, or +-inf at the degenerate tails
 
 
-class DiagramError(ValueError):
+class DiagramError(SpecError):
     """Base class for profile construction and validation failures."""
 
 
@@ -68,7 +68,7 @@ class SpecParseError(DiagramError):
     """A diagram spec document is malformed; the message carries the field path."""
 
 
-class BorderOverflowError(ValueError):
+class BorderOverflowError(RegimeError):
     """A border value or difference asked for as a float is beyond the float64 range."""
 
 
@@ -117,9 +117,6 @@ class EmptyRowsTail:
     kind = "empty"
     finite = False
 
-    def has_drops(self) -> bool:
-        return False
-
     def is_rise_zero(self) -> bool:
         return False
 
@@ -134,9 +131,6 @@ class EmptyRowsTail:
 class FullRowsTail:
     kind = "full"
     finite = False
-
-    def has_drops(self) -> bool:
-        return False
 
     def is_rise_zero(self) -> bool:
         return False
@@ -178,9 +172,6 @@ class PeriodicTail:
 
     def slope(self) -> Fraction:
         return Fraction(self.rise, self.period)
-
-    def has_drops(self) -> bool:
-        return self.rise > 0
 
     def is_rise_zero(self) -> bool:
         return self.rise == 0
@@ -322,9 +313,6 @@ class GeometricBlocksTail:
             self.slopes, self.ratio, self.base_len, self.t_shift + extra
         )
 
-    def has_drops(self) -> bool:
-        return True  # not all slopes equal and all >= 0, so some slope is positive
-
     def is_rise_zero(self) -> bool:
         return False
 
@@ -415,9 +403,6 @@ class InvertedBlocksTail:
     def uninverted(self) -> GeometricBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
         return self.inner.shifted_by(self._base)
-
-    def has_drops(self) -> bool:
-        return True
 
     def is_rise_zero(self) -> bool:
         return False
@@ -559,7 +544,9 @@ def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     j0: MValue = NEG_INF if minus.finite else profile.j_lo
     j1: MValue = POS_INF if plus.finite else profile.j_hi
 
-    drops = _window_has_drop(profile) or minus.has_drops() or plus.has_drops()
+    drops = _window_has_drop(profile) or any(
+        tail.finite and not tail.is_rise_zero() for tail in (minus, plus)
+    )
     inner_nonempty = drops or not plus.finite
     outer_nonempty = drops or not minus.finite
 

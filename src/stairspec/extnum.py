@@ -30,7 +30,15 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
-class BandDomainError(ValueError):
+class SpecError(ValueError):
+    """Base of every refusal of a malformed or invalid spec or probe size: the CLI exits 2."""
+
+
+class RegimeError(ValueError):
+    """Base of every refusal of a valid input outside the numeric regime: the CLI exits 3."""
+
+
+class BandDomainError(RegimeError):
     """Raised when a magnitude or exponent argument leaves the supported domain."""
 
 

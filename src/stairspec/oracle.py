@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .diagram import DiagramProfile, NEG_INF, POS_INF, float_drops, m_exact, validate
-from .extnum import DEFAULT_TOL, BandDomainError, check_tolerance
+from .extnum import DEFAULT_TOL, BandDomainError, ExtReal, RegimeError, SpecError, check_tolerance
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
@@ -35,32 +36,34 @@ TAU_IN_DEFAULT = 1e-3
 TAU_OUT_DEFAULT = 5e-2
 
 
-class DegenerateSpecError(ValueError):
+class DegenerateSpecError(RegimeError):
     """The scan was asked to resolve a finite nilpotent block numerically."""
 
 
-class ParameterRegimeError(ValueError):
+class ParameterRegimeError(RegimeError):
     """The series test needs the border sequence to stay finite downward."""
 
 
-class EmptyWindowError(ValueError):
+class EmptyWindowError(RegimeError):
     """The requested lattice window misses the diagram entirely."""
 
 
-class ProbeSizeError(ValueError):
+class ProbeSizeError(SpecError):
     """Window sizes, a scan range or a term count that no probe can run with."""
 
 
-class ScanBudgetError(ValueError):
+class ScanBudgetError(RegimeError):
     """A window scan would sweep more window starts than its budget allows."""
 
 
-class SolverConvergenceError(ValueError):
+class SolverConvergenceError(RegimeError):
     """The sparse eigensolver of a lattice witness did not converge."""
 
 
 # The most candidate window starts one scan may sweep, summed over its sizes.
 WINDOW_START_BUDGET = 2**16
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
 
 
 class ScanVerdict(Enum):
@@ -296,7 +299,7 @@ def gamma2_series_test(
         return -2.0 * drops * log_mu - 2.0 * js * log_lam
 
     log_terms_minus = log_terms(-np.arange(0, n_terms + 1))  # index t -> j = -t
-    plus_top = min(structure.j1, n_terms)  # the upward series is finite under full rows
+    plus_top = max(min(structure.j1, n_terms), 0)  # finite under full rows, empty if j1 < 1
     log_terms_plus = log_terms(np.arange(1, plus_top + 1))
 
     partial_minus = np.logaddexp.accumulate(log_terms_minus)
@@ -323,21 +326,8 @@ def gamma2_series_test(
             root_plus = float(np.exp(log_terms_plus[tail_plus - 1] / tail_plus).max())
 
     p = compute_params(profile)
-    try:
-        predicted_minus = lambda_abs**2 * mu_abs ** (-2.0 * float(p.eta_minus))
-    except OverflowError:
-        predicted_minus = math.inf  # the limit is beyond float64: the series diverges
-    if p.eta_plus.is_infinite:
-        predicted_plus = 0.0
-    else:
-        eta_plus = float(p.eta_plus)
-        try:
-            predicted_plus = mu_abs ** (2.0 * eta_plus) / lambda_abs**2
-        except ZeroDivisionError:  # |lambda|**2 underflows: take the ratio through logs
-            try:
-                predicted_plus = math.exp(2.0 * (eta_plus * math.log(mu_abs) - math.log(lambda_abs)))
-            except OverflowError:
-                predicted_plus = math.inf
+    predicted_minus = _root_limit(mu_abs, lambda_abs, p.eta_minus, 1)
+    predicted_plus = _root_limit(mu_abs, lambda_abs, p.eta_plus, -1)
 
     margin = 10.0 * tol
     if root_minus > 1.0 + margin or root_plus > 1.0 + margin:
@@ -354,6 +344,28 @@ def gamma2_series_test(
         predicted_root_minus=predicted_minus,
         predicted_root_plus=predicted_plus,
     )
+
+
+def _root_limit(mu_abs: float, lambda_abs: float, eta: ExtReal, side: int) -> float:
+    """The root-test limit |lambda|**(2 side) / |mu|**(2 side eta), side 1
+    downward (eta-) and -1 upward (eta+).
+
+    An eta beyond float64 has the limit of an infinite one.  A quotient that
+    leaves float64 on the way is taken through logs; a limit beyond it is inf.
+    """
+    try:
+        e = float(eta)  # inf for an infinite eta
+    except OverflowError:
+        e = math.inf
+    if e == math.inf:
+        return math.inf if side > 0 else 0.0
+    try:
+        if side > 0:
+            return lambda_abs**2 * mu_abs ** (-2.0 * e)
+        return mu_abs ** (2.0 * e) / lambda_abs**2
+    except (OverflowError, ZeroDivisionError):
+        log_root = 2.0 * side * (math.log(lambda_abs) - e * math.log(mu_abs))
+        return math.exp(log_root) if log_root <= _LOG_FLOAT_MAX else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import DiagramProfile, Side, float_drops, m_exact, validate
-from .extnum import ExtReal
+from .diagram import DiagramProfile, Side, StructureReport, float_drops, m_exact, validate
+from .extnum import ExtReal, RegimeError
 
 
-class SimpleDiagramError(ValueError):
-    """Spectral parameters are only defined for non-simple diagrams."""
+class SimpleDiagramError(RegimeError):
+    """Parameters, regions and the fringe shift are only defined for non-simple diagrams."""
 
 
-class ScanOverflowError(ValueError):
+def require_nonsimple(structure: StructureReport) -> None:
+    """Refuse a simple diagram, the one case the band machinery leaves out."""
+    if structure.is_simple:
+        raise SimpleDiagramError(
+            "simple diagram: the pair is doubly commuting and the band "
+            "machinery does not apply"
+        )
+
+
+class ScanOverflowError(RegimeError):
     """A finite scan ran into rows that are empty or full."""
 
 
@@ -68,11 +77,7 @@ def compute_params(profile: DiagramProfile) -> SpectralParams:
     block-end average, since running averages drift monotonically inside a
     block and therefore attain their extrema at block ends.
     """
-    structure = validate(profile)
-    if structure.is_simple:
-        raise SimpleDiagramError(
-            "spectral parameters are not defined for simple diagrams"
-        )
+    require_nonsimple(validate(profile))
     d_minus, e_minus, r_minus = profile.minus_tail.asymptotics()
     d_plus, e_plus, r_plus = profile.plus_tail.asymptotics()
     return SpectralParams(

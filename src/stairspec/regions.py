@@ -46,7 +46,7 @@ from .extnum import (
     _envelope_states,
     check_tolerance,
 )
-from .params import SpectralParams
+from .params import SpectralParams, require_nonsimple
 
 
 class RegionKind(Enum):
@@ -95,11 +95,6 @@ def wold_case(structure: StructureReport) -> WoldCase:
     return WoldCase.SHIFT_SHIFT
 
 
-def _require_nonsimple(structure: StructureReport) -> None:
-    if structure.is_simple:
-        raise ValueError("regions are only defined for non-simple diagrams")
-
-
 def taylor_region(params: SpectralParams) -> RegionSpec:
     """The joint spectrum: the closed band (min delta, max rho)."""
     p = min(params.delta_minus, params.delta_plus)
@@ -109,7 +104,7 @@ def taylor_region(params: SpectralParams) -> RegionSpec:
 
 def gamma2_region(params: SpectralParams, structure: StructureReport) -> RegionSpec:
     """Middle-stage failure locus: open band (eta_plus, eta_minus) + axes."""
-    _require_nonsimple(structure)
+    require_nonsimple(structure)
     return RegionSpec(
         kind=RegionKind.GAMMA2,
         bands=((params.eta_minus, params.eta_plus),),
@@ -129,7 +124,7 @@ def _is_notched_plane(structure: StructureReport) -> bool:
 
 def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionSpec:
     """Final-stage failure locus, keyed by the Wold types of the pair."""
-    _require_nonsimple(structure)
+    require_nonsimple(structure)
     case = wold_case(structure)
     if case is WoldCase.MIXED_MIXED:
         return RegionSpec(

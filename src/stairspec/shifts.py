@@ -33,10 +33,11 @@ from .extnum import (
     BandMembership,
     ExtReal,
     Membership,
+    RegimeError,
     best_membership,
     pow_ext,
 )
-from .params import SpectralParams
+from .params import SpectralParams, require_nonsimple
 
 
 # Drops above this give weight 0.0: every float |mu| < 1 is at most
@@ -44,7 +45,7 @@ from .params import SpectralParams
 _DROP_CAP = 2**64
 
 
-class MuOutOfRangeError(ValueError):
+class MuOutOfRangeError(RegimeError):
     """The shift reduction needs 0 < |mu| < 1."""
 
 
@@ -59,14 +60,14 @@ class ShiftKind(Enum):
 class ShiftSpec:
     """A weighted shift built from a profile and a magnitude |mu|.
 
-    ``weight(j)`` follows the per-kind convention: |mu|**(M_j - M_{j+1}) for
-    bilateral and unilateral kinds (edge j -> j+1), |mu|**(M_{j-1} - M_j) for
-    the adjoint kind (edge j -> j-1, defined for j <= j_max).  Phases are
+    The weight at j follows the per-kind convention: |mu|**(M_j - M_{j+1})
+    for bilateral and unilateral kinds (edge j -> j+1), |mu|**(M_{j-1} - M_j)
+    for the adjoint kind (edge j -> j-1, defined for j <= j_max).  Phases are
     dropped throughout: every spectral set used downstream is rotation
-    invariant, so only weight magnitudes matter.  ``down_weight(j)`` is the
+    invariant, so only weight magnitudes matter.  The down weight at j is the
     uniform descending-edge magnitude |mu|**(M_{j-1} - M_j) used to assemble
-    truncated matrices of the dual operator.  Both are the length-1 case of
-    ``weights``, the one place that turns drops into weights.
+    truncated matrices of the dual operator.  ``weights`` is the one place
+    that turns drops into weights.
     """
 
     kind: ShiftKind
@@ -76,7 +77,7 @@ class ShiftSpec:
     j_max: MValue
 
     def weights(self, js: range, down: bool = False) -> np.ndarray:
-        """``weight(j)``, or ``down_weight(j)`` if ``down``, for every j in ``js``.
+        """The weight, or the down weight if ``down``, at every j in ``js``.
 
         ``js`` is a range of step 1.  The border rows of its edges come from
         one exact evaluation, and each weight is |mu| to the exact integer
@@ -96,17 +97,12 @@ class ShiftSpec:
                 raise ValueError(f"edge {last} -> {last + 1} leaves the shift range")
         top = js.start if down or adjoint else js.start + 1  # edges (t - 1, t) from t = top
         rows = m_exact(self.profile, range(top - 1, top + len(js)))
+        if rows.dtype == object and js:  # row 0 alone can be empty; inf - huge int overflows
+            rows[0] = min(rows[0], rows[1] + _DROP_CAP)
         drops = rows[:-1] - rows[1:]
         if drops.dtype == object:
             drops = np.minimum(drops, _DROP_CAP).astype(np.float64)
         return np.power(self.mu_abs, drops)
-
-    def weight(self, j: int) -> float:
-        return float(self.weights(range(j, j + 1))[0])
-
-    def down_weight(self, j: int) -> float:
-        """|mu|**(M_{j-1} - M_j) for j in the index range."""
-        return float(self.weights(range(j, j + 1), down=True)[0])
 
 
 def fringe_operator(profile: DiagramProfile, mu_abs: float) -> ShiftSpec:
@@ -121,8 +117,7 @@ def fringe_operator(profile: DiagramProfile, mu_abs: float) -> ShiftSpec:
     structure = validate(profile)
     if not 0.0 < mu_abs < 1.0:
         raise MuOutOfRangeError(f"|mu| must lie in (0, 1): {mu_abs}")
-    if structure.is_simple:
-        raise ValueError("fringe reduction is only used for non-simple diagrams")
+    require_nonsimple(structure)
     j0, j1 = structure.j0, structure.j1
     if j0 == NEG_INF and j1 == POS_INF:
         kind = ShiftKind.BILATERAL

@@ -1,8 +1,11 @@
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stairspec
 from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, _build_parser, main
 from stairspec.diagram import profile_from_json, validate
-from stairspec.extnum import Membership
+from stairspec.extnum import Membership, RegimeError, SpecError
 from stairspec.params import compute_params
 from stairspec.regions import gamma2_region, gamma3_region, taylor_region
 
@@ -506,6 +510,78 @@ class TestFringeAndOracle:
         assert captured.out == ""
         assert captured.err.startswith("numeric-regime error: the sparse eigensolver did not")
         assert "Traceback" not in captured.err
+
+
+def _write_spec(tmp_path, name: str, j_lo: int, value: int, minus: dict, plus: dict) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "window": {"j_lo": j_lo, "values": [value]}, "minus_tail": minus, "plus_tail": plus,
+    }))
+    return str(path)
+
+
+EMPTY, FULL = {"kind": "empty"}, {"kind": "full"}
+PERIODIC_0, PERIODIC_1 = ({"kind": "periodic", "period": 1, "rise": r} for r in (0, 1))
+
+
+class TestExitCodeIsTheBaseClass:
+    """Each refusal exits by its base class: SpecError 2, RegimeError 3."""
+
+    def test_every_error_has_one_exit_base(self):
+        errors = []
+        for info in pkgutil.iter_modules(stairspec.__path__, "stairspec."):
+            module = importlib.import_module(info.name)
+            errors += [
+                cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if issubclass(cls, Exception) and cls.__module__ == info.name
+                and cls not in (SpecError, RegimeError)
+            ]
+        assert len(errors) >= 17  # DiagramError and its five, ProbeSizeError, the ten of exit 3
+        for cls in errors:
+            assert issubclass(cls, SpecError) != issubclass(cls, RegimeError), cls
+
+    @pytest.mark.parametrize(
+        "command,extra", [(["fringe"], []), (["oracle", "fringe"], ["--lambda", "0.5"])],
+        ids=["fringe", "oracle-fringe"],
+    )
+    def test_simple_diagram_fringe_exits_3(self, capsys, tmp_path, command, extra):
+        path = _write_spec(tmp_path, "simple", 0, 0, EMPTY, PERIODIC_0)
+        assert main([*command, path, "--mu", "0.5", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric-regime error: simple diagram")
+
+    def test_empty_row_beside_a_huge_window_value(self, capsys, tmp_path):
+        """Weights read drops only: window value 10**400 answers as 0 does."""
+        answers = [
+            run(capsys, "oracle", "fringe", _write_spec(tmp_path, f"v{k}", 0, value, EMPTY, PERIODIC_1),
+                "--mu", "0.5", "--lambda", "0.5", "--sizes", "16,64", "--j-scan", "32")
+            for k, value in enumerate((0, 10**400))
+        ]
+        assert answers[0][0] == 0
+        assert answers[1] == answers[0]
+
+    def test_gamma2_last_finite_row_far_below(self, capsys, tmp_path):
+        """j1 < 1 leaves the upward series empty, however far below 1 it lies."""
+        for j_lo in (-5, -(10**20)):
+            code, out = run(
+                capsys, "oracle", "gamma2", _write_spec(tmp_path, "j1", j_lo, 0, PERIODIC_1, FULL),
+                "--mu", "0.5", "--lambda", "0.5", "--terms", "64",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["root_plus"] == 0.0
+            assert {row["up_series"] for row in doc["log10_partial_sums"]} == {"-inf"}
+
+    def test_gamma2_eta_plus_beyond_float64(self, capsys, tmp_path):
+        """An exponent beyond float64 has the limit of an infinite one."""
+        plus = {"kind": "geometric", "slopes": ["0", str(10**400)], "ratio": 2, "base_len": 100}
+        code, out = run(
+            capsys, "oracle", "gamma2", _write_spec(tmp_path, "eta", 0, 0, PERIODIC_1, plus),
+            "--mu", "0.5", "--lambda", "0.5", "--terms", "64",
+        )
+        assert code == 0
+        assert json.loads(out)["predicted_root_plus"] == 0.0
 
 
 class TestSlopeBeyondFloat64:

@@ -45,14 +45,14 @@ class TestFringeOperator:
     def test_line_is_bilateral_constant(self):
         spec, _ = _fringe(line_profile())
         assert spec.kind is ShiftKind.BILATERAL
-        assert [spec.weight(j) for j in range(-3, 4)] == [0.5] * 7
+        assert spec.weights(range(-3, 4)).tolist() == [0.5] * 7
 
     def test_quarter_steps_is_unilateral(self):
         spec, _ = _fringe(quarter_steps_profile())
         assert spec.kind is ShiftKind.UNILATERAL
         # constant rows above the single window drop: weights 1 from there on
-        assert spec.weight(0) == 0.5
-        assert [spec.weight(j) for j in range(1, 6)] == [1.0] * 5
+        assert spec.weights(range(0, 1)).tolist() == [0.5]
+        assert spec.weights(range(1, 6)).tolist() == [1.0] * 5
 
     def test_wold_mixed_is_unilateral_adjoint(self):
         spec, _ = _fringe(wold_mixed_profile())
@@ -81,8 +81,15 @@ class TestWeights:
 
     def test_drop_across_an_empty_row_is_zero(self):
         spec = fringe_operator(quarter_steps_profile(), 0.5)
-        assert spec.down_weight(0) == 0.0  # M_{-1} is +inf
+        assert spec.weights(range(0, 1), down=True).tolist() == [0.0]  # M_{-1} is +inf
         assert spec.weights(range(0, 3), down=True).tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("value", [0, 10**400], ids=["0", "1e400"])
+    def test_drop_across_an_empty_row_beside_a_huge_value_is_zero(self, value):
+        """The drop is capped before +inf meets an int beyond float64."""
+        profile = DiagramProfile(0, (value + 1, value), EMPTY_ROWS, PeriodicTail(1, 1))
+        spec = fringe_operator(profile, 0.5)
+        assert spec.weights(range(0, 4), down=True).tolist() == [0.0, 0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize("name,profile", canonical_nonsimple())
     @pytest.mark.parametrize("di", [2**53 + 1, 10**30])
@@ -95,8 +102,8 @@ class TestWeights:
             edges = js if down or spec.kind is ShiftKind.UNILATERAL_ADJOINT else js[:-1]
             expected = spec.weights(edges, down=down)
             assert moved.weights(edges, down=down).tobytes() == expected.tobytes()
-            one = spec.down_weight if down else spec.weight
-            assert [one(j) for j in edges] == expected.tolist()
+            ones = [spec.weights(range(j, j + 1), down=down)[0] for j in edges]
+            assert ones == expected.tolist()
 
     def test_range_checks_read_the_ends(self):
         unilateral = fringe_operator(quarter_steps_profile(), 0.5)  # j_min = 0
@@ -173,9 +180,7 @@ class TestRidgeBounds:
         n = 512
         means = []
         for start in range(-2000, 2000 - n, 97):
-            drops = [
-                spec.down_weight(j) for j in range(start, start + n)
-            ]
+            drops = spec.weights(range(start, start + n), down=True).tolist()
             means.append(math.exp(sum(math.log(w) for w in drops) / n))
         lo, hi = min(means), max(means)
         assert lo >= rb.i_minus_value * 0.98 or lo >= rb.i_plus_value * 0.98

@@ -75,11 +75,18 @@ def _documents(draw):
     return doc if draw(st.integers(0, 19)) else copy.deepcopy(draw(_bad))
 
 
-# Commands that read only the document and the exponents.
+# Commands that read the document, its exponents and its border rows; "OUT"
+# stands for a file in the test's temporary directory.
 COMMANDS = [
     ["validate"],
     ["params"],
     ["report", "--mc-samples", "50"],
+    ["fringe", "--mu", "0.5"],
+    ["oracle", "fringe", "--mu", "0.5", "--lambda", "0.5", "--sizes", "16,64", "--j-scan", "32"],
+    ["oracle", "gamma2", "--mu", "0.5", "--lambda", "0.5", "--terms", "64"],
+    ["oracle", "t3", "--mu", "0.5", "--lambda", "0.5", "--window", "8"],
+    ["sample", "--resolution", "3", "--out", "OUT"],
+    ["raster", "--width", "16", "--height", "16", "--out", "OUT"],
 ]
 MEMBER = ["member", "--mu", "0.5", "--lambda", "0.3"]
 
@@ -89,6 +96,10 @@ _DEEP = {
                         ratio=10**400, base_len=1),
     "plus_tail": _tail("periodic", period=1, rise=1),
 }
+
+
+def _one_row(j_lo, value, minus, plus):
+    return {"window": {"j_lo": j_lo, "values": [value]}, "minus_tail": minus, "plus_tail": plus}
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -108,12 +119,23 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example({**_DEEP, "minus_tail": _tail("periodic", period=10**400, rise=1)}, "gamma3")
 @example({**_DEEP, "plus_tail": _tail("geometric", slopes=[str(10**400), "1"], ratio=2,
                                       base_len=10**400)}, "taylor")
+# a simple diagram: fringe and oracle fringe refuse it
+@example(_one_row(0, 0, _tail("empty"), _tail("periodic", period=1, rise=0)), "taylor")
+# an empty row next to a window value beyond float64
+@example(_one_row(0, 10**400, _tail("empty"), _tail("periodic", period=1, rise=1)), "taylor")
+# the last finite row far below 1: the upward series is empty
+@example(_one_row(-(10**20), 0, _tail("periodic", period=1, rise=1), _tail("full")), "taylor")
+# eta+ beyond float64 while the first drops are not
+@example(_one_row(0, 0, _tail("periodic", period=1, rise=1),
+                  _tail("geometric", slopes=["0", str(10**400)], ratio=2, base_len=100)), "taylor")
 def test_spec_documents_exit_0_2_or_3(doc, region):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(doc))
         for argv in COMMANDS + [MEMBER + ["--set", region]]:
-            code, err = _run([argv[0], str(path), *argv[1:]])
+            argv = [str(Path(tmp) / "out") if arg == "OUT" else arg for arg in argv]
+            n = 2 if argv[0] == "oracle" else 1
+            code, err = _run([*argv[:n], str(path), *argv[n:]])
             assert code in (0, 2, 3), (argv, err)
             assert "Traceback" not in err
             assert (code == 0) == (err == ""), (argv, err)
