@@ -333,11 +333,12 @@ def _cmd_oracle_t3(args) -> int:
             f"--window must be >= 4 (the ladder probes window // 4, window // 2 "
             f"and window), got {args.window}"
         )
+    i_c, j_c = profile.window[-1], profile.j_lo  # the centre moves with the diagram
     ladder = []
     for size in (args.window // 4, args.window // 2, args.window):
         half = max(size // 2, 1)
         smin = joint_adjoint_kernel_smin(
-            profile, mu_abs, lam_abs, (-half, half, -half, half)
+            profile, mu_abs, lam_abs, (i_c - half, i_c + half, j_c - half, j_c + half)
         )
         ladder.append({"window": size, "smin": smin})
     _dump({"mu_abs": mu_abs, "lambda_abs": lam_abs, "smin_ladder": ladder})

@@ -19,6 +19,7 @@ operations, so both give the same answer at every point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,15 +50,21 @@ class ExtReal:
     below infinity.  The value is kept as two ints, a numerator and a
     denominator in lowest terms, with infinity as 1/0; every comparison is
     one exact cross-multiplication ``a.n * b.d < b.n * a.d``, which orders
-    infinity correctly too, never floating point.  The float value is
-    taken once, when the value is built.
+    infinity correctly too, never floating point.  ``float(x)``, taken once
+    when the value is built, is its one float view: inf for infinity and
+    DBL_MAX for a finite value beyond float64.  Saturating is exact for each
+    use of an exponent e at a float a in [0, 1] (``e * log(a)`` in the kernel,
+    ``a ** e`` in ``pow_ext``).  For a < 1, a <= 1 - 2**-53, so DBL_MAX *
+    log(a) < -2e292 lies past any finite tol and a ** DBL_MAX underflows to
+    0.0; for a = 1, DBL_MAX * 0.0 = 0.0 as 1**e = 1 (inf would give NaN); at
+    a = 0 the convention masks decide.
     """
 
     __slots__ = ("_n", "_d", "_float")
 
     _n: int
     _d: int  # 0 encodes infinity, with _n = 1
-    _float: float | None  # None when the finite value is beyond float64
+    _float: float
 
     def __init__(self, value: "ExtReal | Fraction | int | None" = 0):
         if type(value) is ExtReal:
@@ -111,18 +118,7 @@ class ExtReal:
         return out
 
     def __float__(self) -> float:
-        if self._float is None:
-            raise OverflowError("integer division result too large for a float")
         return self._float
-
-    def as_float(self) -> float:
-        """The finite value as a float; BandDomainError for infinity or beyond float64."""
-        if self._d and self._float is not None:
-            return self._float
-        if not self._d:
-            raise BandDomainError("infinity has no finite float value")
-        digits = math.log10(self._n) - math.log10(self._d)
-        raise BandDomainError(f"exponent of about 1e{digits:.0f} is beyond the float64 range")
 
     @staticmethod
     def _coerce(other) -> "ExtReal | None":
@@ -188,14 +184,15 @@ class ExtReal:
 def _init(x: ExtReal, n: int, d: int) -> None:
     """Set the reduced pair of a new ExtReal and take its float once.
 
-    ``n / d`` is int true division, correctly rounded like ``float(Fraction)``.
+    ``n / d`` is int true division, correctly rounded like ``float(Fraction)``,
+    saturated to DBL_MAX beyond float64 (see ``ExtReal``).
     """
     object.__setattr__(x, "_n", n)
     object.__setattr__(x, "_d", d)
     try:
         value = n / d if d else math.inf
     except OverflowError:
-        value = None
+        value = sys.float_info.max
     object.__setattr__(x, "_float", value)
 
 
@@ -204,12 +201,11 @@ EXT_INF = ExtReal.infinity()
 
 
 def pow_ext(base: float, exponent: ExtReal) -> float:
-    """base**exponent for base in (0, 1] and an exact exponent in [0, inf]."""
+    """base**exponent for base in (0, 1] and an exact exponent in [0, inf]:
+    float power keeps the conventions 1.0 ** inf = 1.0 and b ** inf = 0.0."""
     if not 0.0 < base <= 1.0:
         raise BandDomainError(f"base must lie in (0, 1]: {base}")
-    if exponent.is_infinite:
-        return 1.0 if base == 1.0 else 0.0
-    return base ** exponent.as_float()
+    return base ** float(exponent)
 
 
 class Membership(Enum):
@@ -233,10 +229,6 @@ def best_membership(*states: Membership) -> Membership:
 class BandMembership:
     state: Membership
     tolerance_used: float
-
-    @property
-    def is_inside(self) -> bool:
-        return self.state is Membership.INSIDE
 
 
 def check_tolerance(tol: float) -> None:
@@ -337,7 +329,7 @@ def _lower_slacks(cells: _Cells, e: ExtReal):
     """
     if e.is_infinite:
         return cells.full(math.inf)
-    slack = cells.log_b - e.as_float() * cells.log_a
+    slack = cells.log_b - float(e) * cells.log_a
     slack = cells.where(cells.b0, -math.inf, slack)
     return cells.where(cells.a0, math.inf, slack)
 
@@ -353,7 +345,7 @@ def _upper_slacks(cells: _Cells, e: ExtReal):
     if e == EXT_ZERO:
         # -log(b), which is +inf at b = 0
         return cells.where(cells.a0, math.inf, -cells.log_b)
-    slack = e.as_float() * cells.log_a - cells.log_b
+    slack = float(e) * cells.log_a - cells.log_b
     slack = cells.where(cells.a0, -math.inf, slack)
     return cells.where(cells.b0, math.inf, slack)
 

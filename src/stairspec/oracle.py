@@ -268,9 +268,10 @@ def gamma2_series_test(
     sum over j of |mu|**(-2 M_j) |lambda|**(-2 j); membership requires both
     the downward (j <= 0) and upward (j >= 1) halves to converge.  The terms
     are normalized at row r = min(0, j1), row 0 or else the last finite row:
-    each is |mu|**(-2 (M_j - M_r)) |lambda|**(-2 j) with the drop M_j - M_r
+    each is |mu|**(-2 (M_j - M_r)) |lambda|**(-2 (j - r)) with the drop
     taken exactly, so roots and partial sums do not change when the diagram
-    is translated.  The empirical |j|-th roots of the tail terms are
+    is translated.  Downward terms are indexed by t = r - j (rows above r are
+    full); their t-th roots, like the upward j-th roots, over [n/2, n] are
     compared against 1 with margin 10*tol, and the exact root-test limits
     |lambda|^2/|mu|^(2 eta-) and |mu|^(2 eta+)/|lambda|^2 are reported
     alongside.
@@ -288,19 +289,20 @@ def gamma2_series_test(
 
     log_mu = math.log(mu_abs)
     log_lam = math.log(lambda_abs)
-    m_r = m_exact(profile, [min(0, structure.j1)])
+    r = min(0, structure.j1)
+    m_r = m_exact(profile, [r])
 
-    def log_terms(js: np.ndarray) -> np.ndarray:
-        """log(|mu|**(-2 (M_j - M_r)) |lambda|**(-2 j)) at the rows js; -inf above j1."""
-        drops = np.full(len(js), -math.inf)
-        finite = js <= structure.j1
-        if finite.any():
-            drops[finite] = float_drops(m_exact(profile, js[finite]), m_r)
-        return -2.0 * drops * log_mu - 2.0 * js * log_lam
+    def log_terms(js: range) -> np.ndarray:
+        """log(|mu|**(-2 (M_j - M_r)) |lambda|**(-2 (j - r))) at the rows js <= j1."""
+        if not js:
+            return np.empty(0)
+        drops = float_drops(m_exact(profile, js), m_r)
+        offsets = np.arange(js.start - r, js.stop - r, js.step)  # j - r
+        return -2.0 * drops * log_mu - 2.0 * offsets * log_lam
 
-    log_terms_minus = log_terms(-np.arange(0, n_terms + 1))  # index t -> j = -t
+    log_terms_minus = log_terms(range(r, r - n_terms - 1, -1))  # index t -> j = r - t
     plus_top = max(min(structure.j1, n_terms), 0)  # finite under full rows, empty if j1 < 1
-    log_terms_plus = log_terms(np.arange(1, plus_top + 1))
+    log_terms_plus = log_terms(range(1, plus_top + 1))
 
     partial_minus = np.logaddexp.accumulate(log_terms_minus)
     partial_plus = np.logaddexp.accumulate(log_terms_plus)
@@ -350,15 +352,10 @@ def _root_limit(mu_abs: float, lambda_abs: float, eta: ExtReal, side: int) -> fl
     """The root-test limit |lambda|**(2 side) / |mu|**(2 side eta), side 1
     downward (eta-) and -1 upward (eta+).
 
-    An eta beyond float64 has the limit of an infinite one.  A quotient that
-    leaves float64 on the way is taken through logs; a limit beyond it is inf.
+    A quotient that leaves float64 on the way is taken through logs; a limit
+    beyond it is inf.
     """
-    try:
-        e = float(eta)  # inf for an infinite eta
-    except OverflowError:
-        e = math.inf
-    if e == math.inf:
-        return math.inf if side > 0 else 0.0
+    e = float(eta)  # inf for an infinite eta, DBL_MAX beyond float64
     try:
         if side > 0:
             return lambda_abs**2 * mu_abs ** (-2.0 * e)
@@ -397,11 +394,11 @@ def _lattice_stack(
         raise EmptyWindowError(f"degenerate window: {window}")
     width, height = i_hi - i_lo + 1, j_hi - j_lo + 3
     # Rows k = 0 .. height - 1 are j_lo - 1 .. j_hi + 1, and column offsets
-    # x = i - (i_lo - 1) run over 0 .. width + 1.  With the row minima as
-    # offsets clipped to that range, (x, k) is in the diagram exactly when
+    # x = i - (i_lo - 1) run over 0 .. width + 1.  With the row minima, +-inf
+    # included, clipped to that range, (x, k) is in the diagram exactly when
     # cut[k] <= x.  Object arithmetic keeps borders beyond int64 exact.
-    rows = m_exact(profile, range(j_lo - 1, j_hi + 2)).astype(object) - (i_lo - 1)
-    cut = np.minimum(np.maximum(rows, 0), width + 1).astype(np.int64)
+    rows = m_exact(profile, range(j_lo - 1, j_hi + 2)).astype(object)
+    cut = (np.minimum(np.maximum(rows, i_lo - 1), i_hi + 1) - (i_lo - 1)).astype(np.int64)
     starts = np.maximum(cut[1:-1], 1)  # first column of rows j_lo .. j_hi
     counts = width + 1 - starts
     n_cols = int(counts.sum())

@@ -190,7 +190,8 @@ def region_states(
     """
     check_tolerance(tol)
     cells = _Cells.of(mu_abs, lambda_abs)
-    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf on masked cells
+    # 0 * inf and inf - inf on masked cells, DBL_MAX * log(a) = -inf (see ExtReal)
+    with np.errstate(invalid="ignore", over="ignore"):
         return _region_codes(region, cells, tol).astype(np.int8)
 
 

@@ -196,21 +196,22 @@ def ridge_bounds(spec: ShiftSpec, params: SpectralParams) -> RidgeBounds:
 
 
 def _radius_interval_member(
-    lambda_abs: float, lo: float, hi: float, tol: float
+    lambda_abs: float, mu_abs: float, lo_exp: ExtReal, hi_exp: ExtReal, tol: float
 ) -> Membership:
-    """Closed-interval membership of a radius, with a log-domain outside collar.
+    """Closed-interval membership of a radius in [|mu|**lo_exp, |mu|**hi_exp].
 
     Points in the interval (including its endpoints) are inside; points whose
     violation is below ``tol`` in the log domain are boundary.  An empty
-    interval (lo > hi) admits no members.
+    interval (lo > hi) admits no members.  Only an infinite ``lo_exp`` puts
+    0 in: a lower end that underflows to 0.0 is still positive.
     """
-    lower = math.inf if lo == 0.0 else (
-        -math.inf if lambda_abs == 0.0 else math.log(lambda_abs) - math.log(lo)
-    )
-    upper = math.inf if lambda_abs == 0.0 else (
-        -math.inf if hi == 0.0 else math.log(hi) - math.log(lambda_abs)
-    )
-    slack = min(lower, upper)
+    lo, hi = pow_ext(mu_abs, lo_exp), pow_ext(mu_abs, hi_exp)
+    if lambda_abs == 0.0:
+        slack = math.inf if lo_exp.is_infinite else -math.inf
+    else:
+        lower = math.inf if lo == 0.0 else math.log(lambda_abs) - math.log(lo)
+        upper = -math.inf if hi == 0.0 else math.log(hi) - math.log(lambda_abs)
+        slack = min(lower, upper)
     if slack >= 0.0:
         return Membership.INSIDE
     if slack > -tol:
@@ -240,15 +241,14 @@ def sigma_ap_predict(
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
         state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
         return BandMembership(state, tol)
+    b = bounds
     if spec.kind is ShiftKind.UNILATERAL:
-        intervals = ((0.0, bounds.r_minus_value),)
+        intervals = ((EXT_INF, b.r_minus),)  # the disc: |mu|**inf = 0
     elif spec.kind is ShiftKind.UNILATERAL_ADJOINT:
-        intervals = ((bounds.i_minus_value, bounds.r_minus_value),)
+        intervals = ((b.i_minus, b.r_minus),)
     else:
-        i_plus, r_plus = bounds.i_plus_value, bounds.r_plus_value
-        i_minus, r_minus = bounds.i_minus_value, bounds.r_minus_value
-        intervals = ((i_plus, r_plus), (r_plus, i_minus), (i_minus, r_minus))
-    states = (_radius_interval_member(lambda_abs, lo, hi, tol) for lo, hi in intervals)
+        intervals = ((b.i_plus, b.r_plus), (b.r_plus, b.i_minus), (b.i_minus, b.r_minus))
+    states = (_radius_interval_member(lambda_abs, b.mu_abs, lo, hi, tol) for lo, hi in intervals)
     return BandMembership(best_membership(*states), tol)
 
 

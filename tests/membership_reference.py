@@ -69,7 +69,7 @@ def lower_slack(a: float, b: float, e: ExtReal) -> float:
         return math.inf
     if b == 0.0:
         return -math.inf  # a**e > 0 for a > 0, e < inf
-    return math.log(b) - e.as_float() * math.log(a)
+    return math.log(b) - float(e) * math.log(a)
 
 
 def upper_slack(a: float, b: float, e: ExtReal) -> float:
@@ -86,7 +86,7 @@ def upper_slack(a: float, b: float, e: ExtReal) -> float:
         return math.inf if b == 0.0 else -math.inf  # 0**e = 0
     if b == 0.0:
         return math.inf
-    return e.as_float() * math.log(a) - math.log(b)
+    return float(e) * math.log(a) - math.log(b)
 
 
 def _classify(min_slack: float, tol: float) -> Membership:

@@ -20,7 +20,7 @@ from stairspec.extnum import Membership, RegimeError, SpecError
 from stairspec.params import compute_params
 from stairspec.regions import gamma2_region, gamma3_region, taylor_region
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, TRANSLATIONS
 from membership_reference import region_member as reference_member
 
 ALL_SPECS = sorted(path.stem for path in SPEC_DIR.glob("*.json"))
@@ -367,6 +367,40 @@ class TestFringeAndOracle:
         assert answers[1] == answers[0]
         assert json.loads(answers[0][1])["classification"] == "converges"
 
+    def test_oracle_gamma2_sums_from_the_last_finite_row(self, capsys, tmp_path):
+        """Full rows from j_lo + 1 on put r = j1 = j_lo: the downward series
+        starts there, so j_lo = -10**20 answers as j_lo = -5 does."""
+        answers = []
+        for name, j_lo in (("near", -5), ("far", -(10**20))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "window": {"j_lo": j_lo, "values": [0]},
+                "minus_tail": {"kind": "periodic", "period": 1, "rise": 1},
+                "plus_tail": {"kind": "full"},
+            }))
+            answers.append(run(capsys, "oracle", "gamma2", str(path),
+                               "--mu", "0.5", "--lambda", "0.9", "--terms", "64"))
+        assert answers[0][0] == 0
+        assert answers[1] == answers[0]
+        doc = json.loads(answers[0][1])
+        assert doc["classification"] == "diverges"
+        assert math.isclose(doc["root_minus"], doc["predicted_root_minus"], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("name", ["half_lines_1_2", "wold_mixed_pair"])
+    @pytest.mark.parametrize(
+        "di,dj", [(di, 0) for di in TRANSLATIONS] + [(0, 7), (0, -7), (-(10**30), 7)], ids=str
+    )
+    def test_oracle_t3_is_translation_invariant(self, capsys, tmp_path, name, di, dj):
+        doc = json.loads((SPEC_DIR / f"{name}.json").read_text())
+        doc["window"]["j_lo"] += dj
+        doc["window"]["values"] = [v + di for v in doc["window"]["values"]]
+        path = tmp_path / "translated.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--mu", "0.5", "--lambda", "0.5", "--window", "12"]
+        answers = [run(capsys, "oracle", "t3", where, *argv) for where in (spec(name), str(path))]
+        assert answers[0][0] == 0
+        assert answers[1] == answers[0]
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_oracle_gamma2_bad_tolerance_exits_3(self, capsys, tol):
         code = main(
@@ -585,30 +619,68 @@ class TestExitCodeIsTheBaseClass:
 
 
 class TestSlopeBeyondFloat64:
-    """A slope beyond float64 is refused with exit 3 and a message, never a traceback."""
+    """A slope beyond float64 answers as a float-finite one does: every power
+    |mu|**e of a float |mu| < 1 underflows for both rises, and the float view
+    of 10**400 saturates at DBL_MAX, which keeps every slack's sign."""
+
+    POINTS = [
+        (0, 0), (0, 1), (1, 0), (1, 1),  # corners
+        (0, 0.5), (0.5, 0), (0, 1e-300), (1e-300, 0),  # axes
+        (1, 0.5), (0.5, 1), (1, 1e-300), (1e-300, 1),  # torus edges
+        (0.5, 0.5), (0.3, 0.9), (0.9, 1e-300), (1 - 2**-53, 0.5),  # interior
+    ]
+
+    def _answers(self, capsys, tmp_path, rise, argv):
+        folder = tmp_path / f"rise_{len(str(rise))}_digits"
+        folder.mkdir(exist_ok=True)
+        path = _periodic_minus_spec(folder, rise)
+        out_path = folder / "out"
+        command, *options = argv
+        extra = ["--out", str(out_path)] if command in ("sample", "raster") else []
+        if command == "member":
+            calls = [[*options, "--mu", repr(a), "--lambda", repr(b)] for a, b in self.POINTS]
+        else:
+            calls = [options]
+        answers = []
+        for call in calls:
+            assert main([command, path, *call, *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            answers.append(out_path.read_bytes() if extra else json.loads(captured.out))
+        return answers
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["report", "--mc-samples", "100"],
-            ["member", "--mu", "0.5", "--lambda", "0.5"],
-            ["member", "--set", "gamma2", "--mu", "0.5", "--lambda", "0.5"],
-            ["member", "--set", "gamma3", "--mu", "0.5", "--lambda", "0.5"],
+            ["report", "--mc-samples", "2000"],
+            ["member", "--set", "taylor"],
+            ["member", "--set", "gamma2"],
+            ["member", "--set", "gamma3"],
             ["fringe", "--mu", "0.5"],
-            ["sample", "--resolution", "5"],
+            ["sample", "--resolution", "21"],
+            ["raster", "--set", "taylor", "--width", "16", "--height", "16"],
+            ["raster", "--set", "gamma2", "--width", "16", "--height", "16"],
+            ["raster", "--set", "gamma3", "--width", "16", "--height", "16"],
         ],
-        ids=["report", "member-taylor", "member-gamma2", "member-gamma3", "fringe", "sample"],
+        ids=["report", "member-taylor", "member-gamma2", "member-gamma3", "fringe", "sample",
+             "raster-taylor", "raster-gamma2", "raster-gamma3"],
     )
-    def test_exits_3(self, capsys, tmp_path, argv):
-        path = _periodic_minus_spec(tmp_path, 10**400)
-        out_path = tmp_path / "grid.csv"
-        extra = ["--out", str(out_path)] if argv[0] == "sample" else []
-        assert main([argv[0], path, *argv[1:], *extra]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "numeric-regime error" in captured.err
-        assert "beyond the float64 range" in captured.err
-        assert not out_path.exists()
+    def test_answers_as_rise_1e300(self, capsys, tmp_path, argv):
+        huge, big = (self._answers(capsys, tmp_path, rise, argv) for rise in (10**400, 10**300))
+        if argv[0] == "report":
+            (huge,), (big,) = huge, big
+            assert huge["area_fraction"] == big["area_fraction"]
+        elif argv[0] == "member":
+            assert [doc["membership"] for doc in huge] == [doc["membership"] for doc in big]
+            assert huge[0]["membership"] == "in"  # the origin
+        elif argv[0] == "fringe":
+            (huge,), (big,) = huge, big
+            assert huge["weights_first_32"] == big["weights_first_32"]
+            values = [{k: v["value"] for k, v in doc["ridge_bounds"].items() if k != "mu_abs"}
+                      for doc in (huge, big)]
+            assert values[0] == values[1]
+        else:
+            assert huge == big
 
 
 class TestParserReuse:

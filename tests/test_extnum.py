@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,22 @@ class TestExtReal:
         assert pow_ext(0.5, EXT_INF) == 0.0
         assert pow_ext(1.0, EXT_INF) == 1.0
         assert pow_ext(0.25, ExtReal(Fraction(1, 2))) == 0.5
+        assert pow_ext(1.0 - 2**-53, ExtReal(10**400)) == 0.0
+        assert pow_ext(1.0, ExtReal(10**400)) == 1.0
+
+    def test_exponent_beyond_float64_answers_as_a_float_one(self):
+        """float() saturates at DBL_MAX, which decides every point as 10**300 does."""
+        huge, big = ExtReal(10**400), ExtReal(10**300)
+        assert float(huge) == sys.float_info.max
+        ticks = [0.0, 1e-300, 0.5, 1.0 - 2**-53, 1.0]
+        for a in ticks:
+            for b in ticks:
+                for p, q in ((ZERO, huge), (huge, EXT_INF), (ExtReal(2), huge)):
+                    p_big, q_big = (big if e is huge else e for e in (p, q))
+                    assert band_member(a, b, p, q) == band_member(a, b, p_big, q_big)
+                assert envelope_pair_member(a, b, huge, ZERO) == envelope_pair_member(
+                    a, b, big, ZERO
+                )
 
     @pytest.mark.parametrize("value", [0, Fraction(3, 7), None, 10**400], ids=str)
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
@@ -75,11 +92,9 @@ class TestExtReal:
         x = ExtReal(value)
         y = _ROUND_TRIPS[how](x)
         assert type(y) is ExtReal and y == x and str(y) == str(x)
+        assert float(y) == float(x)
         if value == 10**400:
-            with pytest.raises(BandDomainError, match="beyond the float64 range"):
-                y.as_float()
-        else:
-            assert float(y) == float(x)
+            assert float(y) == sys.float_info.max
 
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
     def test_params_and_regions_round_trip(self, how):
@@ -275,24 +290,16 @@ def _key(x: Fraction | None) -> tuple:
 
 
 def _same_float(x: ExtReal, model: Fraction | None):
-    """float(x) is float(model) bit for bit, or both overflow; as_float agrees."""
+    """float(x) is float(model) bit for bit: inf for infinity, and DBL_MAX
+    where float(model) overflows."""
     if model is None:
-        assert float(x) == math.inf
-        with pytest.raises(BandDomainError, match="infinity"):
-            x.as_float()
-        return
-    try:
-        want = float(model)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            float(x)
-        digits = math.log10(model.numerator) - math.log10(model.denominator)
-        with pytest.raises(BandDomainError) as raised:
-            x.as_float()
-        assert str(raised.value) == f"exponent of about 1e{digits:.0f} is beyond the float64 range"
-        return
+        want = math.inf
+    else:
+        try:
+            want = float(model)
+        except OverflowError:
+            want = sys.float_info.max
     assert float(x).hex() == want.hex()
-    assert x.as_float().hex() == want.hex()
 
 
 @given(_models, _models)

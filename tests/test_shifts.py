@@ -243,6 +243,24 @@ class TestSigmaApPredict:
         for lam in (0.3, 0.6, 0.8, 0.95):
             assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
 
+    def test_underflowing_circle_excludes_zero(self):
+        """The circle |lambda| = 2**-2000 underflows to radius 0.0, yet is no disc."""
+        profile = DiagramProfile(0, (0,), PeriodicTail(1, 2000), PeriodicTail(1, 2000))
+        spec, rb = _fringe(profile)
+        assert spec.kind is ShiftKind.BILATERAL
+        assert rb.i_minus_value == rb.r_plus_value == 0.0
+        for lam in (0.0, 5e-324, 1e-320, 0.5):
+            assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
+
+    def test_underflowing_disc_keeps_zero(self):
+        """The disc of radius 2**-2000 holds 0 by convention, and no float above it."""
+        profile = DiagramProfile(0, (1, 0), EMPTY_ROWS, PeriodicTail(1, 2000))
+        spec, rb = _fringe(profile)
+        assert spec.kind is ShiftKind.UNILATERAL and rb.r_minus_value == 0.0
+        assert sigma_ap_predict(spec, rb, 0.0).state is Membership.INSIDE
+        for lam in (5e-324, 1e-320, 0.5):
+            assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
+
 
 class TestPpiCensus:
     def test_line_every_index_one(self):
