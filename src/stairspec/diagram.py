@@ -6,10 +6,15 @@ fully described by the non-increasing sequence of row minima ``M_j``; a
 a symbolic rule for each infinite tail.  That is enough to evaluate ``M_j``
 everywhere, enumerate borders and corners on any viewport, classify the
 structure of the induced pair of shift operators, and transpose or translate
-the diagram exactly.
+the diagram exactly.  A profile is checked when it is built, so every
+profile the rest of the library sees is valid.
 
 Tail families
 -------------
+Every family derives from ``Tail``: a finite, non-constant tail with no
+unbounded flat runs that may sit on either side, unless its class says
+otherwise.
+
 * ``EmptyRowsTail`` -- rows are empty beyond the window (``M_j = +inf``);
   minus side only.
 * ``FullRowsTail`` -- rows are full beyond the window (``M_j = -inf``);
@@ -21,7 +26,8 @@ Tail families
   through a list of rational slopes, rasterized by cumulative rounding so
   long-run averages hit their exact rational targets.
 * ``InvertedBlocksTail`` -- the exact staircase inverse of a geometric-block
-  tail; produced by :func:`transpose` only, never parsed from input.
+  tail, on the side its inversion mode was built for; produced by
+  :func:`transpose` only, never parsed from input.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .extnum import EXT_INF, ExtReal, RegimeError, SpecError
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-MValue = Union[int, float]  # integer, or +-inf at the degenerate tails
+MValue = int | float  # integer, or +-inf at the degenerate tails
 
 
 class DiagramError(SpecError):
@@ -105,45 +110,56 @@ def _ints(values, *anchors: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Tails
 #
-# Every tail says whether its rows stay finite beyond the window.  A finite
-# tail has one evaluator, ``rises(ts, side)``: the exact rise of the border
-# sequence ``t`` steps beyond the window for each ``t >= 0`` in ``ts``, as an
-# int64 array or, past the magnitude guard, an object array of Python ints.
+# Every tail kind derives from ``Tail`` and says only where it differs from
+# its defaults: the rows stay finite beyond the window, the tail is not a
+# constant run (``is_rise_zero``), has no arbitrarily long flat runs
+# (``unbounded_flat_runs``), and may sit on either side of the window
+# (``sides``).  Empty rows may sit only below the window (the minus side),
+# full rows only above it (the plus side), and an inverted tail only on the
+# side its ``mode`` was built for; a profile refuses any other placement
+# when it is built.  A finite tail has one evaluator, ``rises(ts, side)``:
+# the exact rise of the border sequence ``t`` steps beyond the window for
+# each ``t >= 0`` in ``ts``, as an int64 array or, past the magnitude guard,
+# an object array of Python ints.
 # ---------------------------------------------------------------------------
 
 
+class Tail:
+    """Base of the tail kinds, holding the defaults they share."""
+
+    finite = True
+    sides = (Side.MINUS, Side.PLUS)
+
+    def is_rise_zero(self) -> bool:
+        return False
+
+    def unbounded_flat_runs(self) -> bool:
+        return False
+
+
+class _RowsTail(Tail):
+    """Rows beyond the window are all empty or all full: no staircase."""
+
+    finite = False
+
+    def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
+        return EXT_INF, EXT_INF, EXT_INF
+
+
 @dataclass(frozen=True)
-class EmptyRowsTail:
+class EmptyRowsTail(_RowsTail):
     kind = "empty"
-    finite = False
-
-    def is_rise_zero(self) -> bool:
-        return False
-
-    def unbounded_flat_runs(self) -> bool:
-        return False
-
-    def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        return EXT_INF, EXT_INF, EXT_INF
+    sides = (Side.MINUS,)
 
 
 @dataclass(frozen=True)
-class FullRowsTail:
+class FullRowsTail(_RowsTail):
     kind = "full"
-    finite = False
-
-    def is_rise_zero(self) -> bool:
-        return False
-
-    def unbounded_flat_runs(self) -> bool:
-        return False
-
-    def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        return EXT_INF, EXT_INF, EXT_INF
+    sides = (Side.PLUS,)
 
 
 @dataclass(frozen=True)
-class PeriodicTail:
+class PeriodicTail(Tail):
     """Rise ``rise`` per ``period`` steps away from the window.
 
     The minus side realizes M_{j_lo-t} = M_{j_lo} + ceil(t*rise/period), the
@@ -155,7 +171,6 @@ class PeriodicTail:
     period: int
     rise: int
     kind = "periodic"
-    finite = True
 
     def __post_init__(self):
         if self.period < 1:
@@ -250,7 +265,7 @@ def _cycle_end_sums(slopes: tuple[Fraction, ...], ratio: int) -> tuple[list[int]
 
 
 @dataclass(frozen=True)
-class GeometricBlocksTail:
+class GeometricBlocksTail(Tail):
     """Blocks of length base_len * ratio**k cycling through rational slopes.
 
     The realized staircase uses cumulative rounding (half-up): the rise after
@@ -265,7 +280,6 @@ class GeometricBlocksTail:
     base_len: int
     t_shift: int = 0
     kind = "geometric"
-    finite = True
 
     def __post_init__(self):
         if not self.slopes:
@@ -313,9 +327,6 @@ class GeometricBlocksTail:
             self.slopes, self.ratio, self.base_len, self.t_shift + extra
         )
 
-    def is_rise_zero(self) -> bool:
-        return False
-
     def unbounded_flat_runs(self) -> bool:
         return any(s == 0 for s in self.slopes)
 
@@ -339,7 +350,7 @@ class InversionMode(Enum):
 
 
 @dataclass(frozen=True)
-class InvertedBlocksTail:
+class InvertedBlocksTail(Tail):
     """Exact staircase inverse of a geometric-block tail with positive slopes.
 
     ``FLOOR_INVERSE`` tails arise when a minus geometric tail moves to the
@@ -353,15 +364,18 @@ class InvertedBlocksTail:
     mode: InversionMode
     base_t: int = 0
     kind = "inverted"
-    finite = True
 
     def __post_init__(self):
         if any(s <= 0 for s in self.inner.slopes):
             raise UnsupportedTranspose(
-                "inverse of a block tail needs strictly positive slopes"
+                "a zero-slope block would invert to infinite-slope blocks"
             )
         if self.base_t < 0:
             raise DiagramError(f"base_t must be >= 0, got {self.base_t}")
+
+    @property
+    def sides(self) -> tuple[Side, ...]:
+        return (Side.MINUS,) if self.mode is InversionMode.CEIL_INVERSE else (Side.PLUS,)
 
     def _inverse(self, ts: np.ndarray) -> np.ndarray:
         """Inverse of the inner staircase at rise y = t + base_t, per t in ts.
@@ -404,12 +418,6 @@ class InvertedBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
         return self.inner.shifted_by(self._base)
 
-    def is_rise_zero(self) -> bool:
-        return False
-
-    def unbounded_flat_runs(self) -> bool:
-        return False
-
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         numerators, denominator = _cycle_end_sums(self.inner.slopes, self.inner.ratio)
         return (
@@ -418,10 +426,6 @@ class InvertedBlocksTail:
             ExtReal(1 / min(self.inner.slopes)),
         )
 
-
-Tail = Union[
-    EmptyRowsTail, FullRowsTail, PeriodicTail, GeometricBlocksTail, InvertedBlocksTail
-]
 
 EMPTY_ROWS = EmptyRowsTail()
 FULL_ROWS = FullRowsTail()
@@ -472,8 +476,11 @@ class DiagramProfile:
     """Finite window of the border sequence plus symbolic tails.
 
     ``window[k]`` is M_{j_lo + k}; ``minus_tail`` governs j < j_lo and
-    ``plus_tail`` governs j > j_hi.  Windows must be non-increasing and each
-    tail must sit on a legal side; :func:`validate` checks both.
+    ``plus_tail`` governs j > j_hi.  A profile is checked when it is built:
+    the window must be a nonempty non-increasing tuple of ints and each tail
+    must sit on one of its ``sides``, or a :class:`DiagramError` subclass is
+    raised.  The structure report of the check is kept on the (immutable)
+    profile, and :func:`validate` returns it.
     """
 
     j_lo: int
@@ -481,10 +488,8 @@ class DiagramProfile:
     minus_tail: Tail
     plus_tail: Tail
 
-    @cached_property
-    def _structure(self) -> StructureReport:
-        # A raised DiagramError is not cached: every call re-checks and raises.
-        return _check_and_classify(self)
+    def __post_init__(self):
+        object.__setattr__(self, "_structure", _check_and_classify(self))
 
     @cached_property
     def _window_values(self) -> np.ndarray:
@@ -495,56 +500,38 @@ class DiagramProfile:
         return self.j_lo + len(self.window) - 1
 
 
-def _window_has_drop(profile: DiagramProfile) -> bool:
-    return any(a > b for a, b in zip(profile.window, profile.window[1:]))
-
-
 def validate(profile: DiagramProfile) -> StructureReport:
-    """Check a profile and classify the structure of the induced pair.
+    """The structure report of a profile, computed when it was built.
 
-    Raises a :class:`DiagramError` subclass on bad input.  On success reports
-    simplicity, the defect-operator class, the Wold type of each isometry,
-    and the first/last indices of finite border values (``+-inf`` when the
-    finite range is unbounded on that side).  The report of a valid profile
-    is computed once and kept on the (immutable) profile.
+    It gives simplicity, the defect-operator class, the Wold type of each
+    isometry, and the first/last indices of finite border values (``+-inf``
+    when the finite range is unbounded on that side).
     """
     return profile._structure
 
 
 def _check_and_classify(profile: DiagramProfile) -> StructureReport:
-    if not profile.window:
+    window = profile.window
+    if not window:
         raise DiagramError("window must contain at least one value")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in profile.window):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in window):
         raise DiagramError("window values must be integers")
-    for left, right in zip(profile.window, profile.window[1:]):
+    for left, right in zip(window, window[1:]):
         if right > left:
             raise MonotonicityViolation(
                 f"window must be non-increasing, got {left} before {right}"
             )
-    if isinstance(profile.minus_tail, FullRowsTail):
-        raise TailMismatch("full rows on the minus side do not define a diagram")
-    if isinstance(profile.plus_tail, EmptyRowsTail):
-        raise TailMismatch("empty rows on the plus side do not define a diagram")
-    if isinstance(profile.minus_tail, InvertedBlocksTail):
-        if profile.minus_tail.mode is not InversionMode.CEIL_INVERSE:
-            raise TailMismatch("floor-inverse tails belong on the plus side")
-    elif not isinstance(
-        profile.minus_tail, (EmptyRowsTail, PeriodicTail, GeometricBlocksTail)
-    ):
-        raise TailMismatch(f"unsupported minus tail: {profile.minus_tail!r}")
-    if isinstance(profile.plus_tail, InvertedBlocksTail):
-        if profile.plus_tail.mode is not InversionMode.FLOOR_INVERSE:
-            raise TailMismatch("ceil-inverse tails belong on the minus side")
-    elif not isinstance(
-        profile.plus_tail, (FullRowsTail, PeriodicTail, GeometricBlocksTail)
-    ):
-        raise TailMismatch(f"unsupported plus tail: {profile.plus_tail!r}")
-
     minus, plus = profile.minus_tail, profile.plus_tail
+    for side, tail in ((Side.MINUS, minus), (Side.PLUS, plus)):
+        if not isinstance(tail, Tail) or side not in tail.sides:
+            raise TailMismatch(
+                f"{side.value}_tail: {tail!r} does not define a diagram on the {side.value} side"
+            )
+
     j0: MValue = NEG_INF if minus.finite else profile.j_lo
     j1: MValue = POS_INF if plus.finite else profile.j_hi
 
-    drops = _window_has_drop(profile) or any(
+    drops = window[0] > window[-1] or any(  # the window is non-increasing
         tail.finite and not tail.is_rise_zero() for tail in (minus, plus)
     )
     inner_nonempty = drops or not plus.finite
@@ -768,43 +755,27 @@ def translate(profile: DiagramProfile, di: int, dj: int) -> DiagramProfile:
     )
 
 
-def _reject_zero_slopes(tail: GeometricBlocksTail) -> None:
-    if any(s == 0 for s in tail.slopes):
-        raise UnsupportedTranspose(
-            "a zero-slope block would invert to infinite-slope blocks"
-        )
+def _transposed(tail: Tail, side: Side) -> tuple[Tail, int]:
+    """The tail that ``tail`` on ``side`` becomes on the other side of the
+    transpose, and how far the window's edge on ``side`` moves in: the
+    window-top adjustment (c_top - w_hi) for the minus side, the
+    window-bottom adjustment (c_bot - w_lo) for the plus side.
 
-
-def _transpose_minus_tail(tail: Tail) -> tuple[Tail, int]:
-    """New plus tail and the window-top adjustment (c_top - w_hi)."""
-    if isinstance(tail, EmptyRowsTail):
-        return PeriodicTail(1, 0), 0
+    A geometric tail with a zero slope is refused with
+    :class:`UnsupportedTranspose` by its inverse.
+    """
+    plus = side is Side.PLUS
+    if not tail.finite:
+        return PeriodicTail(1, 0), 1 if plus else 0
     if isinstance(tail, PeriodicTail):
         if tail.rise == 0:
-            return FULL_ROWS, 1
-        return PeriodicTail(period=tail.rise, rise=tail.period), 0
-    if isinstance(tail, GeometricBlocksTail):
-        _reject_zero_slopes(tail)
-        return InvertedBlocksTail(tail, InversionMode.FLOOR_INVERSE, base_t=0), 0
+            return (EMPTY_ROWS, 0) if plus else (FULL_ROWS, 1)
+        return PeriodicTail(period=tail.rise, rise=tail.period), tail.rise if plus else 0
     if isinstance(tail, InvertedBlocksTail):
-        return tail.uninverted(), 0
-    raise UnsupportedTranspose(f"cannot transpose tail {tail!r}")
-
-
-def _transpose_plus_tail(tail: Tail) -> tuple[Tail, int]:
-    """New minus tail and the window-bottom adjustment (c_bot - w_lo)."""
-    if isinstance(tail, FullRowsTail):
-        return PeriodicTail(1, 0), 1
-    if isinstance(tail, PeriodicTail):
-        if tail.rise == 0:
-            return EMPTY_ROWS, 0
-        return PeriodicTail(period=tail.rise, rise=tail.period), tail.rise
-    if isinstance(tail, GeometricBlocksTail):
-        _reject_zero_slopes(tail)
+        return tail.uninverted(), 1 if plus else 0
+    if plus:
         return InvertedBlocksTail(tail, InversionMode.CEIL_INVERSE, base_t=1), 1
-    if isinstance(tail, InvertedBlocksTail):
-        return tail.uninverted(), 1
-    raise UnsupportedTranspose(f"cannot transpose tail {tail!r}")
+    return InvertedBlocksTail(tail, InversionMode.FLOOR_INVERSE, base_t=0), 0
 
 
 def transpose(profile: DiagramProfile) -> DiagramProfile:
@@ -815,17 +786,12 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     :class:`UnsupportedTranspose` when a geometric tail contains a zero
     slope (its inverse would need infinite-slope blocks).
     """
-    validate(profile)
-    if (
-        profile.minus_tail.is_rise_zero()
-        and profile.plus_tail.is_rise_zero()
-        and not _window_has_drop(profile)
-    ):
+    if validate(profile).is_simple and profile.minus_tail.finite:
         raise UnsupportedTranspose(
             "the diagram is a half-plane: every row of its transpose is empty or full"
         )
-    new_plus, top_adjust = _transpose_minus_tail(profile.minus_tail)
-    new_minus, bot_adjust = _transpose_plus_tail(profile.plus_tail)
+    new_plus, top_adjust = _transposed(profile.minus_tail, Side.MINUS)
+    new_minus, bot_adjust = _transposed(profile.plus_tail, Side.PLUS)
 
     w_hi = profile.window[0] - top_adjust
     w_lo = profile.window[-1] - bot_adjust
@@ -842,7 +808,6 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     result = DiagramProfile(
         j_lo=w_lo, window=tuple(values), minus_tail=new_minus, plus_tail=new_plus
     )
-    validate(result)
     _check_transpose(profile, result)
     return result
 
@@ -883,20 +848,16 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _tail_from_json(obj, where: str, side: Side) -> Tail:
+def _tail_from_json(obj, where: str) -> Tail:
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: expected an object")
     kind = obj.get("kind")
     try:
         if kind == "empty":
             _require_keys(obj, {"kind"}, where)
-            if side is Side.PLUS:
-                raise SpecParseError(f"{where}: empty rows are only legal on the minus side")
             return EMPTY_ROWS
         if kind == "full":
             _require_keys(obj, {"kind"}, where)
-            if side is Side.MINUS:
-                raise SpecParseError(f"{where}: full rows are only legal on the plus side")
             return FULL_ROWS
         if kind == "periodic":
             _require_keys(obj, {"kind", "period", "rise"}, where)
@@ -951,17 +912,12 @@ def profile_from_json(obj) -> DiagramProfile:
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
     ):
         raise SpecParseError("window.values: expected a nonempty list of integers")
-    profile = DiagramProfile(
-        j_lo=j_lo,
-        window=tuple(values),
-        minus_tail=_tail_from_json(obj["minus_tail"], "minus_tail", Side.MINUS),
-        plus_tail=_tail_from_json(obj["plus_tail"], "plus_tail", Side.PLUS),
-    )
+    minus_tail = _tail_from_json(obj["minus_tail"], "minus_tail")
+    plus_tail = _tail_from_json(obj["plus_tail"], "plus_tail")
     try:
-        validate(profile)
+        return DiagramProfile(j_lo, tuple(values), minus_tail, plus_tail)
     except DiagramError as exc:
         raise SpecParseError(str(exc)) from exc
-    return profile
 
 
 def _tail_to_json(tail: Tail) -> dict:

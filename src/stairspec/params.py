@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import DiagramProfile, Side, StructureReport, float_drops, m_exact, validate
-from .extnum import ExtReal, RegimeError
+from .extnum import ExtReal, RegimeError, SpecError
 
 
 class SimpleDiagramError(RegimeError):
@@ -53,9 +53,9 @@ class SpectralParams:
 
     def __post_init__(self):
         if not (self.delta_minus <= self.eta_minus <= self.rho_minus):
-            raise ValueError("minus-side parameters must satisfy delta <= eta <= rho")
+            raise SpecError("minus-side parameters must satisfy delta <= eta <= rho")
         if not (self.delta_plus <= self.eta_plus <= self.rho_plus):
-            raise ValueError("plus-side parameters must satisfy delta <= eta <= rho")
+            raise SpecError("plus-side parameters must satisfy delta <= eta <= rho")
 
     def to_json(self) -> dict:
         return {
@@ -167,9 +167,9 @@ def estimate_params_bruteforce(
     raises :class:`ScanOverflowError` otherwise.
     """
     if n_max < 2 or j_span < 0:
-        raise ValueError("need n_max >= 2 and j_span >= 0")
+        raise SpecError("need n_max >= 2 and j_span >= 0")
     if eta_cutoff is not None and eta_cutoff < 1:
-        raise ValueError("need eta_cutoff >= 1")
+        raise SpecError("need eta_cutoff >= 1")
     if not profile.minus_tail.finite:
         raise ScanOverflowError("minus tail has empty rows inside the scan")
     if not profile.plus_tail.finite:

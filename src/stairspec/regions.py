@@ -80,7 +80,6 @@ class RegionSpec:
     include_mu_axis: bool = False  # {|lambda| = 0}, middle stage only
     include_lambda_axis: bool = False  # {|mu| = 0}, middle stage only
     origin_included: bool = True
-    wold_case: WoldCase | None = None
 
 
 def wold_case(structure: StructureReport) -> WoldCase:
@@ -111,7 +110,6 @@ def gamma2_region(params: SpectralParams, structure: StructureReport) -> RegionS
         include_mu_axis=structure.wold_w is WoldType.MIXED_UNITARY_AND_SHIFT,
         include_lambda_axis=structure.wold_z is WoldType.MIXED_UNITARY_AND_SHIFT,
         origin_included=True,
-        wold_case=wold_case(structure),
     )
 
 
@@ -133,7 +131,6 @@ def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionS
             include_t_cross_d=True,
             include_d_cross_t=True,
             origin_included=not _is_notched_plane(structure),
-            wold_case=case,
         )
     if case is WoldCase.MIXED_W_SHIFT_Z:
         bands = ((params.delta_minus, params.rho_minus),)
@@ -142,7 +139,6 @@ def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionS
             bands=bands,
             include_t_cross_d=True,
             origin_included=True,
-            wold_case=case,
         )
     if case is WoldCase.SHIFT_W_MIXED_Z:
         bands = ((params.delta_plus, params.rho_plus),)
@@ -151,16 +147,13 @@ def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionS
             bands=bands,
             include_d_cross_t=True,
             origin_included=True,
-            wold_case=case,
         )
     bands = (
         (params.delta_minus, params.rho_minus),
         (params.rho_plus, params.delta_minus),  # middle pair, possibly crossed
         (params.delta_plus, params.rho_plus),
     )
-    return RegionSpec(
-        kind=RegionKind.GAMMA3, bands=bands, origin_included=True, wold_case=case
-    )
+    return RegionSpec(kind=RegionKind.GAMMA3, bands=bands, origin_included=True)
 
 
 def region_member(

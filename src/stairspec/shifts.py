@@ -30,10 +30,12 @@ from .diagram import (
 from .extnum import (
     DEFAULT_TOL,
     EXT_INF,
+    BandDomainError,
     BandMembership,
     ExtReal,
     Membership,
     RegimeError,
+    SpecError,
     best_membership,
     pow_ext,
 )
@@ -89,12 +91,12 @@ class ShiftSpec:
             first, last = js[0], js[-1]
             if adjoint and not down:
                 if last > self.j_max:
-                    raise ValueError(f"index {last} above the shift range")
+                    raise SpecError(f"index {last} above the shift range")
             elif first < self.j_min or last > self.j_max:
                 bad = first if first < self.j_min else last
-                raise ValueError(f"index {bad} outside the shift range")
+                raise SpecError(f"index {bad} outside the shift range")
             elif not down and last + 1 > self.j_max:
-                raise ValueError(f"edge {last} -> {last + 1} leaves the shift range")
+                raise SpecError(f"edge {last} -> {last + 1} leaves the shift range")
         top = js.start if down or adjoint else js.start + 1  # edges (t - 1, t) from t = top
         rows = m_exact(self.profile, range(top - 1, top + len(js)))
         if rows.dtype == object and js:  # row 0 alone can be empty; inf - huge int overflows
@@ -237,7 +239,7 @@ def sigma_ap_predict(
     thin outside collar within log-domain ``tol``.
     """
     if not 0.0 <= lambda_abs <= 1.0:
-        raise ValueError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
         state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
         return BandMembership(state, tol)
@@ -277,9 +279,8 @@ def ppi_census(profile: DiagramProfile, scan: int) -> PpiCensus:
     long flat runs: a zero-rise periodic tail or geometric blocks containing
     a zero slope.
     """
-    validate(profile)
     if scan < 1:
-        raise ValueError("scan must be >= 1")
+        raise SpecError("scan must be >= 1")
     rows = m_exact(profile, range(-scan, scan + 1)).tolist()
     drops = [
         j

@@ -617,6 +617,21 @@ class TestExitCodeIsTheBaseClass:
         assert code == 0
         assert json.loads(out)["predicted_root_plus"] == 0.0
 
+    def test_gamma2_drop_near_float64_max_is_quiet(self, capsys, tmp_path):
+        """A drop of 10**308 makes an infinite term without a numpy warning."""
+        path = tmp_path / "drop.json"
+        path.write_text(json.dumps({
+            "window": {"j_lo": -1, "values": [10**308, 0]},
+            "minus_tail": {"kind": "periodic", "period": 1, "rise": 0},
+            "plus_tail": PERIODIC_1,
+        }))
+        code = main(["oracle", "gamma2", str(path), "--mu", "0.5", "--lambda", "0.5",
+                     "--terms", "8"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["classification"] == "diverges"
+
 
 class TestSlopeBeyondFloat64:
     """A slope beyond float64 answers as a float-finite one does: every power

@@ -17,6 +17,7 @@ from stairspec.diagram import (
     BorderOverflowError,
     DefectClass,
     DegenerateAllEqualSlopes,
+    DiagramError,
     DiagramProfile,
     GeometricBlocksTail,
     InversionMode,
@@ -93,8 +94,8 @@ class TestValidate:
         assert report.j0 == 0
 
     def test_monotonicity_violation(self):
-        bad = DiagramProfile(0, (0, 1), PeriodicTail(1, 1), PeriodicTail(1, 1))
         with pytest.raises(MonotonicityViolation):
+            bad = DiagramProfile(0, (0, 1), PeriodicTail(1, 1), PeriodicTail(1, 1))
             validate(bad)
 
     def test_tail_mismatch(self):
@@ -138,13 +139,48 @@ class TestValidate:
         assert validate(other) == first
         assert len(calls) == 2
 
-    def test_failed_check_is_not_cached(self, monkeypatch):
-        calls = self._count_checks(monkeypatch)
-        bad = DiagramProfile(0, (0, 1), PeriodicTail(1, 1), PeriodicTail(1, 1))
-        for expected in (1, 2, 3):
-            with pytest.raises(MonotonicityViolation):
-                validate(bad)
-            assert len(calls) == expected
+
+_INNER = GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1)
+_CEIL = InvertedBlocksTail(_INNER, InversionMode.CEIL_INVERSE)
+_FLOOR = InvertedBlocksTail(_INNER, InversionMode.FLOOR_INVERSE)
+
+
+class TestCheckedWhenBuilt:
+    @pytest.mark.parametrize(
+        "window, error",
+        [
+            ((), DiagramError),
+            ((1.0,), DiagramError),
+            ((True,), DiagramError),
+            ((0, 5), MonotonicityViolation),
+        ],
+    )
+    def test_bad_window_refused(self, window, error):
+        with pytest.raises(error):
+            DiagramProfile(0, window, PeriodicTail(1, 1), PeriodicTail(1, 1))
+
+    @pytest.mark.parametrize(
+        "minus, plus, field",
+        [
+            (FULL_ROWS, PeriodicTail(1, 1), "minus_tail"),
+            (PeriodicTail(1, 1), EMPTY_ROWS, "plus_tail"),
+            (_FLOOR, PeriodicTail(1, 1), "minus_tail"),
+            (PeriodicTail(1, 1), _CEIL, "plus_tail"),
+            (None, PeriodicTail(1, 1), "minus_tail"),
+        ],
+    )
+    def test_tail_on_wrong_side_refused(self, minus, plus, field):
+        with pytest.raises(TailMismatch, match=field):
+            DiagramProfile(0, (0,), minus, plus)
+
+    def test_inverted_tails_on_their_own_sides_build(self):
+        assert not validate(DiagramProfile(0, (0,), _CEIL, _FLOOR)).is_simple
+
+    def test_translate_and_transpose_build_valid_profiles(self):
+        for profile in transpose_duality_suite():
+            moved = translate(profile, 3, -2)
+            assert validate(moved).defect_class is validate(profile).defect_class
+            assert not validate(transpose(moved)).is_simple
 
 
 class TestEvalM:

@@ -20,7 +20,7 @@ from stairspec.diagram import (
     validate,
 )
 from stairspec import params
-from stairspec.extnum import EXT_INF, ExtReal
+from stairspec.extnum import EXT_INF, ExtReal, SpecError
 from stairspec.params import (
     ScanOverflowError,
     SimpleDiagramError,
@@ -210,6 +210,10 @@ class TestEstimator:
             )
         with pytest.raises(ScanOverflowError):
             estimate_params_bruteforce(wold_mixed_profile(), 100, 10)
+
+    def test_short_window_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="n_max"):
+            estimate_params_bruteforce(line_profile(), n_max=1, j_span=10)
 
 
 def _whole_range(profile, n_max, j_span, eta_cutoff):

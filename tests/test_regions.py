@@ -247,10 +247,10 @@ def _regions(draw) -> RegionSpec:
     first, second = _AXES[case]
     if kind is RegionKind.GAMMA2:
         return RegionSpec(kind, (draw(exponent_pairs),), include_mu_axis=first,
-                          include_lambda_axis=second, wold_case=case)
+                          include_lambda_axis=second)
     bands = tuple(draw(exponent_pairs) for _ in range(_GAMMA3_BANDS[case]))
     return RegionSpec(kind, bands, include_t_cross_d=first, include_d_cross_t=second,
-                      origin_included=draw(st.booleans()), wold_case=case)
+                      origin_included=draw(st.booleans()))
 
 
 @given(data=st.data())

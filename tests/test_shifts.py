@@ -11,7 +11,7 @@ from stairspec.diagram import (
     translate,
     validate,
 )
-from stairspec.extnum import EXT_INF, ExtReal, Membership
+from stairspec.extnum import EXT_INF, BandDomainError, ExtReal, Membership
 from stairspec.params import compute_params
 from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
@@ -260,6 +260,11 @@ class TestSigmaApPredict:
         assert sigma_ap_predict(spec, rb, 0.0).state is Membership.INSIDE
         for lam in (5e-324, 1e-320, 0.5):
             assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
+
+    def test_lambda_beyond_one_is_a_domain_error(self):
+        spec, rb = _fringe(line_profile())
+        with pytest.raises(BandDomainError, match="lambda"):
+            sigma_ap_predict(spec, rb, 1.5)
 
 
 class TestPpiCensus:
