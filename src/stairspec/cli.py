@@ -8,7 +8,7 @@ size), 3 for a ``RegimeError`` (a valid spec whose requested computation is
 outside its numeric regime: a simple diagram asked for its parameters,
 regions or fringe shift, ``fringe`` and ``oracle fringe`` included; a
 magnitude out of range or NaN, a scan through non-finite rows, border
-differences beyond float64, a window scan over its budget, a sparse
+differences beyond float64, a probe over one of its size budgets, a sparse
 eigensolver that does not converge).
 """
 
@@ -182,7 +182,7 @@ def _cmd_member(args) -> int:
             "mu_abs": mu_abs,
             "lambda_abs": lam_abs,
             "membership": result.state.value,
-            "tol": result.tolerance_used,
+            "tol": args.tol,
         }
     )
     return EXIT_OK
@@ -248,13 +248,16 @@ def _cmd_raster(args) -> int:
 
 
 def _fringe_weight_indices(spec) -> range:
+    """The descending edges j -> j - 1 that ``fringe`` prints: the last 32 of
+    the adjoint kind, every edge inside a finite block, else the 32 edges
+    above row j_min (or j_lo)."""
     if spec.kind is ShiftKind.UNILATERAL_ADJOINT:
         top = int(spec.j_max)
         return range(top - 31, top + 1)
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
-        return range(int(spec.j_min), int(spec.j_max))
+        return range(int(spec.j_min) + 1, int(spec.j_max) + 1)
     start = int(spec.j_min) if spec.j_min != -math.inf else spec.profile.j_lo
-    return range(start, start + 32)
+    return range(start + 1, start + 33)
 
 
 def _cmd_fringe(args) -> int:
@@ -348,13 +351,14 @@ def _cmd_oracle_t3(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="log-domain boundary tolerance (default 1e-12)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for Monte Carlo sampling (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored")
+    # Each subcommand takes only the flags it reads; --threads is read by
+    # none and stays accepted everywhere for existing command lines.
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility and ignored")
+    tol = argparse.ArgumentParser(add_help=False, parents=[threads])
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="log-domain boundary tolerance (default 1e-12)")
 
     parser = argparse.ArgumentParser(
         prog="stairspec",
@@ -362,33 +366,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a diagram spec")
+    p = sub.add_parser("validate", parents=[threads], help="check a diagram spec")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("report", parents=[common], help="full spectral report")
+    p = sub.add_parser("report", parents=[tol], help="full spectral report")
     p.add_argument("spec")
     p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for Monte Carlo sampling (default 0)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("params", parents=[common], help="the six spectral parameters")
+    p = sub.add_parser("params", parents=[threads], help="the six spectral parameters")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("member", parents=[common], help="tri-state point membership")
+    p = sub.add_parser("member", parents=[tol], help="tri-state point membership")
     p.add_argument("spec")
     p.add_argument("--mu", required=True, help="modulus or 're,im'")
     p.add_argument("--lambda", dest="lam", required=True, help="modulus or 're,im'")
     p.add_argument("--set", choices=["taylor", "gamma2", "gamma3"], default="taylor")
     p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("sample", parents=[common], help="membership grid as CSV")
+    p = sub.add_parser("sample", parents=[tol], help="membership grid as CSV")
     p.add_argument("spec")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("raster", parents=[common], help="membership raster as binary PPM")
+    p = sub.add_parser("raster", parents=[tol], help="membership raster as binary PPM")
     p.add_argument("spec")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -396,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", choices=["taylor", "gamma2", "gamma3"], default="taylor")
     p.set_defaults(func=_cmd_raster)
 
-    p = sub.add_parser("fringe", parents=[common], help="shift reduction at a magnitude")
+    p = sub.add_parser("fringe", parents=[threads], help="shift reduction at a magnitude")
     p.add_argument("spec")
     p.add_argument("--mu", required=True)
     p.set_defaults(func=_cmd_fringe)
@@ -404,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="numerical verification probes")
     sub_oracle = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
-    p = sub_oracle.add_parser("fringe", parents=[common], help="windowed smin scan")
+    p = sub_oracle.add_parser("fringe", parents=[threads], help="windowed smin scan")
     p.add_argument("spec")
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
@@ -412,14 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-scan", type=int, default=64)
     p.set_defaults(func=_cmd_oracle_fringe)
 
-    p = sub_oracle.add_parser("gamma2", parents=[common], help="series convergence probe")
+    p = sub_oracle.add_parser("gamma2", parents=[tol], help="series convergence probe")
     p.add_argument("spec")
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--terms", type=int, default=4096)
     p.set_defaults(func=_cmd_oracle_gamma2)
 
-    p = sub_oracle.add_parser("t3", parents=[common], help="joint adjoint-kernel witness")
+    p = sub_oracle.add_parser("t3", parents=[threads], help="joint adjoint-kernel witness")
     p.add_argument("spec")
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)

@@ -228,7 +228,6 @@ def best_membership(*states: Membership) -> Membership:
 @dataclass(frozen=True)
 class BandMembership:
     state: Membership
-    tolerance_used: float
 
 
 def check_tolerance(tol: float) -> None:
@@ -409,7 +408,7 @@ def band_member(
     cells = _Cells.at(a, b)
     check_tolerance(tol)
     _check_band(p, q)
-    return BandMembership(CODE_STATES[_band_states(cells, p, q, tol)], tol)
+    return BandMembership(CODE_STATES[_band_states(cells, p, q, tol)])
 
 
 def envelope_pair_member(
@@ -427,4 +426,4 @@ def envelope_pair_member(
     """
     cells = _Cells.at(a, b)
     check_tolerance(tol)
-    return BandMembership(CODE_STATES[_envelope_states(cells, lower_exp, upper_exp, tol)], tol)
+    return BandMembership(CODE_STATES[_envelope_states(cells, lower_exp, upper_exp, tol)])

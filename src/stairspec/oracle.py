@@ -32,6 +32,8 @@ from .extnum import DEFAULT_TOL, BandDomainError, ExtReal, RegimeError, SpecErro
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
+# The smallest singular values below which a window scan answers inside, and
+# at or above which it (and the forward witness) answers outside.
 TAU_IN_DEFAULT = 1e-3
 TAU_OUT_DEFAULT = 5e-2
 
@@ -53,15 +55,22 @@ class ProbeSizeError(SpecError):
 
 
 class ScanBudgetError(RegimeError):
-    """A window scan would sweep more window starts than its budget allows."""
+    """A probe would exceed one of its size budgets: window starts or window
+    length for a scan, terms for a series, columns for a lattice witness."""
 
 
 class SolverConvergenceError(RegimeError):
     """The sparse eigensolver of a lattice witness did not converge."""
 
 
-# The most candidate window starts one scan may sweep, summed over its sizes.
+# Size budgets, each checked before the probe allocates anything.  The most
+# candidate window starts one scan may sweep, summed over its sizes; the
+# longest scan window; the most terms of each half of a series; the most
+# points, (i_hi - i_lo + 1) * (j_hi - j_lo + 1), of a lattice window.
 WINDOW_START_BUDGET = 2**16
+WINDOW_LENGTH_BUDGET = 2**20
+SERIES_TERM_BUDGET = 2**20
+LATTICE_COLUMN_BUDGET = 2**16
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exp(x) is finite
 
@@ -91,7 +100,7 @@ def _window_gram(
     singular value is the square root of the smallest eigenvalue of that
     tridiagonal, clipped at 0.
     """
-    nu = spec.weights(range(start, start + n), down=True)
+    nu = spec.weights(range(start, start + n))
     return lambda_abs**2 + nu**2, -lambda_abs * nu[1:]
 
 
@@ -182,21 +191,20 @@ def window_smin_scan(
     sizes: list[int],
     j_scan: int,
     stride: int | None = None,
-    tau_in: float = TAU_IN_DEFAULT,
-    tau_out: float = TAU_OUT_DEFAULT,
 ) -> WindowScanResult:
     """Minimum windowed smallest singular value per window size, with verdict.
 
     Window starts sweep [-j_scan, j_scan] (clamped into the shift's index
-    range) with the given stride, by default a quarter of the window size;
-    only the windows that can still lower a size's minimum are solved.  A
-    size with stride ``step`` has 2 * j_scan // step + 2 candidate starts;
-    a scan whose candidates, summed over its sizes, exceed
-    ``WINDOW_START_BUDGET`` raises :class:`ScanBudgetError` before it
-    solves any window.
-    Verdicts: inside when the ladder keeps halving and ends below ``tau_in``;
-    outside when it ends at or above ``tau_out`` without significant decay;
-    unresolved otherwise.
+    range) with stride a quarter of the window size, or ``stride`` for
+    tests that compare the scan against every window; only the windows that
+    can still lower a size's minimum are solved.  A size with stride
+    ``step`` has 2 * j_scan // step + 2 candidate starts.  A scan whose
+    candidates, summed over its sizes, exceed ``WINDOW_START_BUDGET``, or
+    whose longest window exceeds ``WINDOW_LENGTH_BUDGET``, raises
+    :class:`ScanBudgetError` before it solves any window.
+    Verdicts: inside when the ladder keeps halving and ends below
+    ``TAU_IN_DEFAULT``; outside when it ends at or above ``TAU_OUT_DEFAULT``
+    without significant decay; unresolved otherwise.
     """
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
         raise DegenerateSpecError(
@@ -219,6 +227,10 @@ def window_smin_scan(
             f"j_scan = {j_scan} gives {candidates} candidate window starts, more than "
             f"the budget of {WINDOW_START_BUDGET}"
         )
+    if sizes[-1] > WINDOW_LENGTH_BUDGET:
+        raise ScanBudgetError(
+            f"window length {sizes[-1]} is over the budget of {WINDOW_LENGTH_BUDGET}"
+        )
 
     minima = []
     for n, step in zip(sizes, steps):
@@ -228,9 +240,9 @@ def window_smin_scan(
 
     decays = all(b <= a / 2 for a, b in zip(minima, minima[1:]))
     flat = minima[-1] >= minima[0] / 2
-    if minima[-1] < tau_in and decays:
+    if minima[-1] < TAU_IN_DEFAULT and decays:
         verdict = ScanVerdict.INSIDE_AP_SPECTRUM
-    elif minima[-1] >= tau_out and flat:
+    elif minima[-1] >= TAU_OUT_DEFAULT and flat:
         verdict = ScanVerdict.OUTSIDE_AP_SPECTRUM
     else:
         verdict = ScanVerdict.UNRESOLVED
@@ -285,6 +297,8 @@ def gamma2_series_test(
         raise BandDomainError(f"need 0 < |mu| < 1 and 0 < |lambda| < 1: {mu_abs}, {lambda_abs}")
     if n_terms < 8:
         raise ProbeSizeError(f"need n_terms >= 8, got {n_terms}")
+    if n_terms > SERIES_TERM_BUDGET:
+        raise ScanBudgetError(f"{n_terms} terms are over the budget of {SERIES_TERM_BUDGET}")
     check_tolerance(tol)
 
     log_mu = math.log(mu_abs)
@@ -393,6 +407,11 @@ def _lattice_stack(
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
         raise EmptyWindowError(f"degenerate window: {window}")
+    points = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
+    if points > LATTICE_COLUMN_BUDGET:
+        raise ScanBudgetError(
+            f"a lattice window of {points} points is over the budget of {LATTICE_COLUMN_BUDGET}"
+        )
     width, height = i_hi - i_lo + 1, j_hi - j_lo + 3
     # Rows k = 0 .. height - 1 are j_lo - 1 .. j_hi + 1, and column offsets
     # x = i - (i_lo - 1) run over 0 .. width + 1.  With the row minima, +-inf
@@ -473,30 +492,28 @@ def joint_adjoint_kernel_smin(
 @dataclass(frozen=True)
 class Gamma1Report:
     entries: tuple[tuple[float, float, float], ...]  # (|mu|, |lambda|, smin)
-    tau_out: float
 
     @property
     def all_certified(self) -> bool:
-        return all(smin >= self.tau_out for _, _, smin in self.entries)
+        return all(smin >= TAU_OUT_DEFAULT for _, _, smin in self.entries)
 
 
 def gamma1_empty_check(
     profile: DiagramProfile,
     samples: list[tuple[complex, complex]],
     window: tuple[int, int, int, int],
-    tau_out: float = TAU_OUT_DEFAULT,
 ) -> Gamma1Report:
     """Certify the absence of approximate joint kernels of the forward maps.
 
     For each sample the stacked matrix of (mu - M_w) and (lambda - M_z) is
     assembled on window-supported vectors with full image rows, so the
     reported smallest singular value is an exact lower-bound witness over
-    that window.  Values staying at or above ``tau_out`` across windows are
-    evidence that the first-stage locus is empty there.
+    that window.  Values staying at or above ``TAU_OUT_DEFAULT`` across
+    windows are evidence that the first-stage locus is empty there.
     """
     results = []
     for mu, lam in samples:
         mu_abs, lam_abs = abs(mu), abs(lam)
         smin = _stacked_smin(_lattice_stack(profile, window, mu_abs, lam_abs, +1))
         results.append((mu_abs, lam_abs, smin))
-    return Gamma1Report(tuple(results), tau_out)
+    return Gamma1Report(tuple(results))

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .diagram import StructureReport, WoldType
+from .diagram import DefectClass, StructureReport, WoldType
 from .extnum import (
     _BOUNDARY,
     _IN,
@@ -113,47 +113,32 @@ def gamma2_region(params: SpectralParams, structure: StructureReport) -> RegionS
     )
 
 
-def _is_notched_plane(structure: StructureReport) -> bool:
-    # Non-simple with no outer corners: the plane-minus-a-quadrant class.
-    from .diagram import DefectClass
-
-    return structure.defect_class is DefectClass.NON_POSITIVE
-
-
 def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionSpec:
-    """Final-stage failure locus, keyed by the Wold types of the pair."""
+    """Final-stage failure locus, keyed by the Wold types of the pair.
+
+    The (delta-, rho-) band is present when Z is a pure shift and the
+    (delta+, rho+) band when W is; the middle pair, possibly crossed, when
+    both are.  Each torus strip is present when its isometry is mixed, and
+    the origin is out only for the mixed/mixed notched plane.
+    """
     require_nonsimple(structure)
-    case = wold_case(structure)
-    if case is WoldCase.MIXED_MIXED:
-        return RegionSpec(
-            kind=RegionKind.GAMMA3,
-            bands=(),
-            include_t_cross_d=True,
-            include_d_cross_t=True,
-            origin_included=not _is_notched_plane(structure),
-        )
-    if case is WoldCase.MIXED_W_SHIFT_Z:
-        bands = ((params.delta_minus, params.rho_minus),)
-        return RegionSpec(
-            kind=RegionKind.GAMMA3,
-            bands=bands,
-            include_t_cross_d=True,
-            origin_included=True,
-        )
-    if case is WoldCase.SHIFT_W_MIXED_Z:
-        bands = ((params.delta_plus, params.rho_plus),)
-        return RegionSpec(
-            kind=RegionKind.GAMMA3,
-            bands=bands,
-            include_d_cross_t=True,
-            origin_included=True,
-        )
-    bands = (
-        (params.delta_minus, params.rho_minus),
-        (params.rho_plus, params.delta_minus),  # middle pair, possibly crossed
-        (params.delta_plus, params.rho_plus),
+    w_shift = structure.wold_w is WoldType.PURE_SHIFT
+    z_shift = structure.wold_z is WoldType.PURE_SHIFT
+    bands = []
+    if z_shift:
+        bands.append((params.delta_minus, params.rho_minus))
+    if w_shift and z_shift:
+        bands.append((params.rho_plus, params.delta_minus))  # middle pair, possibly crossed
+    if w_shift:
+        bands.append((params.delta_plus, params.rho_plus))
+    notched = structure.defect_class is DefectClass.NON_POSITIVE  # no outer corners
+    return RegionSpec(
+        kind=RegionKind.GAMMA3,
+        bands=tuple(bands),
+        include_t_cross_d=not w_shift,
+        include_d_cross_t=not z_shift,
+        origin_included=w_shift or z_shift or not notched,
     )
-    return RegionSpec(kind=RegionKind.GAMMA3, bands=bands, origin_included=True)
 
 
 def region_member(
@@ -166,7 +151,7 @@ def region_member(
     """
     check_tolerance(tol)
     code = _region_codes(region, _Cells.at(mu_abs, lambda_abs), tol)
-    return BandMembership(CODE_STATES[code], tol)
+    return BandMembership(CODE_STATES[code])
 
 
 def region_states(
@@ -241,18 +226,17 @@ def parts_consistency_check(
     params: SpectralParams,
     structure: StructureReport,
     samples: list[tuple[float, float]],
-    tol: float = DEFAULT_TOL,
 ) -> ConsistencyReport:
     """Check that the joint spectrum is the union of its two failure loci.
 
     Samples where any of the three answers is boundary are skipped (the
     decomposition is only determined off the unresolved layers); for the
     rest, membership in the joint spectrum must coincide with membership in
-    at least one locus.
+    at least one locus, each answered within ``DEFAULT_TOL``.
     """
     points = np.asarray(samples, dtype=float).reshape(-1, 2)
     t, g2, g3 = (
-        region_states(region, points[:, 0], points[:, 1], tol)
+        region_states(region, points[:, 0], points[:, 1])
         for region in (
             taylor_region(params),
             gamma2_region(params, structure),

@@ -62,14 +62,12 @@ class ShiftKind(Enum):
 class ShiftSpec:
     """A weighted shift built from a profile and a magnitude |mu|.
 
-    The weight at j follows the per-kind convention: |mu|**(M_j - M_{j+1})
-    for bilateral and unilateral kinds (edge j -> j+1), |mu|**(M_{j-1} - M_j)
-    for the adjoint kind (edge j -> j-1, defined for j <= j_max).  Phases are
-    dropped throughout: every spectral set used downstream is rotation
-    invariant, so only weight magnitudes matter.  The down weight at j is the
-    uniform descending-edge magnitude |mu|**(M_{j-1} - M_j) used to assemble
-    truncated matrices of the dual operator.  ``weights`` is the one place
-    that turns drops into weights.
+    The weight at j is the descending-edge magnitude |mu|**(M_{j-1} - M_j)
+    of edge j -> j-1, for every kind: the dual operator whose truncated
+    matrices the oracle assembles is read off these weights directly.
+    Phases are dropped throughout: every spectral set used downstream is
+    rotation invariant, so only weight magnitudes matter.  ``weights`` is
+    the one place that turns drops into weights.
     """
 
     kind: ShiftKind
@@ -78,27 +76,19 @@ class ShiftSpec:
     j_min: MValue
     j_max: MValue
 
-    def weights(self, js: range, down: bool = False) -> np.ndarray:
-        """The weight, or the down weight if ``down``, at every j in ``js``.
+    def weights(self, js: range) -> np.ndarray:
+        """The weight |mu|**(M_{j-1} - M_j) at every j in ``js``.
 
-        ``js`` is a range of step 1.  The border rows of its edges come from
-        one exact evaluation, and each weight is |mu| to the exact integer
-        drop.  A drop across an empty row (+inf), or one too large for a
-        float, gives 0.0: it is capped at ``_DROP_CAP`` first.
+        ``js`` is a range of step 1 inside [j_min, j_max].  The border rows
+        of its edges come from one exact evaluation, and each weight is |mu|
+        to the exact integer drop.  A drop across an empty row (+inf), or
+        one too large for a float, gives 0.0: it is capped at ``_DROP_CAP``
+        first.
         """
-        adjoint = self.kind is ShiftKind.UNILATERAL_ADJOINT
-        if js:
-            first, last = js[0], js[-1]
-            if adjoint and not down:
-                if last > self.j_max:
-                    raise SpecError(f"index {last} above the shift range")
-            elif first < self.j_min or last > self.j_max:
-                bad = first if first < self.j_min else last
-                raise SpecError(f"index {bad} outside the shift range")
-            elif not down and last + 1 > self.j_max:
-                raise SpecError(f"edge {last} -> {last + 1} leaves the shift range")
-        top = js.start if down or adjoint else js.start + 1  # edges (t - 1, t) from t = top
-        rows = m_exact(self.profile, range(top - 1, top + len(js)))
+        if js and (js[0] < self.j_min or js[-1] > self.j_max):
+            bad = js[0] if js[0] < self.j_min else js[-1]
+            raise SpecError(f"index {bad} outside the shift range")
+        rows = m_exact(self.profile, range(js.start - 1, js.start + len(js)))
         if rows.dtype == object and js:  # row 0 alone can be empty; inf - huge int overflows
             rows[0] = min(rows[0], rows[1] + _DROP_CAP)
         drops = rows[:-1] - rows[1:]
@@ -146,7 +136,6 @@ class RidgeBounds:
     i_plus: ExtReal
     r_minus: ExtReal
     r_plus: ExtReal
-    kind: ShiftKind
 
     @property
     def i_minus_value(self) -> float:
@@ -194,16 +183,16 @@ def ridge_bounds(spec: ShiftSpec, params: SpectralParams) -> RidgeBounds:
     """
     fields = _RIDGE_FIELDS[spec.kind]
     exponents = [EXT_INF] * 4 if fields is None else [getattr(params, f) for f in fields]
-    return RidgeBounds(spec.mu_abs, *exponents, kind=spec.kind)
+    return RidgeBounds(spec.mu_abs, *exponents)
 
 
 def _radius_interval_member(
-    lambda_abs: float, mu_abs: float, lo_exp: ExtReal, hi_exp: ExtReal, tol: float
+    lambda_abs: float, mu_abs: float, lo_exp: ExtReal, hi_exp: ExtReal
 ) -> Membership:
     """Closed-interval membership of a radius in [|mu|**lo_exp, |mu|**hi_exp].
 
     Points in the interval (including its endpoints) are inside; points whose
-    violation is below ``tol`` in the log domain are boundary.  An empty
+    violation is below ``DEFAULT_TOL`` in the log domain are boundary.  An empty
     interval (lo > hi) admits no members.  Only an infinite ``lo_exp`` puts
     0 in: a lower end that underflows to 0.0 is still positive.
     """
@@ -216,17 +205,12 @@ def _radius_interval_member(
         slack = min(lower, upper)
     if slack >= 0.0:
         return Membership.INSIDE
-    if slack > -tol:
+    if slack > -DEFAULT_TOL:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
 
 
-def sigma_ap_predict(
-    spec: ShiftSpec,
-    bounds: RidgeBounds,
-    lambda_abs: float,
-    tol: float = DEFAULT_TOL,
-) -> BandMembership:
+def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) -> BandMembership:
     """Predicted approximate-point-spectrum membership of |lambda|.
 
     The prediction covers the operator whose boundedness below decides
@@ -236,13 +220,13 @@ def sigma_ap_predict(
     of radius r.  Unilateral adjoint: the annulus [i, r].  Finite nilpotent:
     the single point 0.  These are genuine closed sets, so exact members
     (even on a degenerate circle) report inside; the boundary state is the
-    thin outside collar within log-domain ``tol``.
+    thin outside collar within ``DEFAULT_TOL`` in the log domain.
     """
     if not 0.0 <= lambda_abs <= 1.0:
         raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
         state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
-        return BandMembership(state, tol)
+        return BandMembership(state)
     b = bounds
     if spec.kind is ShiftKind.UNILATERAL:
         intervals = ((EXT_INF, b.r_minus),)  # the disc: |mu|**inf = 0
@@ -250,8 +234,8 @@ def sigma_ap_predict(
         intervals = ((b.i_minus, b.r_minus),)
     else:
         intervals = ((b.i_plus, b.r_plus), (b.r_plus, b.i_minus), (b.i_minus, b.r_minus))
-    states = (_radius_interval_member(lambda_abs, b.mu_abs, lo, hi, tol) for lo, hi in intervals)
-    return BandMembership(best_membership(*states), tol)
+    states = (_radius_interval_member(lambda_abs, b.mu_abs, lo, hi) for lo, hi in intervals)
+    return BandMembership(best_membership(*states))
 
 
 @dataclass(frozen=True)

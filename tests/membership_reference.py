@@ -124,26 +124,26 @@ def band_member(
 
     p_zero = not p.is_infinite and p == EXT_ZERO
     if p_zero and q.is_infinite:
-        return BandMembership(Membership.INSIDE, tol)
+        return BandMembership(Membership.INSIDE)
     if p_zero and q == EXT_ZERO:
         state = Membership.INSIDE if (a == 0.0 or b == 1.0) else Membership.OUTSIDE
-        return BandMembership(state, tol)
+        return BandMembership(state)
     if p.is_infinite:  # p = q = inf
         state = Membership.INSIDE if (a == 1.0 or b == 0.0) else Membership.OUTSIDE
-        return BandMembership(state, tol)
+        return BandMembership(state)
 
     if a == 0.0 and b == 0.0:
         # Both envelopes pinch to zero; the corner sits inside the band
         # exactly when the band has an opening (p < q), else on its edge.
         state = Membership.INSIDE if p < q else Membership.BOUNDARY
-        return BandMembership(state, tol)
+        return BandMembership(state)
 
     slacks = []
     if not q.is_infinite:
         slacks.append(lower_slack(a, b, q))
     if not p_zero:
         slacks.append(upper_slack(a, b, p))
-    return BandMembership(_classify(min(slacks), tol), tol)
+    return BandMembership(_classify(min(slacks), tol))
 
 
 def envelope_pair_member(
@@ -162,7 +162,7 @@ def envelope_pair_member(
     _check_magnitude("a", a)
     _check_magnitude("b", b)
     slack = min(lower_slack(a, b, lower_exp), upper_slack(a, b, upper_exp))
-    return BandMembership(_classify(slack, tol), tol)
+    return BandMembership(_classify(slack, tol))
 
 
 def _check_point(mu_abs: float, lambda_abs: float) -> None:
@@ -195,28 +195,28 @@ def region_member(
 
     if region.kind is RegionKind.GAMMA2:
         if a == 0.0 and b == 0.0:
-            return BandMembership(Membership.INSIDE, tol)
+            return BandMembership(Membership.INSIDE)
         if a == 1.0 and b == 1.0:
-            return BandMembership(Membership.BOUNDARY, tol)  # torus shell unresolved
+            return BandMembership(Membership.BOUNDARY)  # torus shell unresolved
         if a == 1.0 or b == 1.0:
-            return BandMembership(Membership.OUTSIDE, tol)
+            return BandMembership(Membership.OUTSIDE)
         if b == 0.0:
             state = Membership.INSIDE if region.include_mu_axis else Membership.OUTSIDE
-            return BandMembership(state, tol)
+            return BandMembership(state)
         if a == 0.0:
             state = (
                 Membership.INSIDE if region.include_lambda_axis else Membership.OUTSIDE
             )
-            return BandMembership(state, tol)
+            return BandMembership(state)
         eta_minus, eta_plus = region.bands[0]
         return envelope_pair_member(a, b, lower_exp=eta_plus, upper_exp=eta_minus, tol=tol)
 
     # final-stage locus
     if a == 1.0 and b == 1.0:
-        return BandMembership(Membership.BOUNDARY, tol)  # torus shell unresolved
+        return BandMembership(Membership.BOUNDARY)  # torus shell unresolved
     if a == 0.0 and b == 0.0:
         state = Membership.INSIDE if region.origin_included else Membership.OUTSIDE
-        return BandMembership(state, tol)
+        return BandMembership(state)
     states = []
     if region.include_t_cross_d and a == 1.0:
         states.append(Membership.INSIDE)
@@ -226,4 +226,4 @@ def region_member(
         states.append(_band_eval(pair, a, b, tol).state)
     if not states:
         states.append(Membership.OUTSIDE)
-    return BandMembership(best_membership(*states), tol)
+    return BandMembership(best_membership(*states))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import inspect
@@ -304,6 +305,19 @@ class TestFringeAndOracle:
         assert len(doc["weights_first_32"]) == 32
         assert doc["ridge_bounds"]["i_minus"]["value"] == 0.5
 
+    def test_fringe_finite_nilpotent_weights(self, capsys, tmp_path):
+        """Every descending edge of a finite block: |mu| to the drops 2 and 1."""
+        path = tmp_path / "finite.json"
+        path.write_text(json.dumps({
+            "window": {"j_lo": 0, "values": [3, 1, 0]},
+            "minus_tail": {"kind": "empty"}, "plus_tail": {"kind": "full"},
+        }))
+        code, out = run(capsys, "fringe", str(path), "--mu", "0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "finite_nilpotent"
+        assert doc["weights_first_32"] == [0.25, 0.5]
+
     @pytest.mark.parametrize("name", ALL_SPECS)
     def test_fringe_makes_no_scalar_calls(self, capsys, monkeypatch, name):
         """The printed weights come from one exact border evaluation."""
@@ -556,6 +570,95 @@ def _write_spec(tmp_path, name: str, j_lo: int, value: int, minus: dict, plus: d
 
 EMPTY, FULL = {"kind": "empty"}, {"kind": "full"}
 PERIODIC_0, PERIODIC_1 = ({"kind": "periodic", "period": 1, "rise": r} for r in (0, 1))
+
+
+# The oracle probes over their size budgets, each refused before it reads
+# a single border row.
+OVER_BUDGET = {
+    "terms": ["gamma2", spec("geometric_blocks_01"), "--lambda", "0.6", "--terms", str(10**12)],
+    "window": ["t3", spec("wold_mixed_pair"), "--lambda", "0.5", "--window", str(10**7)],
+    "sizes": ["fringe", spec("half_lines_1_2"), "--lambda", "0.6", "--sizes", f"16,{10**12}",
+              "--j-scan", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(OVER_BUDGET.values()), ids=list(OVER_BUDGET))
+def test_oracle_over_a_size_budget_exits_3_before_reading_rows(capsys, monkeypatch, argv):
+    from stairspec import oracle, shifts
+
+    def read(*args):
+        raise AssertionError("a border row was read")
+
+    for module in (oracle, shifts):
+        monkeypatch.setattr(module, "m_exact", read)
+    assert main(["oracle", *argv, "--mu", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric-regime error: ")
+    assert "budget of" in captured.err and captured.err.count("\n") == 1
+
+
+# Each leaf subcommand, a command line it answers with exit 0 ("OUT" is a file
+# it writes), and the flags it reads besides --threads, which every one takes.
+LEAVES = {
+    "validate": (["validate", spec("half_lines_1_2")], ()),
+    "report": (["report", spec("half_lines_1_2"), "--mc-samples", "50"], ("--tol", "--seed")),
+    "params": (["params", spec("half_lines_1_2")], ()),
+    "member": (["member", spec("half_lines_1_2"), "--mu", "0.5", "--lambda", "0.6"], ("--tol",)),
+    "sample": (["sample", spec("half_lines_1_2"), "--resolution", "3", "--out", "OUT"],
+               ("--tol",)),
+    "raster": (["raster", spec("half_lines_1_2"), "--width", "16", "--height", "16",
+                "--out", "OUT"], ("--tol",)),
+    "fringe": (["fringe", spec("half_lines_1_2"), "--mu", "0.5"], ()),
+    "oracle-fringe": (["oracle", "fringe", spec("line_slope1"), "--mu", "0.5", "--lambda", "0.5",
+                       "--sizes", "8,16", "--j-scan", "4"], ()),
+    "oracle-gamma2": (["oracle", "gamma2", spec("half_lines_1_2"), "--mu", "0.5",
+                       "--lambda", "0.6", "--terms", "64"], ("--tol",)),
+    "oracle-t3": (["oracle", "t3", spec("wold_mixed_pair"), "--mu", "0.5", "--lambda", "0.5",
+                   "--window", "8"], ()),
+}
+FLAG_VALUES = {"--tol": "1e-9", "--seed": "3"}
+UNREAD = [(leaf, flag) for leaf, (_, reads) in LEAVES.items()
+          for flag in FLAG_VALUES if flag not in reads]
+
+
+class TestEveryFlagIsRead:
+    """A subcommand takes only the flags it reads, and --threads."""
+
+    @staticmethod
+    def _argv(leaf, tmp_path):
+        return [str(tmp_path / "out") if a == "OUT" else a for a in LEAVES[leaf][0]]
+
+    def test_the_parser_has_sixteen_flag_slots(self):
+        """LEAVES names every leaf of the parser and the flags it takes."""
+        taken = {}
+
+        def walk(parser):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            for action in subs:
+                for child in action.choices.values():
+                    walk(child)
+            if not subs:
+                leaf = parser.prog.removeprefix("stairspec ").replace(" ", "-")
+                taken[leaf] = {opt for a in parser._actions for opt in a.option_strings
+                               if opt in ("--tol", "--seed", "--threads")}
+
+        walk(_build_parser())
+        assert taken == {leaf: {"--threads", *reads} for leaf, (_, reads) in LEAVES.items()}
+        assert sum(map(len, taken.values())) == 16
+
+    @pytest.mark.parametrize("leaf,flag", UNREAD, ids=[f"{leaf}{flag}" for leaf, flag in UNREAD])
+    def test_unread_flag_is_a_usage_error(self, capsys, tmp_path, leaf, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self._argv(leaf, tmp_path), flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_threads_and_read_flags_are_accepted(self, capsys, tmp_path, leaf):
+        reads = LEAVES[leaf][1]
+        flags = [f"{flag}={FLAG_VALUES[flag]}" for flag in reads]
+        assert main([*self._argv(leaf, tmp_path), "--threads", "1", *flags]) == 0
 
 
 class TestExitCodeIsTheBaseClass:

@@ -63,8 +63,8 @@ from conftest import (
 
 
 class TestScanBudget:
-    """A scan's candidate window starts are counted, and refused over budget,
-    before any window is solved."""
+    """A probe's size is checked, and refused over its budget, before any
+    window is solved or series summed."""
 
     def test_budget_is_inclusive(self, monkeypatch):
         spec = fringe_operator(line_profile(), 0.5)
@@ -81,6 +81,33 @@ class TestScanBudget:
         monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", WINDOW_START_BUDGET // 100)
         result = window_smin_scan(spec, 0.3, [256, 1024, 4096], j_scan=4096)
         assert result.verdict is ScanVerdict.OUTSIDE_AP_SPECTRUM
+
+    def test_window_length_budget_is_inclusive(self, monkeypatch):
+        spec = fringe_operator(line_profile(), 0.5)
+        monkeypatch.setattr(oracle, "WINDOW_LENGTH_BUDGET", 64)
+        window_smin_scan(spec, 0.3, [16, 64], j_scan=0)
+        with pytest.raises(ScanBudgetError, match="window length 65 is over the budget of 64"):
+            window_smin_scan(spec, 0.3, [16, 65], j_scan=0)
+
+    def test_series_term_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SERIES_TERM_BUDGET", 64)
+        gamma2_series_test(half_lines_profile(), 0.5, 0.6, 64)
+        with pytest.raises(ScanBudgetError, match="65 terms are over the budget of 64"):
+            gamma2_series_test(half_lines_profile(), 0.5, 0.6, 65)
+
+    def test_lattice_column_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(oracle, "LATTICE_COLUMN_BUDGET", 81)
+        joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 4, -4, 4))
+        with pytest.raises(ScanBudgetError, match="window of 90 points is over the budget of 81"):
+            joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 5, -4, 4))
+        with pytest.raises(ScanBudgetError):
+            gamma1_empty_check(line_profile(), [(0.5, 0.5)], (-4, 4, -5, 4))
+
+    def test_budgets_admit_every_size_in_use(self):
+        """Window length 4096, 2**16 terms (the CLI fuzz) and a t3 window of 64."""
+        assert 4096 <= oracle.WINDOW_LENGTH_BUDGET
+        assert 2**16 <= oracle.SERIES_TERM_BUDGET
+        assert (64 + 1) ** 2 <= oracle.LATTICE_COLUMN_BUDGET
 
     @pytest.mark.parametrize("j_scan,stride", [(-1, None), (-5, 4), (4, 0), (4, -2)])
     def test_negative_range_or_stride_is_refused(self, j_scan, stride):

@@ -51,8 +51,8 @@ class TestFringeOperator:
         spec, _ = _fringe(quarter_steps_profile())
         assert spec.kind is ShiftKind.UNILATERAL
         # constant rows above the single window drop: weights 1 from there on
-        assert spec.weights(range(0, 1)).tolist() == [0.5]
-        assert spec.weights(range(1, 6)).tolist() == [1.0] * 5
+        assert spec.weights(range(1, 2)).tolist() == [0.5]
+        assert spec.weights(range(2, 7)).tolist() == [1.0] * 5
 
     def test_wold_mixed_is_unilateral_adjoint(self):
         spec, _ = _fringe(wold_mixed_profile())
@@ -71,25 +71,26 @@ class TestFringeOperator:
 
 
 class TestWeights:
-    """ShiftSpec.weights: |mu| to the exact drops, over a range of edges."""
+    """ShiftSpec.weights: |mu| to the exact drops M_{j-1} - M_j, over a range
+    of descending edges."""
 
     def test_drop_beyond_float64_is_zero(self):
         profile = DiagramProfile(0, (0,), PeriodicTail(1, 10**400), PeriodicTail(1, 1))
         spec = fringe_operator(profile, 0.5)
-        assert spec.weights(range(-3, 3), down=True).tolist() == [0.0] * 4 + [0.5] * 2
-        assert spec.weights(range(-3, 3)).tolist() == [0.0] * 3 + [0.5] * 3
+        assert spec.weights(range(-3, 3)).tolist() == [0.0] * 4 + [0.5] * 2
+        assert spec.weights(range(-2, 4)).tolist() == [0.0] * 3 + [0.5] * 3
 
     def test_drop_across_an_empty_row_is_zero(self):
         spec = fringe_operator(quarter_steps_profile(), 0.5)
-        assert spec.weights(range(0, 1), down=True).tolist() == [0.0]  # M_{-1} is +inf
-        assert spec.weights(range(0, 3), down=True).tolist() == [0.0, 0.5, 1.0]
+        assert spec.weights(range(0, 1)).tolist() == [0.0]  # M_{-1} is +inf
+        assert spec.weights(range(0, 3)).tolist() == [0.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("value", [0, 10**400], ids=["0", "1e400"])
     def test_drop_across_an_empty_row_beside_a_huge_value_is_zero(self, value):
         """The drop is capped before +inf meets an int beyond float64."""
         profile = DiagramProfile(0, (value + 1, value), EMPTY_ROWS, PeriodicTail(1, 1))
         spec = fringe_operator(profile, 0.5)
-        assert spec.weights(range(0, 4), down=True).tolist() == [0.0, 0.5, 0.5, 0.5]
+        assert spec.weights(range(0, 4)).tolist() == [0.0, 0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize("name,profile", canonical_nonsimple())
     @pytest.mark.parametrize("di", [2**53 + 1, 10**30])
@@ -98,24 +99,22 @@ class TestWeights:
         moved = fringe_operator(translate(profile, di, 0), 0.3)
         top = int(spec.j_max) if spec.j_max != math.inf else 40
         js = range(max(spec.j_min, top - 80), top + 1)
-        for down in (False, True):
-            edges = js if down or spec.kind is ShiftKind.UNILATERAL_ADJOINT else js[:-1]
-            expected = spec.weights(edges, down=down)
-            assert moved.weights(edges, down=down).tobytes() == expected.tobytes()
-            ones = [spec.weights(range(j, j + 1), down=down)[0] for j in edges]
-            assert ones == expected.tolist()
+        expected = spec.weights(js)
+        assert moved.weights(js).tobytes() == expected.tobytes()
+        assert [spec.weights(range(j, j + 1))[0] for j in js] == expected.tolist()
 
     def test_range_checks_read_the_ends(self):
         unilateral = fringe_operator(quarter_steps_profile(), 0.5)  # j_min = 0
         with pytest.raises(ValueError, match="index -1 outside the shift range"):
-            unilateral.weights(range(-1, 5), down=True)
+            unilateral.weights(range(-1, 5))
         adjoint = fringe_operator(wold_mixed_profile(), 0.5)  # j_max = 1
-        with pytest.raises(ValueError, match="index 2 above the shift range"):
+        with pytest.raises(ValueError, match="index 2 outside the shift range"):
             adjoint.weights(range(-5, 3))
         assert adjoint.weights(range(-5, 2)).tolist() == [1.0] * 6 + [0.5]
         finite = fringe_operator(DiagramProfile(0, (2, 1, 0), EMPTY_ROWS, FULL_ROWS), 0.5)
-        with pytest.raises(ValueError, match="edge 2 -> 3 leaves the shift range"):
-            finite.weights(range(0, 3))
+        with pytest.raises(ValueError, match="index 3 outside the shift range"):
+            finite.weights(range(0, 4))
+        assert finite.weights(range(0, 3)).tolist() == [0.0, 0.5, 0.5]
         assert finite.weights(range(0, 0)).tolist() == []
 
 
@@ -180,7 +179,7 @@ class TestRidgeBounds:
         n = 512
         means = []
         for start in range(-2000, 2000 - n, 97):
-            drops = spec.weights(range(start, start + n), down=True).tolist()
+            drops = spec.weights(range(start, start + n)).tolist()
             means.append(math.exp(sum(math.log(w) for w in drops) / n))
         lo, hi = min(means), max(means)
         assert lo >= rb.i_minus_value * 0.98 or lo >= rb.i_plus_value * 0.98

@@ -158,7 +158,7 @@ def test_unreadable_json_exits_2(tmp_path):
 
 
 # Flag values: magnitudes and tolerances out of range, NaN and inf, text that
-# is no number, and probe sizes from tiny to over the window-start budget.
+# is no number, and probe sizes from tiny to over each size budget.
 _REALS = ["0", "-0", "0.5", "1", "-0.5", "1.5", "nan", "inf", "-inf", "1e-300",
           "5e-324", "1e308", "x", "", "0.3,0.4", "nan,0", "0,inf", "1,1", "0.5,", ","]
 _magnitudes = st.sampled_from(_REALS) | st.floats(-2, 2).map(repr)
@@ -166,11 +166,12 @@ _tolerances = st.sampled_from(["0", "-1", "-0", "nan", "inf", "-inf", "1e-12", "
                                "1e308", "x"]) | st.floats(-1, 1).map(repr)
 _sizes = (st.lists(st.integers(-4, 40) | st.sampled_from([256, 1024, 4096]), max_size=4)
           .map(lambda xs: ",".join(map(str, xs)))
-          | st.sampled_from(["4,abc", ",", "16,", "1e3,2000", " 8, 16", "16,16", "0x10,32"]))
+          | st.sampled_from(["4,abc", ",", "16,", "1e3,2000", " 8, 16", "16,16", "0x10,32",
+                           f"16,{10**12}"]))
 # A j_scan past 256 is drawn only beyond the budget, where the scan is refused.
 _j_scans = st.integers(-3, 256) | st.sampled_from([WINDOW_START_BUDGET, 10**9, 10**18, 2**70])
-_terms = st.integers(-2, 9) | st.integers(8, 2048) | st.just(2**16)
-_windows = st.integers(-8, 5) | st.integers(4, 48)
+_terms = st.integers(-2, 9) | st.integers(8, 2048) | st.sampled_from([2**16, 10**12])
+_windows = st.integers(-8, 5) | st.integers(4, 48) | st.just(10**7)
 _SPECS = sorted(path.name for path in SPEC_DIR.glob("*.json"))
 
 
@@ -178,8 +179,9 @@ _SPECS = sorted(path.name for path in SPEC_DIR.glob("*.json"))
 def _flag_argvs(draw):
     command = draw(st.sampled_from(["member", "fringe", "gamma2", "t3"]))
     spec = str(SPEC_DIR / draw(st.sampled_from(_SPECS)))
-    flags = [f"--mu={draw(_magnitudes)}", f"--lambda={draw(_magnitudes)}",
-             f"--tol={draw(_tolerances)}"]
+    flags = [f"--mu={draw(_magnitudes)}", f"--lambda={draw(_magnitudes)}"]
+    if command in ("member", "gamma2"):  # the two that read a tolerance
+        flags.append(f"--tol={draw(_tolerances)}")
     if command == "member":
         set_name = draw(st.sampled_from(["taylor", "gamma2", "gamma3"]))
         return ["member", spec, *flags, f"--set={set_name}"]
