@@ -34,6 +34,7 @@ from .diagram import (
 from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError
 from .oracle import (
     ProbeSizeError,
+    check_lattice_window,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
     window_smin_scan,
@@ -337,13 +338,14 @@ def _cmd_oracle_t3(args) -> int:
             f"and window), got {args.window}"
         )
     i_c, j_c = profile.window[-1], profile.j_lo  # the centre moves with the diagram
-    ladder = []
-    for size in (args.window // 4, args.window // 2, args.window):
-        half = max(size // 2, 1)
-        smin = joint_adjoint_kernel_smin(
-            profile, mu_abs, lam_abs, (i_c - half, i_c + half, j_c - half, j_c + half)
-        )
-        ladder.append({"window": size, "smin": smin})
+    sizes = (args.window // 4, args.window // 2, args.window)
+    halves = [max(size // 2, 1) for size in sizes]
+    windows = [(i_c - h, i_c + h, j_c - h, j_c + h) for h in halves]
+    check_lattice_window(windows[-1])  # the largest rung, before any solve
+    ladder = [
+        {"window": size, "smin": joint_adjoint_kernel_smin(profile, mu_abs, lam_abs, window)}
+        for size, window in zip(sizes, windows)
+    ]
     _dump({"mu_abs": mu_abs, "lambda_abs": lam_abs, "smin_ladder": ladder})
     return EXIT_OK
 

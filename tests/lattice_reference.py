@@ -11,8 +11,6 @@ imports it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -78,13 +76,13 @@ def lattice_stack(
 
 
 def stacked_smin(matrix: scipy.sparse.csr_matrix) -> float:
-    """Smallest singular value: dense SVD up to 500 columns, else shift-invert
-    on the sparse Gram matrix."""
+    """The residual ||A v|| / ||v|| at the smallest eigenvector v of the Gram
+    matrix: dense up to 500 columns, else shift-invert on the sparse Gram."""
     n_cols = matrix.shape[1]
+    gram = matrix.T @ matrix
     if n_cols <= 500:
-        return float(scipy.linalg.svdvals(matrix.toarray())[-1])
-    gram = (matrix.T @ matrix).tocsc()
-    w = scipy.sparse.linalg.eigsh(
-        gram, k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), return_eigenvectors=False
-    )
-    return math.sqrt(max(float(w[0]), 0.0))
+        v = scipy.linalg.eigh(gram.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    else:
+        v = scipy.sparse.linalg.eigsh(gram.tocsc(), k=1, sigma=-1e-10, which="LM",
+                                      v0=np.ones(n_cols), rng=0)[1][:, 0]
+    return float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))

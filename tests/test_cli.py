@@ -511,6 +511,27 @@ class TestFringeAndOracle:
         assert err.startswith("numeric-regime error: j_scan = 1000000000 gives")
         assert "budget of 65536" in err
 
+    def test_oracle_t3_over_budget_exits_3_before_any_rung(self, capsys, monkeypatch):
+        """The 256 ladder's 64 and 128 rungs fit the budget; its top rung of
+        66,049 points does not, and is refused before either is solved."""
+        from stairspec import oracle
+
+        def solved(*args):
+            raise AssertionError("a rung was solved")
+
+        monkeypatch.setattr(oracle, "_lattice_stack", solved)
+        monkeypatch.setattr(oracle, "_stacked_smin", solved)
+        code = main(
+            ["oracle", "t3", spec("wold_mixed_pair"), "--mu", "0.5", "--lambda", "0.5",
+             "--window", "256"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "numeric-regime error: a lattice window of 66049 points is over the budget of 65536"
+        )
+
     @pytest.mark.parametrize("lam", ["0.5", "0.9"])
     def test_oracle_fringe_weighs_drops_beyond_float64_as_zero(self, capsys, tmp_path, lam):
         """|mu| to a drop of 10**400 is 0.0, as it already is for a drop of 2000."""

@@ -302,18 +302,17 @@ class TestScanMatchesEveryWindowSolved:
         assert result.verdict is verdict
 
     def test_all_shift_kinds_and_inverted_tails_are_drawn(self):
-        kinds, inverted = set(), False
+        kinds, tails = set(), set()
 
         @given(_scan_profiles())
         @settings(max_examples=200, deadline=None, database=None)
         def collect(profile):
-            nonlocal inverted
             kinds.add(fringe_operator(profile, 0.5).kind)
-            inverted |= "inverted" in (profile.minus_tail.kind, profile.plus_tail.kind)
+            tails.update((profile.minus_tail.kind, profile.plus_tail.kind))
 
         collect()
         assert kinds == {ShiftKind.BILATERAL, ShiftKind.UNILATERAL, ShiftKind.UNILATERAL_ADJOINT}
-        assert inverted
+        assert tails == {"empty", "full", "periodic", "geometric", "inverted"}
 
     def test_transposed_block_profile(self):
         """Inverted tails on both sides, as transpose produces them."""
@@ -341,6 +340,64 @@ class TestScanMatchesEveryWindowSolved:
             assert result.verdict is verdict
             zeros += minima.count(0.0)
         assert zeros > 0
+
+
+class TestScanSharedRead:
+    """A scan reads the weights and Gram of a run of windows once and slices
+    each window from that read; the slices must be the windows' own Gram
+    arrays bit for bit."""
+
+    @given(
+        _scan_profiles(),
+        st.sampled_from([0, 0, 10**30]),
+        st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.integers(2, 24),
+        st.integers(-30, 30),
+        st.integers(0, 24),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_slices_are_bit_identical(self, profile, di, mu, lam, n, first, extra):
+        spec = fringe_operator(translate(profile, di, 0), mu)
+        if spec.j_min != NEG_INF:
+            first = max(first, int(spec.j_min))
+        span = n + min(extra, n)
+        if spec.j_max != POS_INF:
+            span = min(span, int(spec.j_max) - first + 1)
+        assume(span >= n)
+        diag, off = oracle._window_gram(spec, lam, first, span)
+        for k in range(span - n + 1):
+            want_diag, want_off = oracle._window_gram(spec, lam, first + k, n)
+            assert diag[k:k + n].tobytes() == want_diag.tobytes()
+            assert off[k:k + n - 1].tobytes() == want_off.tobytes()
+
+    def test_each_read_spans_at_most_two_windows(self, monkeypatch):
+        reads = []
+        window_gram = oracle._window_gram
+
+        def recording(spec, lambda_abs, start, n):
+            reads.append(n)
+            return window_gram(spec, lambda_abs, start, n)
+
+        monkeypatch.setattr(oracle, "_window_gram", recording)
+        spec = fringe_operator(half_lines_profile(), 0.5)
+        window_smin_scan(spec, 0.6, [16, 64], j_scan=1024, stride=1)
+        # 2050 starts a size: one read per run of n + 1 starts at most.
+        assert 64 < max(reads) <= 128
+        assert len(reads) <= -(-2050 // 17) + -(-2050 // 65)
+
+    def test_stebz_failure_is_a_regime_error(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        dstebz = scipy.linalg.lapack.dstebz
+
+        def failing(*args):
+            return (*dstebz(*args)[:4], 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+        spec = fringe_operator(line_profile(), 0.5)
+        with pytest.raises(SolverConvergenceError, match="stebz did not converge"):
+            window_smin_scan(spec, 0.5, [16, 64], j_scan=4)
 
 
 class TestTranslationInvariance:
@@ -542,6 +599,43 @@ def _lattice_cases(draw):
     j_hi = j_lo + draw(st.integers(0, 24))
     di = draw(st.sampled_from([0, 0, 10**30]))
     return translate(profile, di, 0), (i_lo + di, i_hi + di, j_lo, j_hi)
+
+
+class TestWitnessAccuracy:
+    """The witness is the residual at the solver's own unit vector: on the
+    dense path it meets the dense SVD's smallest singular value from above."""
+
+    @given(
+        _lattice_cases(),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dense_path_meets_the_svd(self, case, a, b, step):
+        try:
+            matrix = _lattice_stack(*case, a, b, step)
+        except EmptyWindowError:
+            assume(False)
+        assume(matrix.shape[1] <= 500)
+        svd = float(scipy.linalg.svdvals(matrix.toarray())[-1])
+        got = _stacked_smin(matrix)
+        # Both sides round: at sigma = 0.618 the two differ in the last bit,
+        # hence the relative terms next to the absolute ones.
+        assert svd * (1 - 1e-12) - 1e-15 <= got
+        assert got**2 <= svd**2 * (1 + 1e-12) + 1e-18
+
+    def test_quarter_steps_top_rung_is_below_the_gram_floor(self, spec_dir):
+        """The top rung of `oracle t3 quarter_plane_steps --window 64` (1088
+        columns, the sparse path) reads the SVD's 1.87e-10; the square root
+        of the Gram eigenvalue read 2.94e-9."""
+        profile = profile_from_json(json.loads((spec_dir / "quarter_plane_steps.json").read_text()))
+        i_c, j_c = profile.window[-1], profile.j_lo
+        window = (i_c - 32, i_c + 32, j_c - 32, j_c + 32)
+        got = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
+        svd = float(scipy.linalg.svdvals(_lattice_stack(profile, window, 0.5, 0.5, -1).toarray())[-1])
+        assert got == pytest.approx(svd, rel=1e-6)
+        assert got < 1e-9
 
 
 class TestLatticeStackMatchesReference:
