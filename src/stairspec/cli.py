@@ -9,7 +9,9 @@ outside its numeric regime: a simple diagram asked for its parameters,
 regions or fringe shift, ``fringe`` and ``oracle fringe`` included; a
 magnitude out of range or NaN, a scan through non-finite rows, border
 differences beyond float64, a probe over one of its size budgets, a sparse
-eigensolver that does not converge).
+eigensolver that does not converge).  A command line that does not parse,
+a malformed ``--mu`` or ``--lambda`` included, is argparse's usage error
+and exits 2 as well.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ COLOR_IN = (30, 30, 200)
 COLOR_BOUNDARY = (240, 200, 40)
 COLOR_OUT = (245, 245, 245)
 
+SETS = ("taylor", "gamma2", "gamma3")  # --set's choices, in _region_triple's order
+
 
 def _load_profile(path: str) -> DiagramProfile:
     try:
@@ -72,20 +76,19 @@ def _load_profile(path: str) -> DiagramProfile:
     return profile_from_json(doc)
 
 
-def _parse_magnitude(text: str, name: str) -> float:
-    """Accept a modulus like '0.5' or a complex point 're,im'."""
+def _magnitude(text: str) -> float:
+    """The modulus of '0.5' or of a complex point 're,im'."""
     try:
         if "," in text:
             re_part, im_part = text.split(",", 1)
             return abs(complex(float(re_part), float(im_part)))
         return abs(float(text))
     except ValueError as exc:
-        raise SpecParseError(f"--{name}: expected a real or 're,im', got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a real or 're,im', got {text!r}") from exc
 
 
-def _region_triple(profile: DiagramProfile) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
-    structure = validate(profile)
-    params = compute_params(profile)  # refuses a simple diagram
+def _region_triple(structure, params) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
+    """The regions named by ``SETS``, in its order."""
     return (
         taylor_region(params),
         gamma2_region(params, structure),
@@ -98,8 +101,7 @@ def _dump(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _cmd_validate(args) -> int:
-    profile = _load_profile(args.spec)
+def _cmd_validate(profile: DiagramProfile, args) -> int:
     structure = validate(profile)
     _dump({"input": profile_to_json(profile), "structure": structure.to_json()})
     return EXIT_OK
@@ -115,12 +117,11 @@ def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
     return fraction, std_error
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(profile: DiagramProfile, args) -> int:
     if args.mc_samples < 1:
         raise SpecParseError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     if args.seed < 0:
         raise SpecParseError(f"--seed must be >= 0, got {args.seed}")
-    profile = _load_profile(args.spec)
     structure = validate(profile)
     doc = {"input": profile_to_json(profile), "structure": structure.to_json()}
     if structure.is_simple:
@@ -131,9 +132,7 @@ def _cmd_report(args) -> int:
         _dump(doc)
         return EXIT_OK
     params = compute_params(profile)
-    taylor = taylor_region(params)
-    gamma2 = gamma2_region(params, structure)
-    gamma3 = gamma3_region(params, structure)
+    taylor, gamma2, gamma3 = _region_triple(structure, params)
     fraction, std_error = _area_fraction(taylor, args.mc_samples, args.seed, args.tol)
     doc["params"] = params.to_json()
     doc["taylor_band"] = {"p": str(taylor.bands[0][0]), "q": str(taylor.bands[0][1])}
@@ -163,25 +162,19 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _cmd_params(args) -> int:
-    profile = _load_profile(args.spec)
-    params = compute_params(profile)
-    _dump(params.to_json())
+def _cmd_params(profile: DiagramProfile, args) -> int:
+    _dump(compute_params(profile).to_json())
     return EXIT_OK
 
 
-def _cmd_member(args) -> int:
-    profile = _load_profile(args.spec)
-    taylor, gamma2, gamma3 = _region_triple(profile)
-    region = {"taylor": taylor, "gamma2": gamma2, "gamma3": gamma3}[args.set]
-    mu_abs = _parse_magnitude(args.mu, "mu")
-    lam_abs = _parse_magnitude(args.lam, "lambda")
-    result = region_member(region, mu_abs, lam_abs, args.tol)
+def _cmd_member(profile: DiagramProfile, args) -> int:
+    regions = _region_triple(validate(profile), compute_params(profile))
+    result = region_member(regions[SETS.index(args.set)], args.mu, args.lam, args.tol)
     _dump(
         {
             "set": args.set,
-            "mu_abs": mu_abs,
-            "lambda_abs": lam_abs,
+            "mu_abs": args.mu,
+            "lambda_abs": args.lam,
             "membership": result.state.value,
             "tol": args.tol,
         }
@@ -200,21 +193,20 @@ def _grid_rows(profile: DiagramProfile, resolution: int, tol: float):
     labels = np.array([state.value for state in CODE_STATES])
     columns = [
         labels[region_states(region, axis[:, None], axis[None, :], tol)].ravel().tolist()
-        for region in _region_triple(profile)
+        for region in _region_triple(validate(profile), compute_params(profile))
     ]
     grid = itertools.product(ticks, ticks)
     return ((mu_abs, lam_abs, *states) for (mu_abs, lam_abs), *states in zip(grid, *columns))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(profile: DiagramProfile, args) -> int:
     if args.resolution < 2:
         raise SpecParseError("--resolution must be >= 2")
-    profile = _load_profile(args.spec)
     rows = _grid_rows(profile, args.resolution, args.tol)
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["mu_abs", "lambda_abs", "taylor", "gamma2", "gamma3"])
+            writer.writerow(["mu_abs", "lambda_abs", *SETS])
             for row in rows:
                 writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", *row[2:]])
     except OSError as exc:
@@ -222,12 +214,11 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_raster(args) -> int:
+def _cmd_raster(profile: DiagramProfile, args) -> int:
     if args.width < 16 or args.height < 16:
         raise SpecParseError("--width and --height must be >= 16")
-    profile = _load_profile(args.spec)
-    taylor, gamma2, gamma3 = _region_triple(profile)
-    region = {"taylor": taylor, "gamma2": gamma2, "gamma3": gamma3}[args.set]
+    regions = _region_triple(validate(profile), compute_params(profile))
+    region = regions[SETS.index(args.set)]
     width, height = args.width, args.height
     colors = {
         Membership.INSIDE: COLOR_IN,
@@ -261,15 +252,13 @@ def _fringe_weight_indices(spec) -> range:
     return range(start + 1, start + 33)
 
 
-def _cmd_fringe(args) -> int:
-    profile = _load_profile(args.spec)
-    mu_abs = _parse_magnitude(args.mu, "mu")
-    spec = fringe_operator(profile, mu_abs)
+def _cmd_fringe(profile: DiagramProfile, args) -> int:
+    spec = fringe_operator(profile, args.mu)
     bounds = ridge_bounds(spec, compute_params(profile))
     _dump(
         {
             "kind": spec.kind.value,
-            "mu_abs": mu_abs,
+            "mu_abs": args.mu,
             "weights_first_32": spec.weights(_fringe_weight_indices(spec)).tolist(),
             "ridge_bounds": bounds.to_json(),
         }
@@ -277,22 +266,19 @@ def _cmd_fringe(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_fringe(args) -> int:
-    profile = _load_profile(args.spec)
-    mu_abs = _parse_magnitude(args.mu, "mu")
-    lam_abs = _parse_magnitude(args.lam, "lambda")
-    spec = fringe_operator(profile, mu_abs)
+def _cmd_oracle_fringe(profile: DiagramProfile, args) -> int:
+    spec = fringe_operator(profile, args.mu)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise SpecParseError(
             f"--sizes: expected comma-separated integers, got {args.sizes!r}"
         ) from exc
-    result = window_smin_scan(spec, lam_abs, sizes, j_scan=args.j_scan)
+    result = window_smin_scan(spec, args.lam, sizes, j_scan=args.j_scan)
     _dump(
         {
-            "mu_abs": mu_abs,
-            "lambda_abs": lam_abs,
+            "mu_abs": args.mu,
+            "lambda_abs": args.lam,
             "sizes": list(result.sizes),
             "smin_by_size": list(result.smin_by_size),
             "verdict": result.verdict.value,
@@ -305,15 +291,12 @@ def _finite_or_str(x: float):
     return x if math.isfinite(x) else str(x)
 
 
-def _cmd_oracle_gamma2(args) -> int:
-    profile = _load_profile(args.spec)
-    mu_abs = _parse_magnitude(args.mu, "mu")
-    lam_abs = _parse_magnitude(args.lam, "lambda")
-    verdict = gamma2_series_test(profile, mu_abs, lam_abs, args.terms, args.tol)
+def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> int:
+    verdict = gamma2_series_test(profile, args.mu, args.lam, args.terms, args.tol)
     _dump(
         {
-            "mu_abs": mu_abs,
-            "lambda_abs": lam_abs,
+            "mu_abs": args.mu,
+            "lambda_abs": args.lam,
             "classification": verdict.classification.value,
             "log10_partial_sums": [
                 {"terms": n, "down_series": _finite_or_str(lo), "up_series": _finite_or_str(hi)}
@@ -328,10 +311,7 @@ def _cmd_oracle_gamma2(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle_t3(args) -> int:
-    profile = _load_profile(args.spec)
-    mu_abs = _parse_magnitude(args.mu, "mu")
-    lam_abs = _parse_magnitude(args.lam, "lambda")
+def _cmd_oracle_t3(profile: DiagramProfile, args) -> int:
     if args.window < 4:
         raise ProbeSizeError(
             f"--window must be >= 4 (the ladder probes window // 4, window // 2 "
@@ -343,105 +323,73 @@ def _cmd_oracle_t3(args) -> int:
     windows = [(i_c - h, i_c + h, j_c - h, j_c + h) for h in halves]
     check_lattice_window(windows[-1])  # the largest rung, before any solve
     ladder = [
-        {"window": size, "smin": joint_adjoint_kernel_smin(profile, mu_abs, lam_abs, window)}
+        {"window": size, "smin": joint_adjoint_kernel_smin(profile, args.mu, args.lam, window)}
         for size, window in zip(sizes, windows)
     ]
-    _dump({"mu_abs": mu_abs, "lambda_abs": lam_abs, "smin_ladder": ladder})
+    _dump({"mu_abs": args.mu, "lambda_abs": args.lam, "smin_ladder": ladder})
     return EXIT_OK
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    # Each subcommand takes only the flags it reads; --threads is read by
-    # none and stays accepted everywhere for existing command lines.
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
-                         help="accepted for compatibility and ignored")
-    tol = argparse.ArgumentParser(add_help=False, parents=[threads])
+    # Each flag is declared once, on a parent, and each subcommand takes only
+    # the flags it reads; --threads is read by none and stays accepted
+    # everywhere for existing command lines.
+    spec, tol, mu, lam, region_set, out = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    spec.add_argument("spec")
+    spec.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility and ignored")
     tol.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="log-domain boundary tolerance (default 1e-12)")
+    mu.add_argument("--mu", type=_magnitude, required=True, help="modulus or 're,im'")
+    lam.add_argument("--lambda", dest="lam", type=_magnitude, required=True,
+                     help="modulus or 're,im'")
+    region_set.add_argument("--set", choices=SETS, default="taylor")
+    out.add_argument("--out", required=True)
+
+    def leaf(subparsers, name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, parents=[spec, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="stairspec",
         description="Taylor-spectrum calculator for staircase-diagram isometry pairs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[threads], help="check a diagram spec")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("report", parents=[tol], help="full spectral report")
-    p.add_argument("spec")
+    leaf(sub, "validate", _cmd_validate, "check a diagram spec")
+    p = leaf(sub, "report", _cmd_report, "full spectral report", tol)
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for Monte Carlo sampling (default 0)")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("params", parents=[threads], help="the six spectral parameters")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_params)
-
-    p = sub.add_parser("member", parents=[tol], help="tri-state point membership")
-    p.add_argument("spec")
-    p.add_argument("--mu", required=True, help="modulus or 're,im'")
-    p.add_argument("--lambda", dest="lam", required=True, help="modulus or 're,im'")
-    p.add_argument("--set", choices=["taylor", "gamma2", "gamma3"], default="taylor")
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("sample", parents=[tol], help="membership grid as CSV")
-    p.add_argument("spec")
+    leaf(sub, "params", _cmd_params, "the six spectral parameters")
+    leaf(sub, "member", _cmd_member, "tri-state point membership", tol, mu, lam, region_set)
+    p = leaf(sub, "sample", _cmd_sample, "membership grid as CSV", tol, out)
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("raster", parents=[tol], help="membership raster as binary PPM")
-    p.add_argument("spec")
+    p = leaf(sub, "raster", _cmd_raster, "membership raster as binary PPM", tol, out, region_set)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--set", choices=["taylor", "gamma2", "gamma3"], default="taylor")
-    p.set_defaults(func=_cmd_raster)
+    leaf(sub, "fringe", _cmd_fringe, "shift reduction at a magnitude", mu)
 
-    p = sub.add_parser("fringe", parents=[threads], help="shift reduction at a magnitude")
-    p.add_argument("spec")
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=_cmd_fringe)
-
-    p_oracle = sub.add_parser("oracle", help="numerical verification probes")
-    sub_oracle = p_oracle.add_subparsers(dest="oracle_command", required=True)
-
-    p = sub_oracle.add_parser("fringe", parents=[threads], help="windowed smin scan")
-    p.add_argument("spec")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    oracle = sub.add_parser("oracle", help="numerical verification probes")
+    sub_oracle = oracle.add_subparsers(dest="oracle_command", required=True)
+    p = leaf(sub_oracle, "fringe", _cmd_oracle_fringe, "windowed smin scan", mu, lam)
     p.add_argument("--sizes", default="256,1024,4096")
     p.add_argument("--j-scan", type=int, default=64)
-    p.set_defaults(func=_cmd_oracle_fringe)
-
-    p = sub_oracle.add_parser("gamma2", parents=[tol], help="series convergence probe")
-    p.add_argument("spec")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = leaf(sub_oracle, "gamma2", _cmd_oracle_gamma2, "series convergence probe", tol, mu, lam)
     p.add_argument("--terms", type=int, default=4096)
-    p.set_defaults(func=_cmd_oracle_gamma2)
-
-    p = sub_oracle.add_parser("t3", parents=[threads], help="joint adjoint-kernel witness")
-    p.add_argument("spec")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p = leaf(sub_oracle, "t3", _cmd_oracle_t3, "joint adjoint-kernel witness", mu, lam)
     p.add_argument("--window", type=int, default=40)
-    p.set_defaults(func=_cmd_oracle_t3)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_profile(args.spec), args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -240,28 +240,29 @@ class _BlockTable:
         return tuple(np.array(v, dtype=object) for v in (self.starts, self.targets, self.slopes))
 
 
-def _cycle_end_sums(slopes: tuple[Fraction, ...], ratio: int) -> tuple[list[int], int]:
-    """Numerators of the cycle-end averages, one per phase, over their common
-    denominator.
+def _cycle_end_sums(slopes: tuple[Fraction, ...], ratio: int) -> tuple[int, int, int]:
+    """The smallest and largest numerator of the cycle-end averages, one
+    average per phase, and their common denominator.
 
     With the slopes written as integers a_k over their lcm, the phase ending
     on slope k averages to S_k / (lcm * (1 + r + ... + r**(m-1))), where
     S_k = sum_d a_{k-d} r**(m-1-d) over d < m.  S_{m-1} is the integer Horner
     sum of a_{m-1}, ..., a_0, and S_{k-1} = r * S_k - a_k * (r**m - 1) gives
-    the other phases exactly, one multiplication each.
+    the other phases exactly, one multiplication each.  Only the running
+    extremes are kept, so memory holds a few numerators whatever m is.
     """
-    m, r = len(slopes), ratio
+    r = ratio
     lcm = math.lcm(*(s.denominator for s in slopes))
     scaled = [s.numerator * (lcm // s.denominator) for s in slopes]
-    cycle = r**m - 1
+    cycle = r ** len(slopes) - 1
     acc = 0
     for a in reversed(scaled):
         acc = acc * r + a
-    sums = [acc] * m
-    for k in range(m - 1, 0, -1):
-        acc = acc * r - scaled[k] * cycle
-        sums[k - 1] = acc
-    return sums, lcm * (cycle // (r - 1))
+    lo = hi = acc
+    for a in scaled[:0:-1]:  # a_{m-1}, ..., a_1
+        acc = acc * r - a * cycle
+        lo, hi = min(lo, acc), max(hi, acc)
+    return lo, hi, lcm * (cycle // (r - 1))
 
 
 @dataclass(frozen=True)
@@ -330,16 +331,17 @@ class GeometricBlocksTail(Tail):
     def unbounded_flat_runs(self) -> bool:
         return any(s == 0 for s in self.slopes)
 
-    def cycle_end_averages(self) -> tuple[Fraction, ...]:
-        """Limits of running averages along block ends, one per phase."""
-        numerators, denominator = _cycle_end_sums(self.slopes, self.ratio)
-        return tuple(Fraction(n, denominator) for n in numerators)
+    @cached_property
+    def _cycle_ends(self) -> tuple[int, int, int]:
+        """The extreme limits of running averages along block ends, over the
+        phases: ``_cycle_end_sums``, computed once."""
+        return _cycle_end_sums(self.slopes, self.ratio)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        numerators, denominator = _cycle_end_sums(self.slopes, self.ratio)
+        _, hi, denominator = self._cycle_ends
         return (
             ExtReal(min(self.slopes)),
-            ExtReal(Fraction(max(numerators), denominator)),
+            ExtReal(Fraction(hi, denominator)),
             ExtReal(max(self.slopes)),
         )
 
@@ -419,10 +421,10 @@ class InvertedBlocksTail(Tail):
         return self.inner.shifted_by(self._base)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        numerators, denominator = _cycle_end_sums(self.inner.slopes, self.inner.ratio)
+        lo, _, denominator = self.inner._cycle_ends
         return (
             ExtReal(1 / max(self.inner.slopes)),
-            ExtReal(Fraction(denominator, min(numerators))),
+            ExtReal(Fraction(denominator, lo)),
             ExtReal(1 / min(self.inner.slopes)),
         )
 

@@ -222,15 +222,13 @@ def window_smin_scan(
     lambda_abs: float,
     sizes: list[int],
     j_scan: int,
-    stride: int | None = None,
 ) -> WindowScanResult:
     """Minimum windowed smallest singular value per window size, with verdict.
 
     Window starts sweep [-j_scan, j_scan] (clamped into the shift's index
-    range) with stride a quarter of the window size, or ``stride`` for
-    tests that compare the scan against every window; only the windows that
-    can still lower a size's minimum are solved.  A size with stride
-    ``step`` has 2 * j_scan // step + 2 candidate starts.  A scan whose
+    range) with step ``max(1, n // 4)`` for window size n, which gives
+    2 * j_scan // step + 2 candidate starts; only the windows that can still
+    lower a size's minimum are solved.  A scan whose
     candidates, summed over its sizes, exceed ``WINDOW_START_BUDGET``, or
     whose longest window exceeds ``WINDOW_LENGTH_BUDGET``, raises
     :class:`ScanBudgetError` before it solves any window.
@@ -248,11 +246,9 @@ def window_smin_scan(
         raise ProbeSizeError("window sizes must be >= 2")
     if j_scan < 0:
         raise ProbeSizeError(f"j_scan must be >= 0, got {j_scan}")
-    if stride is not None and stride < 1:
-        raise ProbeSizeError(f"stride must be >= 1, got {stride}")
     if not 0.0 <= lambda_abs <= 1.0:
         raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
-    steps = [stride if stride is not None else max(1, n // 4) for n in sizes]
+    steps = [max(1, n // 4) for n in sizes]
     candidates = sum(2 * j_scan // step + 2 for step in steps)
     if candidates > WINDOW_START_BUDGET:
         raise ScanBudgetError(

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import stairspec
+from stairspec import cli
 from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, _build_parser, main
 from stairspec.diagram import profile_from_json, validate
 from stairspec.extnum import Membership, RegimeError, SpecError
@@ -131,6 +132,11 @@ class TestReport:
         code = main(["report", spec("half_lines_1_2"), "--mc-samples", samples])
         assert code == 2
         assert "--mc-samples must be >= 1" in capsys.readouterr().err
+
+    def test_spec_error_comes_before_flag_errors(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert main(["report", missing, "--mc-samples", "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"spec error: {missing}: ")
 
     def test_negative_seed_exits_2(self, capsys):
         """np.random.default_rng refused the seed with a traceback (exit 1)."""
@@ -641,6 +647,31 @@ LEAVES = {
 FLAG_VALUES = {"--tol": "1e-9", "--seed": "3"}
 UNREAD = [(leaf, flag) for leaf, (_, reads) in LEAVES.items()
           for flag in FLAG_VALUES if flag not in reads]
+# Every option each leaf takes besides -h/--help; each leaf's one positional is the spec.
+OPTIONS = {
+    "validate": {"--threads"},
+    "report": {"--threads", "--tol", "--mc-samples", "--seed"},
+    "params": {"--threads"},
+    "member": {"--threads", "--tol", "--mu", "--lambda", "--set"},
+    "sample": {"--threads", "--tol", "--resolution", "--out"},
+    "raster": {"--threads", "--tol", "--width", "--height", "--out", "--set"},
+    "fringe": {"--threads", "--mu"},
+    "oracle-fringe": {"--threads", "--mu", "--lambda", "--sizes", "--j-scan"},
+    "oracle-gamma2": {"--threads", "--tol", "--mu", "--lambda", "--terms"},
+    "oracle-t3": {"--threads", "--mu", "--lambda", "--window"},
+}
+MAGNITUDES = [(leaf, flag) for leaf, options in OPTIONS.items()
+              for flag in ("--mu", "--lambda") if flag in options]
+
+
+def _leaf_parsers(parser=None) -> dict:
+    """Each leaf subcommand's parser, keyed as LEAVES is."""
+    parser = parser or _build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {parser.prog.removeprefix("stairspec ").replace(" ", "-"): parser}
+    return {leaf: leaf_parser for action in subs for child in action.choices.values()
+            for leaf, leaf_parser in _leaf_parsers(child).items()}
 
 
 class TestEveryFlagIsRead:
@@ -652,21 +683,51 @@ class TestEveryFlagIsRead:
 
     def test_the_parser_has_sixteen_flag_slots(self):
         """LEAVES names every leaf of the parser and the flags it takes."""
-        taken = {}
-
-        def walk(parser):
-            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            for action in subs:
-                for child in action.choices.values():
-                    walk(child)
-            if not subs:
-                leaf = parser.prog.removeprefix("stairspec ").replace(" ", "-")
-                taken[leaf] = {opt for a in parser._actions for opt in a.option_strings
-                               if opt in ("--tol", "--seed", "--threads")}
-
-        walk(_build_parser())
+        taken = {leaf: {opt for a in parser._actions for opt in a.option_strings
+                        if opt in ("--tol", "--seed", "--threads")}
+                 for leaf, parser in _leaf_parsers().items()}
         assert taken == {leaf: {"--threads", *reads} for leaf, (_, reads) in LEAVES.items()}
         assert sum(map(len, taken.values())) == 16
+
+    def test_each_leaf_takes_exactly_its_options(self):
+        leaves = _leaf_parsers()
+        assert leaves.keys() == OPTIONS.keys() == LEAVES.keys()
+        for leaf, parser in leaves.items():
+            options = {opt for a in parser._actions for opt in a.option_strings}
+            assert options - {"-h", "--help"} == OPTIONS[leaf], leaf
+            assert [a.dest for a in parser._actions if not a.option_strings] == ["spec"], leaf
+
+    @pytest.mark.parametrize("leaf,flag", MAGNITUDES,
+                             ids=[f"{leaf}{flag}" for leaf, flag in MAGNITUDES])
+    def test_malformed_magnitude_is_a_usage_error(self, capsys, tmp_path, leaf, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self._argv(leaf, tmp_path), flag, "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected a real or 're,im', got 'x'" in captured.err
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_spec_is_loaded_once(self, capsys, monkeypatch, tmp_path, leaf):
+        """One load answers the leaf; a missing file is a spec error naming it."""
+        loads = []
+        load = cli._load_profile
+
+        def counting(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_profile", counting)
+        argv = self._argv(leaf, tmp_path)
+        assert main(argv) == 0
+        assert len(loads) == 1
+        capsys.readouterr()
+        missing = str(tmp_path / "missing.json")
+        assert main([missing if a == loads[0] else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"spec error: {missing}: ")
+        assert loads[1:] == [missing]
 
     @pytest.mark.parametrize("leaf,flag", UNREAD, ids=[f"{leaf}{flag}" for leaf, flag in UNREAD])
     def test_unread_flag_is_a_usage_error(self, capsys, tmp_path, leaf, flag):

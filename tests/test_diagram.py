@@ -312,20 +312,31 @@ class TestCycleEndAverages:
     def test_integer_sums_are_the_fraction_loop(self, slopes, ratio, base_len):
         slopes = tuple(slopes)
         want = _reference_cycle_end_averages(slopes, ratio)
-        numerators, denominator = D._cycle_end_sums(slopes, ratio)
-        assert tuple(FR(n, denominator) for n in numerators) == want
+        lo, hi, denominator = D._cycle_end_sums(slopes, ratio)
+        assert (FR(lo, denominator), FR(hi, denominator)) == (min(want), max(want))
         if len(set(slopes)) == 1:  # a single slope is a periodic tail, not a block tail
             assert want == (slopes[0],) * len(slopes)
             return
         tail = GeometricBlocksTail(slopes, ratio, base_len)
-        got = tail.cycle_end_averages()
-        assert got == want and all(type(v) is Fraction for v in got)
+        assert tail._cycle_ends == (lo, hi, denominator)
         assert tail.asymptotics() == (
             ExtReal(min(slopes)), ExtReal(max(want)), ExtReal(max(slopes)))
         if min(slopes) > 0:
             for mode in InversionMode:
                 assert InvertedBlocksTail(tail, mode).asymptotics() == (
                     ExtReal(1 / max(slopes)), ExtReal(1 / min(want)), ExtReal(1 / min(slopes)))
+
+    def test_each_block_tail_sums_its_cycles_once(self, monkeypatch):
+        """The extremes are cached on the tail; its inverses read that cache."""
+        calls = []
+        sums = D._cycle_end_sums
+        monkeypatch.setattr(D, "_cycle_end_sums", lambda *args: calls.append(args) or sums(*args))
+        tail = GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1)
+        tail.asymptotics()
+        for mode in InversionMode:
+            InvertedBlocksTail(tail, mode).asymptotics()
+        tail.asymptotics()
+        assert calls == [(tail.slopes, tail.ratio)]
 
 
 class TestExactEvaluator:

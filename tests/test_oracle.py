@@ -73,8 +73,8 @@ class TestScanBudget:
         window_smin_scan(spec, 0.3, [16, 64], j_scan=27)
         with pytest.raises(ScanBudgetError, match="gives 21 candidate window starts"):
             window_smin_scan(spec, 0.3, [16, 64], j_scan=28)
-        with pytest.raises(ScanBudgetError):
-            window_smin_scan(spec, 0.3, [16, 64], j_scan=5, stride=1)
+        with pytest.raises(ScanBudgetError, match="gives 24 candidate window starts"):
+            window_smin_scan(spec, 0.3, [2, 3], j_scan=5)  # steps 1 and 1
 
     def test_largest_benchmarked_scan_is_well_inside(self, monkeypatch):
         spec = fringe_operator(gb01_profile(), 0.5)
@@ -109,11 +109,11 @@ class TestScanBudget:
         assert 2**16 <= oracle.SERIES_TERM_BUDGET
         assert (64 + 1) ** 2 <= oracle.LATTICE_COLUMN_BUDGET
 
-    @pytest.mark.parametrize("j_scan,stride", [(-1, None), (-5, 4), (4, 0), (4, -2)])
-    def test_negative_range_or_stride_is_refused(self, j_scan, stride):
+    @pytest.mark.parametrize("j_scan", [-1, -5])
+    def test_negative_range_is_refused(self, j_scan):
         spec = fringe_operator(line_profile(), 0.5)
         with pytest.raises(ProbeSizeError):
-            window_smin_scan(spec, 0.3, [16, 64], j_scan=j_scan, stride=stride)
+            window_smin_scan(spec, 0.3, [16, 64], j_scan=j_scan)
 
 
 class TestWindowSminScan:
@@ -145,10 +145,7 @@ class TestWindowSminScan:
     def test_monotone_in_window_size(self):
         spec = fringe_operator(half_lines_profile(), 0.5)
         for lam in (0.3, 0.5, 0.7071, 0.9):
-            result = window_smin_scan(
-                spec, lam, [32, 64, 128, 256], j_scan=256, stride=1
-            )
-            ladder = result.smin_by_size
+            ladder = _every_start_minima(spec, lam, [32, 64, 128, 256], 256, 1)
             assert all(b <= a + 1e-12 for a, b in zip(ladder, ladder[1:]))
 
     def test_agreement_with_prediction_on_suite(self):
@@ -218,12 +215,12 @@ def _reference_window_smin(spec, lambda_abs, start, n) -> float:
     return math.sqrt(max(float(w[0]), 0.0))
 
 
-def _reference_scan(spec, lambda_abs, sizes, j_scan, stride=None):
-    """Every window of every size solved; the verdict rule of window_smin_scan."""
+def _reference_scan(spec, lambda_abs, sizes, j_scan, step=None):
+    """Every window of every size solved, at the scan's starts or at every
+    ``step``-th; the verdict rule of window_smin_scan."""
     minima = []
     for n in sizes:
-        step = stride if stride is not None else max(1, n // 4)
-        starts = _reference_starts(spec.j_min, spec.j_max, n, j_scan, step)
+        starts = _reference_starts(spec.j_min, spec.j_max, n, j_scan, step or max(1, n // 4))
         minima.append(min(_reference_window_smin(spec, lambda_abs, s, n) for s in starts))
     decays = all(b <= a / 2 for a, b in zip(minima, minima[1:]))
     if minima[-1] < 1e-3 and decays:
@@ -233,6 +230,16 @@ def _reference_scan(spec, lambda_abs, sizes, j_scan, stride=None):
     else:
         verdict = ScanVerdict.UNRESOLVED
     return tuple(minima), verdict
+
+
+def _every_start_minima(spec, lambda_abs, sizes, j_scan, step):
+    """Each size's smin over the starts ``step`` apart, from the scan's own
+    window solver."""
+    return tuple(
+        math.sqrt(max(oracle._min_window_eigenvalue(
+            spec, lambda_abs, n, _window_starts(spec.j_min, spec.j_max, n, j_scan, step)), 0.0))
+        for n in sizes
+    )
 
 
 _BOUNDS = st.integers(-40, 40)
@@ -294,12 +301,16 @@ class TestScanMatchesEveryWindowSolved:
         st.none() | st.integers(1, 6),
     )
     @settings(max_examples=250, deadline=None)
-    def test_bit_identical(self, profile, mu, lam, sizes, j_scan, stride):
+    def test_bit_identical(self, profile, mu, lam, sizes, j_scan, step):
         spec = fringe_operator(profile, mu)
-        result = window_smin_scan(spec, lam, sizes, j_scan=j_scan, stride=stride)
-        minima, verdict = _reference_scan(spec, lam, sizes, j_scan, stride)
-        assert [x.hex() for x in result.smin_by_size] == [x.hex() for x in minima]
-        assert result.verdict is verdict
+        minima, verdict = _reference_scan(spec, lam, sizes, j_scan, step)
+        if step is None:
+            result = window_smin_scan(spec, lam, sizes, j_scan=j_scan)
+            got = result.smin_by_size
+            assert result.verdict is verdict
+        else:
+            got = _every_start_minima(spec, lam, sizes, j_scan, step)
+        assert [x.hex() for x in got] == [x.hex() for x in minima]
 
     def test_all_shift_kinds_and_inverted_tails_are_drawn(self):
         kinds, tails = set(), set()
@@ -381,7 +392,7 @@ class TestScanSharedRead:
 
         monkeypatch.setattr(oracle, "_window_gram", recording)
         spec = fringe_operator(half_lines_profile(), 0.5)
-        window_smin_scan(spec, 0.6, [16, 64], j_scan=1024, stride=1)
+        _every_start_minima(spec, 0.6, [16, 64], 1024, 1)
         # 2050 starts a size: one read per run of n + 1 starts at most.
         assert 64 < max(reads) <= 128
         assert len(reads) <= -(-2050 // 17) + -(-2050 // 65)
