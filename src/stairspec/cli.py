@@ -8,10 +8,10 @@ size), 3 for a ``RegimeError`` (a valid spec whose requested computation is
 outside its numeric regime: a simple diagram asked for its parameters,
 regions or fringe shift, ``fringe`` and ``oracle fringe`` included; a
 magnitude out of range or NaN, a scan through non-finite rows, border
-differences beyond float64, a probe over one of its size budgets, a sparse
-eigensolver that does not converge).  A command line that does not parse,
-a malformed ``--mu`` or ``--lambda`` included, is argparse's usage error
-and exits 2 as well.
+differences beyond float64, a probe or grid over one of its size budgets,
+a sparse eigensolver that does not converge).  A command line that does not
+parse, a malformed ``--mu`` or ``--lambda`` included, is argparse's usage
+error and exits 2 as well.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .diagram import (
 from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError
 from .oracle import (
     ProbeSizeError,
+    ScanBudgetError,
     check_lattice_window,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
@@ -63,6 +64,10 @@ COLOR_BOUNDARY = (240, 200, 40)
 COLOR_OUT = (245, 245, 245)
 
 SETS = ("taylor", "gamma2", "gamma3")  # --set's choices, in _region_triple's order
+
+# The most points of a `sample` grid, a `raster` image or `report`'s Monte
+# Carlo sample, checked before any of them is allocated.
+GRID_POINT_BUDGET = 2**20
 
 
 def _load_profile(path: str) -> DiagramProfile:
@@ -96,6 +101,14 @@ def _region_triple(structure, params) -> tuple[RegionSpec, RegionSpec, RegionSpe
     )
 
 
+def _check_grid(points: int) -> None:
+    """Refuse a grid of more than ``GRID_POINT_BUDGET`` points before it is allocated."""
+    if points > GRID_POINT_BUDGET:
+        raise ScanBudgetError(
+            f"a grid of {points} points is over the budget of {GRID_POINT_BUDGET}"
+        )
+
+
 def _dump(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -108,6 +121,7 @@ def _cmd_validate(profile: DiagramProfile, args) -> int:
 
 
 def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
+    _check_grid(samples)
     rng = np.random.default_rng(seed)
     points = rng.random((samples, 2))
     codes = region_states(region, points[:, 0], points[:, 1], tol)
@@ -188,6 +202,7 @@ def _grid_rows(profile: DiagramProfile, resolution: int, tol: float):
     The regions are evaluated before the first row is produced, so a
     rejected tolerance raises before the caller writes anything.
     """
+    _check_grid(resolution**2)
     ticks = [k / (resolution - 1) for k in range(resolution)]
     axis = np.array(ticks)
     labels = np.array([state.value for state in CODE_STATES])
@@ -220,6 +235,7 @@ def _cmd_raster(profile: DiagramProfile, args) -> int:
     regions = _region_triple(validate(profile), compute_params(profile))
     region = regions[SETS.index(args.set)]
     width, height = args.width, args.height
+    _check_grid(width * height)
     colors = {
         Membership.INSIDE: COLOR_IN,
         Membership.BOUNDARY: COLOR_BOUNDARY,

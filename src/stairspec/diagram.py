@@ -850,51 +850,49 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
+def _slopes_field(obj: dict, key: str, where: str) -> tuple[Fraction, ...]:
+    raw = obj[key]
+    if not isinstance(raw, list) or not raw:
+        raise SpecParseError(f"{where}.{key}: expected a nonempty list")
+    slopes = []
+    for idx, s in enumerate(raw):
+        if not isinstance(s, (str, int)) or isinstance(s, bool):
+            raise SpecParseError(f"{where}.{key}[{idx}]: expected 'p/q' or integer, got {s!r}")
+        try:
+            slopes.append(Fraction(s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecParseError(f"{where}.{key}[{idx}]: cannot parse {s!r}") from exc
+    return tuple(slopes)
+
+
+# The spec-document form of each tail kind that has one: its class and the
+# reader of each field, read in this order.  A field is the attribute of the
+# same name, written back as it is, but slopes as 'p/q' texts.
+_TAIL_FORMS = {
+    cls.kind: (cls, fields)
+    for cls, fields in (
+        (EmptyRowsTail, {}),
+        (FullRowsTail, {}),
+        (PeriodicTail, {"period": _int_field, "rise": _int_field}),
+        (GeometricBlocksTail,
+         {"slopes": _slopes_field, "ratio": _int_field, "base_len": _int_field}),
+    )
+}
+
+
 def _tail_from_json(obj, where: str) -> Tail:
     if not isinstance(obj, dict):
         raise SpecParseError(f"{where}: expected an object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _TAIL_FORMS:
+        raise SpecParseError(f"{where}.kind: expected {'|'.join(_TAIL_FORMS)}, got {kind!r}")
+    cls, fields = _TAIL_FORMS[kind]
+    _require_keys(obj, {"kind", *fields}, where)
+    values = {key: read(obj, key, where) for key, read in fields.items()}
     try:
-        if kind == "empty":
-            _require_keys(obj, {"kind"}, where)
-            return EMPTY_ROWS
-        if kind == "full":
-            _require_keys(obj, {"kind"}, where)
-            return FULL_ROWS
-        if kind == "periodic":
-            _require_keys(obj, {"kind", "period", "rise"}, where)
-            return PeriodicTail(
-                _int_field(obj, "period", where), _int_field(obj, "rise", where)
-            )
-        if kind == "geometric":
-            _require_keys(obj, {"kind", "slopes", "ratio", "base_len"}, where)
-            raw = obj["slopes"]
-            if not isinstance(raw, list) or not raw:
-                raise SpecParseError(f"{where}.slopes: expected a nonempty list")
-            slopes = []
-            for idx, s in enumerate(raw):
-                if not isinstance(s, (str, int)) or isinstance(s, bool):
-                    raise SpecParseError(
-                        f"{where}.slopes[{idx}]: expected 'p/q' or integer, got {s!r}"
-                    )
-                try:
-                    slopes.append(Fraction(s))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SpecParseError(
-                        f"{where}.slopes[{idx}]: cannot parse {s!r}"
-                    ) from exc
-            return GeometricBlocksTail(
-                tuple(slopes),
-                _int_field(obj, "ratio", where),
-                _int_field(obj, "base_len", where),
-            )
+        return cls(**values)
     except DiagramError as exc:
-        if isinstance(exc, SpecParseError):
-            raise
         raise SpecParseError(f"{where}: {exc}") from exc
-    raise SpecParseError(
-        f"{where}.kind: expected empty|full|periodic|geometric, got {kind!r}"
-    )
 
 
 def profile_from_json(obj) -> DiagramProfile:
@@ -923,20 +921,13 @@ def profile_from_json(obj) -> DiagramProfile:
 
 
 def _tail_to_json(tail: Tail) -> dict:
-    if isinstance(tail, EmptyRowsTail):
-        return {"kind": "empty"}
-    if isinstance(tail, FullRowsTail):
-        return {"kind": "full"}
-    if isinstance(tail, PeriodicTail):
-        return {"kind": "periodic", "period": tail.period, "rise": tail.rise}
-    if isinstance(tail, GeometricBlocksTail) and tail.t_shift == 0:
-        return {
-            "kind": "geometric",
-            "slopes": [f"{s.numerator}/{s.denominator}" for s in tail.slopes],
-            "ratio": tail.ratio,
-            "base_len": tail.base_len,
-        }
-    raise DiagramError(f"tail {tail!r} has no spec-document form")
+    if tail.kind not in _TAIL_FORMS or getattr(tail, "t_shift", 0):
+        raise DiagramError(f"tail {tail!r} has no spec-document form")
+    doc = {"kind": tail.kind}
+    for key in _TAIL_FORMS[tail.kind][1]:
+        value = getattr(tail, key)
+        doc[key] = [f"{v.numerator}/{v.denominator}" for v in value] if key == "slopes" else value
+    return doc
 
 
 def profile_to_json(profile: DiagramProfile) -> dict:

@@ -19,6 +19,7 @@ operations, so both give the same answer at every point.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -134,33 +135,23 @@ class ExtReal:
                 return NotImplemented
         return self._n == other._n and self._d == other._d
 
-    def __lt__(self, other) -> bool:
-        if type(other) is not ExtReal:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self._n * other._d < other._n * self._d
+    def _order(op):
+        """An order method: coerce ``other``, then one exact cross-multiplication."""
 
-    def __le__(self, other) -> bool:
-        if type(other) is not ExtReal:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self._n * other._d <= other._n * self._d
+        def compare(self, other) -> bool:
+            if type(other) is not ExtReal:
+                other = self._coerce(other)
+                if other is None:
+                    return NotImplemented
+            return op(self._n * other._d, other._n * self._d)
 
-    def __gt__(self, other) -> bool:
-        if type(other) is not ExtReal:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self._n * other._d > other._n * self._d
+        return compare
 
-    def __ge__(self, other) -> bool:
-        if type(other) is not ExtReal:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self._n * other._d >= other._n * self._d
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+    del _order
 
     def __hash__(self) -> int:
         # The hash of the equal int or Fraction, so mixed keys agree.
@@ -228,6 +219,12 @@ def best_membership(*states: Membership) -> Membership:
 @dataclass(frozen=True)
 class BandMembership:
     state: Membership
+
+
+def check_magnitude(name: str, x: float, open: bool = False) -> None:
+    """Reject a magnitude outside [0, 1], or outside (0, 1) when ``open``; NaN too."""
+    if not (0.0 < x < 1.0 if open else 0.0 <= x <= 1.0):
+        raise BandDomainError(f"{name} must lie in {'(0, 1)' if open else '[0, 1]'}: {x}")
 
 
 def check_tolerance(tol: float) -> None:
@@ -310,10 +307,8 @@ class _Cells(NamedTuple):
     @classmethod
     def at(cls, a: float, b: float) -> "_Cells":
         """One point (a, b) = (|mu|, |lambda|)."""
-        if not 0.0 <= a <= 1.0:  # also catches NaN
-            raise BandDomainError(f"|mu| must lie in [0, 1]: {a}")
-        if not 0.0 <= b <= 1.0:
-            raise BandDomainError(f"|lambda| must lie in [0, 1]: {b}")
+        check_magnitude("|mu|", a)
+        check_magnitude("|lambda|", b)
         return cls(_ln(a), _ln(b), a == 0.0, a == 1.0, b == 0.0, b == 1.0,
                    _pick, min, max, _same)
 

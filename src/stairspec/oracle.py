@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .diagram import DiagramProfile, NEG_INF, POS_INF, float_drops, m_exact, validate
-from .extnum import DEFAULT_TOL, BandDomainError, ExtReal, RegimeError, SpecError, check_tolerance
+from .extnum import DEFAULT_TOL, ExtReal, RegimeError, SpecError, check_magnitude, check_tolerance
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
@@ -56,7 +56,8 @@ class ProbeSizeError(SpecError):
 
 class ScanBudgetError(RegimeError):
     """A probe would exceed one of its size budgets: window starts or window
-    length for a scan, terms for a series, columns for a lattice witness."""
+    length for a scan, terms for a series, columns for a lattice witness; or
+    a CLI grid its points budget."""
 
 
 class SolverConvergenceError(RegimeError):
@@ -105,39 +106,20 @@ def _window_gram(
     return lambda_abs**2 + nu**2, -lambda_abs * nu[1:]
 
 
-def _window_starts(j_min, j_max, n: int, j_scan: int, step: int) -> Iterator[int]:
-    """Distinct window starts of one scan size, ascending, generated lazily.
-
-    The candidates are range(-j_scan, j_scan + 1, step) and j_scan itself,
-    each clamped into [j_min, j_max - n + 1].  Clamping is monotone, so equal
-    starts are adjacent.  Grid points below the lower clamp all land on it,
-    so only the last of them is kept; those above the upper clamp land on it
-    as j_scan does, so none of them is kept.  The generator holds O(1) memory
-    and visits O(distinct starts) candidates whatever ``j_scan`` is.
-    """
-    lo = None if j_min == NEG_INF else int(j_min)
-    hi = None if j_max == POS_INF else int(j_max) - n + 1
-    grid = range(-j_scan, j_scan + 1, step)
-    if lo is not None:
-        grid = grid[max(-((grid.start - lo) // step) - 1, 0):]
-    if hi is not None:
-        grid = grid[: max((hi - grid.start) // step + 1, 0)]
-    last = None
-    for s in itertools.chain(grid, (j_scan,)):
-        if lo is not None:
-            s = max(s, lo)
-        if hi is not None:
-            s = min(s, hi)
-        if s != last:
-            yield s
-            last = s
+def _window_starts(j_min, j_max, n: int, j_scan: int, step: int) -> list[int]:
+    """Distinct window starts of one scan size, ascending: the candidates
+    range(-j_scan, j_scan + 1, step) and j_scan itself, each clamped into
+    [j_min, j_max - n + 1].  ``window_smin_scan`` bounds their number by
+    ``WINDOW_START_BUDGET`` before it asks for them."""
+    candidates = itertools.chain(range(-j_scan, j_scan + 1, step), (j_scan,))
+    return sorted({min(max(s, j_min), j_max - n + 1) for s in candidates})
 
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _runs(starts: Iterator[int], n: int) -> Iterator[list[int]]:
+def _runs(starts: list[int], n: int) -> Iterator[list[int]]:
     """Ascending ``starts`` cut into runs whose windows of length ``n`` span
     at most 2n rows: a run ends before the first start more than n past its
     own first start."""
@@ -172,7 +154,7 @@ def _stebz(diag: np.ndarray, off: np.ndarray, top: float | None = None) -> np.nd
 
 
 def _min_window_eigenvalue(
-    spec: ShiftSpec, lambda_abs: float, n: int, starts: Iterator[int]
+    spec: ShiftSpec, lambda_abs: float, n: int, starts: list[int]
 ) -> float:
     """Smallest Gram eigenvalue over the windows of length ``n`` at ``starts``.
 
@@ -246,8 +228,7 @@ def window_smin_scan(
         raise ProbeSizeError("window sizes must be >= 2")
     if j_scan < 0:
         raise ProbeSizeError(f"j_scan must be >= 0, got {j_scan}")
-    if not 0.0 <= lambda_abs <= 1.0:
-        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+    check_magnitude("|lambda|", lambda_abs)
     steps = [max(1, n // 4) for n in sizes]
     candidates = sum(2 * j_scan // step + 2 for step in steps)
     if candidates > WINDOW_START_BUDGET:
@@ -321,8 +302,8 @@ def gamma2_series_test(
         raise ParameterRegimeError(
             "empty rows below: the witness cannot exist for lambda != 0"
         )
-    if not 0.0 < mu_abs < 1.0 or not 0.0 < lambda_abs < 1.0:
-        raise BandDomainError(f"need 0 < |mu| < 1 and 0 < |lambda| < 1: {mu_abs}, {lambda_abs}")
+    check_magnitude("|mu|", mu_abs, open=True)
+    check_magnitude("|lambda|", lambda_abs, open=True)
     if n_terms < 8:
         raise ProbeSizeError(f"need n_terms >= 8, got {n_terms}")
     if n_terms > SERIES_TERM_BUDGET:
@@ -441,10 +422,13 @@ def _lattice_stack(
     ``z`` side.  ``step = +1`` gives the forward shifts, whose images stay in
     the diagram; ``step = -1`` gives their adjoints, which drop the images
     that leave it.  Image rows are numbered by their first appearance in
-    that order.
+    that order.  Magnitudes a, b outside [0, 1] and a window over budget are
+    refused before anything is assembled.
     """
     import scipy.sparse
 
+    check_magnitude("|mu|", a)
+    check_magnitude("|lambda|", b)
     check_lattice_window(window)
     i_lo, i_hi, j_lo, j_hi = window
     width, height = i_hi - i_lo + 1, j_hi - j_lo + 3
@@ -535,12 +519,7 @@ def joint_adjoint_kernel_smin(
     nearby.  Phases are dropped: a diagonal phase rotation of the basis
     turns the general case into the nonnegative one.
     """
-    mu_abs, lam_abs = abs(mu), abs(lam)
-    if not (mu_abs <= 1.0 and lam_abs <= 1.0):  # also catches NaN
-        raise BandDomainError(
-            f"the witness is only probed on the closed bidisc: {mu_abs}, {lam_abs}"
-        )
-    return _stacked_smin(_lattice_stack(profile, window, mu_abs, lam_abs, -1))
+    return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam), -1))
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,12 @@ from .diagram import (
 from .extnum import (
     DEFAULT_TOL,
     EXT_INF,
-    BandDomainError,
     BandMembership,
     ExtReal,
     Membership,
-    RegimeError,
     SpecError,
     best_membership,
+    check_magnitude,
     pow_ext,
 )
 from .params import SpectralParams, require_nonsimple
@@ -45,10 +44,6 @@ from .params import SpectralParams, require_nonsimple
 # Drops above this give weight 0.0: every float |mu| < 1 is at most
 # 1 - 2**-53, and (1 - 2**-53)**(2**64) underflows.
 _DROP_CAP = 2**64
-
-
-class MuOutOfRangeError(RegimeError):
-    """The shift reduction needs 0 < |mu| < 1."""
 
 
 class ShiftKind(Enum):
@@ -107,8 +102,7 @@ def fringe_operator(profile: DiagramProfile, mu_abs: float) -> ShiftSpec:
     oracle is needed.
     """
     structure = validate(profile)
-    if not 0.0 < mu_abs < 1.0:
-        raise MuOutOfRangeError(f"|mu| must lie in (0, 1): {mu_abs}")
+    check_magnitude("|mu|", mu_abs, open=True)
     require_nonsimple(structure)
     j0, j1 = structure.j0, structure.j1
     if j0 == NEG_INF and j1 == POS_INF:
@@ -222,8 +216,7 @@ def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) ->
     (even on a degenerate circle) report inside; the boundary state is the
     thin outside collar within ``DEFAULT_TOL`` in the log domain.
     """
-    if not 0.0 <= lambda_abs <= 1.0:
-        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+    check_magnitude("|lambda|", lambda_abs)
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
         state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
         return BandMembership(state)

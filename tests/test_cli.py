@@ -473,6 +473,12 @@ class TestFringeAndOracle:
         assert captured.err.startswith(prefix)
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command,domain", [("gamma2", "(0, 1)"), ("t3", "[0, 1]")])
+    def test_oracle_magnitude_message_names_its_domain(self, capsys, command, domain):
+        argv = ["oracle", command, spec("half_lines_1_2"), "--mu", "1.5", "--lambda", "0.5"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"numeric-regime error: |mu| must lie in {domain}: 1.5\n"
+
     @pytest.mark.parametrize("window", ["-8", "0", "3"])
     def test_oracle_t3_window_below_4_exits_2(self, capsys, window):
         argv = ["oracle", "t3", spec("wold_mixed_pair"), "--mu", "0.5", "--lambda", "0.5"]
@@ -507,7 +513,11 @@ class TestFringeAndOracle:
         def solved(*args):
             raise AssertionError("a window was solved")
 
+        def started(*args):
+            raise AssertionError("a window start was made")
+
         monkeypatch.setattr(oracle, "_window_gram", solved)
+        monkeypatch.setattr(oracle, "_window_starts", started)
         code = main(
             ["oracle", "fringe", spec(name), "--mu", "0.5", "--lambda", "0.5",
              "--sizes", "16,64", "--j-scan", "1000000000"]
@@ -623,6 +633,41 @@ def test_oracle_over_a_size_budget_exits_3_before_reading_rows(capsys, monkeypat
     assert captured.out == ""
     assert captured.err.startswith("numeric-regime error: ")
     assert "budget of" in captured.err and captured.err.count("\n") == 1
+
+
+# Each grid flag just over the points budget of 2**20, refused before any
+# membership is evaluated or any output file is opened.
+GRID_OVER_BUDGET = {
+    "resolution": ["sample", "--resolution", "1025", "--out", "OUT"],
+    "width-height": ["raster", "--width", "1024", "--height", "1025", "--out", "OUT"],
+    "mc-samples": ["report", "--mc-samples", str(2**20 + 1)],
+}
+
+
+@pytest.mark.parametrize("argv", list(GRID_OVER_BUDGET.values()), ids=list(GRID_OVER_BUDGET))
+def test_grid_over_its_points_budget_exits_3_before_evaluating(
+    capsys, monkeypatch, tmp_path, argv
+):
+    def evaluated(*args):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(cli, "region_states", evaluated)
+    command, *options = argv
+    out = tmp_path / "out"
+    options = [str(out) if option == "OUT" else option for option in options]
+    assert main([command, spec("half_lines_1_2"), *options]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric-regime error: a grid of ")
+    assert captured.err.endswith("points is over the budget of 1048576\n")
+    assert not out.exists()
+
+
+def test_raster_at_the_points_budget_is_drawn(tmp_path):
+    out = tmp_path / "r.ppm"
+    argv = ["raster", spec("half_lines_1_2"), "--width", "1024", "--height", "1024"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.stat().st_size == len(b"P6\n1024 1024\n255\n") + 3 * 2**20
 
 
 # Each leaf subcommand, a command line it answers with exit 0 ("OUT" is a file
@@ -755,7 +800,7 @@ class TestExitCodeIsTheBaseClass:
                 if issubclass(cls, Exception) and cls.__module__ == info.name
                 and cls not in (SpecError, RegimeError)
             ]
-        assert len(errors) >= 17  # DiagramError and its five, ProbeSizeError, the ten of exit 3
+        assert len(errors) >= 16  # DiagramError and its five, ProbeSizeError, the nine of exit 3
         for cls in errors:
             assert issubclass(cls, SpecError) != issubclass(cls, RegimeError), cls
 

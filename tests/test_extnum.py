@@ -47,6 +47,21 @@ class TestExtReal:
         assert all(v < EXT_INF for v in values[:-1])
         assert not EXT_INF < EXT_INF
 
+    @pytest.mark.parametrize("other", [0.5, -1, "1", None], ids=repr)
+    @pytest.mark.parametrize("x", [ZERO, ExtReal(Fraction(1, 2)), EXT_INF], ids=str)
+    def test_unsupported_operands(self, x, other):
+        """Only nonnegative ints and Fractions compare with an ExtReal."""
+        assert not x == other
+        assert x != other
+        for compare in (
+            lambda: x < other,
+            lambda: x <= other,
+            lambda: x > other,
+            lambda: x >= other,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
     def test_parse_and_str(self):
         assert str(ExtReal(Fraction(1, 2))) == "1/2"
         assert str(ExtReal(3)) == "3/1"
