@@ -17,9 +17,7 @@ error and exits 2 as well.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import itertools
 import json
 import math
 import sys
@@ -196,34 +194,26 @@ def _cmd_member(profile: DiagramProfile, args) -> int:
     return EXIT_OK
 
 
-def _grid_rows(profile: DiagramProfile, resolution: int, tol: float):
-    """Rows (mu_abs, lambda_abs, taylor, gamma2, gamma3), |mu| outermost.
-
-    The regions are evaluated before the first row is produced, so a
-    rejected tolerance raises before the caller writes anything.
-    """
-    _check_grid(resolution**2)
-    ticks = [k / (resolution - 1) for k in range(resolution)]
-    axis = np.array(ticks)
-    labels = np.array([state.value for state in CODE_STATES])
+def _cmd_sample(profile: DiagramProfile, args) -> int:
+    n = args.resolution
+    if n < 2:
+        raise SpecParseError("--resolution must be >= 2")
+    _check_grid(n**2)
+    axis = np.array([k / (n - 1) for k in range(n)])
+    labels = np.array([state.value for state in CODE_STATES], dtype=object)
+    # Every region is evaluated before the file is opened, so a rejected
+    # tolerance writes nothing.
     columns = [
-        labels[region_states(region, axis[:, None], axis[None, :], tol)].ravel().tolist()
+        labels[region_states(region, axis[:, None], axis[None, :], args.tol)].ravel()
         for region in _region_triple(validate(profile), compute_params(profile))
     ]
-    grid = itertools.product(ticks, ticks)
-    return ((mu_abs, lam_abs, *states) for (mu_abs, lam_abs), *states in zip(grid, *columns))
-
-
-def _cmd_sample(profile: DiagramProfile, args) -> int:
-    if args.resolution < 2:
-        raise SpecParseError("--resolution must be >= 2")
-    rows = _grid_rows(profile, args.resolution, args.tol)
+    ticks = [f"{t:.12g}" for t in axis.tolist()]
+    mu_column = np.repeat(np.array(ticks, dtype=object), n)  # |mu| outermost
+    rows = map(",".join, zip(mu_column, ticks * n, *columns))
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["mu_abs", "lambda_abs", *SETS])
-            for row in rows:
-                writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", *row[2:]])
+            handle.write(",".join(["mu_abs", "lambda_abs", *SETS]) + "\r\n")
+            handle.writelines(row + "\r\n" for row in rows)
     except OSError as exc:
         raise SpecParseError(f"{args.out}: {exc}") from exc
     return EXIT_OK

@@ -208,7 +208,7 @@ class Membership(Enum):
 
     @property
     def rank(self) -> int:
-        return {"out": 0, "boundary": 1, "in": 2}[self.value]
+        return CODE_STATES.index(self)
 
 
 def best_membership(*states: Membership) -> Membership:
@@ -238,7 +238,7 @@ def check_tolerance(tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 CODE_STATES = (Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE)
-"""Membership of each code the kernel returns: the ``Membership.rank`` order."""
+"""Membership of each code the kernel returns; a state's index is its ``rank``."""
 
 _OUT, _BOUNDARY, _IN = (state.rank for state in CODE_STATES)
 
@@ -253,9 +253,12 @@ def _log(x: np.ndarray) -> np.ndarray:
 
     numpy's vectorized log differs from libm's by one ulp on a fraction of a
     percent of inputs, so arrays take the same libm call as single points and
-    every slack is the same double on both paths.
+    every slack is the same double on both paths: ``math.log`` mapped over the
+    nonzero values, with -inf put back at the zeros.
     """
-    return np.array([_ln(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    zero = x == 0.0
+    logs = np.fromiter(map(math.log, np.where(zero, 1.0, x).ravel().tolist()), float, x.size)
+    return np.where(zero, -math.inf, logs.reshape(x.shape))
 
 
 def _pick(cond: bool, x, y):

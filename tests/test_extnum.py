@@ -16,6 +16,8 @@ from stairspec.extnum import (
     BandDomainError,
     ExtReal,
     Membership,
+    _ln,
+    _log,
     band_member,
     envelope_pair_member,
     pow_ext,
@@ -275,6 +277,29 @@ def test_band_kernels_match_reference(data):
                 ref.band_member(a, b, p, q, tol)
         else:
             assert band_member(a, b, p, q, tol) == ref.band_member(a, b, p, q, tol)
+
+
+# ---------------------------------------------------------------------------
+# The array log against the scalar one
+# ---------------------------------------------------------------------------
+
+_EDGE_MAGNITUDES = [0.0, -0.0, 1.0, 5e-324, 2.0**-1040, 2.0**-1022 - 5e-324, 2.0**-1022]
+_magnitudes = st.sampled_from(_EDGE_MAGNITUDES) | st.floats(0.0, 1.0)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_array_log_is_scalar_log(data):
+    """``_log`` takes libm's log of each element, as ``_ln`` does, bit for bit."""
+    n = data.draw(st.integers(1, 20))
+    shape = data.draw(st.sampled_from([(), (0,), (n,), (n, 1), (1, n)]))
+    values = data.draw(st.lists(_magnitudes, min_size=math.prod(shape),
+                                max_size=math.prod(shape)))
+    x = np.array(values, dtype=float).reshape(shape)
+    want = np.array([_ln(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    got = _log(x)
+    assert got.shape == x.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ COMMANDS = {
     "validate": (["validate"], []),
     "params": (["params"], []),
     "report": (["report"], ["--mc-samples", "20000"]),
+    "report_200000": (["report"], ["--mc-samples", "200000"]),
     "fringe": (["fringe"], ["--mu", "0.5"]),
     "oracle_gamma2": (["oracle", "gamma2"], ["--mu", "0.5", "--lambda", "0.6", "--terms", "256"]),
     "oracle_fringe": (["oracle", "fringe"], ["--mu", "0.5", "--lambda", "0.7", "--sizes", "16,64"]),
     "sample": (["sample"], ["--resolution", "21", "--out", "OUT"]),
+    "sample_257": (["sample"], ["--resolution", "257", "--out", "OUT"]),
     **{f"member_{s}": (["member"], ["--mu", "0.4", "--lambda", "0.5", "--set", s]) for s in SETS},
     **{f"raster_{s}": (["raster"], ["--width", "32", "--height", "32", "--out", "OUT", "--set", s])
        for s in SETS},
