@@ -13,7 +13,6 @@ from .diagram import (
     FullRowsTail,
     GeometricBlocksTail,
     PeriodicTail,
-    borders,
     eval_M,
     eval_N,
     profile_from_json,
@@ -32,7 +31,7 @@ from .regions import (
     region_states,
     taylor_region,
 )
-from .shifts import fringe_operator, ppi_census, ridge_bounds, sigma_ap_predict
+from .shifts import fringe_operator, ridge_bounds, sigma_ap_predict
 from .oracle import (
     gamma1_empty_check,
     gamma2_series_test,

@@ -4,16 +4,14 @@ A diagram here is an up-right-closed subset of the integer lattice.  It is
 fully described by the non-increasing sequence of row minima ``M_j``; a
 :class:`DiagramProfile` keeps an explicit finite window of that sequence plus
 a symbolic rule for each infinite tail.  That is enough to evaluate ``M_j``
-everywhere, enumerate borders and corners on any viewport, classify the
-structure of the induced pair of shift operators, and transpose or translate
-the diagram exactly.  A profile is checked when it is built, so every
-profile the rest of the library sees is valid.
+everywhere, classify the structure of the induced pair of shift operators,
+and transpose or translate the diagram exactly.  A profile is checked when
+it is built, so every profile the rest of the library sees is valid.
 
 Tail families
 -------------
-Every family derives from ``Tail``: a finite, non-constant tail with no
-unbounded flat runs that may sit on either side, unless its class says
-otherwise.
+Every family derives from ``Tail``: a finite, non-constant tail that may sit
+on either side, unless its class says otherwise.
 
 * ``EmptyRowsTail`` -- rows are empty beyond the window (``M_j = +inf``);
   minus side only.
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -112,8 +110,7 @@ def _ints(values, *anchors: int) -> np.ndarray:
 #
 # Every tail kind derives from ``Tail`` and says only where it differs from
 # its defaults: the rows stay finite beyond the window, the tail is not a
-# constant run (``is_rise_zero``), has no arbitrarily long flat runs
-# (``unbounded_flat_runs``), and may sit on either side of the window
+# constant run (``is_rise_zero``), and may sit on either side of the window
 # (``sides``).  Empty rows may sit only below the window (the minus side),
 # full rows only above it (the plus side), and an inverted tail only on the
 # side its ``mode`` was built for; a profile refuses any other placement
@@ -131,9 +128,6 @@ class Tail:
     sides = (Side.MINUS, Side.PLUS)
 
     def is_rise_zero(self) -> bool:
-        return False
-
-    def unbounded_flat_runs(self) -> bool:
         return False
 
 
@@ -189,9 +183,6 @@ class PeriodicTail(Tail):
         return Fraction(self.rise, self.period)
 
     def is_rise_zero(self) -> bool:
-        return self.rise == 0
-
-    def unbounded_flat_runs(self) -> bool:
         return self.rise == 0
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
@@ -323,14 +314,6 @@ class GeometricBlocksTail(Tail):
         out -= self._base
         return out
 
-    def shifted_by(self, extra: int) -> "GeometricBlocksTail":
-        return GeometricBlocksTail(
-            self.slopes, self.ratio, self.base_len, self.t_shift + extra
-        )
-
-    def unbounded_flat_runs(self) -> bool:
-        return any(s == 0 for s in self.slopes)
-
     @cached_property
     def _cycle_ends(self) -> tuple[int, int, int]:
         """The extreme limits of running averages along block ends, over the
@@ -418,7 +401,7 @@ class InvertedBlocksTail(Tail):
 
     def uninverted(self) -> GeometricBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
-        return self.inner.shifted_by(self._base)
+        return replace(self.inner, t_shift=self.inner.t_shift + self._base)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         lo, _, denominator = self.inner._cycle_ends
@@ -457,7 +440,6 @@ class StructureReport:
     wold_z: WoldType
     j0: MValue
     j1: MValue
-    outer_nonempty: bool
 
     def to_json(self) -> dict:
         def _j(v: MValue):
@@ -536,12 +518,12 @@ def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     drops = window[0] > window[-1] or any(  # the window is non-increasing
         tail.finite and not tail.is_rise_zero() for tail in (minus, plus)
     )
-    inner_nonempty = drops or not plus.finite
-    outer_nonempty = drops or not minus.finite
+    has_inner = drops or not plus.finite  # some inner corner exists
+    has_outer = drops or not minus.finite  # some outer corner exists
 
-    if not inner_nonempty:
+    if not has_inner:
         defect = DefectClass.NON_NEGATIVE  # simple diagram
-    elif not outer_nonempty:
+    elif not has_outer:
         defect = DefectClass.NON_POSITIVE  # the notched-plane class
     else:
         defect = DefectClass.DIFFERENCE_OF_PROJECTIONS
@@ -550,9 +532,7 @@ def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     wold_z = (
         WoldType.MIXED_UNITARY_AND_SHIFT if minus.is_rise_zero() else WoldType.PURE_SHIFT
     )
-    return StructureReport(
-        not inner_nonempty, defect, wold_w, wold_z, j0, j1, outer_nonempty
-    )
+    return StructureReport(not has_inner, defect, wold_w, wold_z, j0, j1)
 
 
 def _beyond(profile: DiagramProfile, ts: np.ndarray, side: Side) -> np.ndarray:
@@ -688,58 +668,6 @@ def eval_N(profile: DiagramProfile, i: int) -> MValue:
     """Column border value N_i = inf{j : M_j <= i}: a Python int, or -inf for a
     full column and +inf for an empty one."""
     return n_exact(profile, [i]).item()
-
-
-# ---------------------------------------------------------------------------
-# Borders and corners
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BorderReport:
-    vb: tuple[tuple[int, int], ...]
-    hb: tuple[tuple[int, int], ...]
-    inner: tuple[tuple[int, int], ...]
-    outer: tuple[tuple[int, int], ...]
-    outer_nonempty: bool
-    inner_nonempty: bool
-
-
-def borders(profile: DiagramProfile, viewport: tuple[int, int, int, int]) -> BorderReport:
-    """Enumerate border and corner points inside ``viewport``.
-
-    ``viewport`` is ``(i_lo, i_hi, j_lo, j_hi)``, all inclusive.  The global
-    nonemptiness flags are decided symbolically from the tails, so they are
-    meaningful even when the viewport misses every witness.
-    """
-    i_lo, i_hi, j_lo, j_hi = viewport
-    if i_hi < i_lo or j_hi < j_lo:
-        raise DiagramError(f"empty viewport: {viewport}")
-    structure = validate(profile)
-    vb, hb, inner, outer = [], [], [], []
-    rows = m_exact(profile, range(j_lo - 1, j_hi + 1)).tolist()
-    for j, mprev, mj in zip(range(j_lo, j_hi + 1), rows, rows[1:]):
-        mj_int = isinstance(mj, int)
-        if mj_int and i_lo <= mj <= i_hi:
-            vb.append((mj, j))
-        if mj < mprev:
-            if mj_int or mj == NEG_INF:
-                lo = max(i_lo, mj) if mj_int else i_lo
-                hi = min(i_hi, mprev - 1) if isinstance(mprev, int) else i_hi
-                hb.extend((i, j) for i in range(lo, hi + 1))
-            if mj_int and i_lo <= mj <= i_hi:
-                outer.append((mj, j))
-            if isinstance(mprev, int) and i_lo <= mprev <= i_hi:
-                inner.append((mprev, j))
-
-    return BorderReport(
-        vb=tuple(vb),
-        hb=tuple(hb),
-        inner=tuple(inner),
-        outer=tuple(outer),
-        outer_nonempty=structure.outer_nonempty,
-        inner_nonempty=not structure.is_simple,
-    )
 
 
 # ---------------------------------------------------------------------------

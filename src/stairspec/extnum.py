@@ -90,25 +90,9 @@ class ExtReal:
     def infinity(cls) -> "ExtReal":
         return cls(None)
 
-    @classmethod
-    def parse(cls, text: str) -> "ExtReal":
-        """Parse the serialized forms: "inf", "n", or "num/den"."""
-        text = text.strip()
-        if text == "inf":
-            return cls(None)
-        try:
-            return cls(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BandDomainError(f"cannot parse extended real: {text!r}") from exc
-
     @property
     def is_infinite(self) -> bool:
         return not self._d
-
-    def as_fraction(self) -> Fraction:
-        if not self._d:
-            raise BandDomainError("infinity has no fractional value")
-        return Fraction(self._n, self._d)
 
     def reciprocal(self) -> "ExtReal":
         """1/x with the conventions 1/0 = inf and 1/inf = 0."""

@@ -435,7 +435,7 @@ def _lattice_stack(
     # Rows k = 0 .. height - 1 are j_lo - 1 .. j_hi + 1, and column offsets
     # x = i - (i_lo - 1) run over 0 .. width + 1.  With the row minima, +-inf
     # included, clipped to that range, (x, k) is in the diagram exactly when
-    # cut[k] <= x.  Object arithmetic keeps borders beyond int64 exact.
+    # cut[k] <= x.  Object arithmetic keeps border values beyond int64 exact.
     rows = m_exact(profile, range(j_lo - 1, j_hi + 2)).astype(object)
     cut = (np.minimum(np.maximum(rows, i_lo - 1), i_hi + 1) - (i_lo - 1)).astype(np.int64)
     starts = np.maximum(cut[1:-1], 1)  # first column of rows j_lo .. j_hi
@@ -525,10 +525,6 @@ def joint_adjoint_kernel_smin(
 @dataclass(frozen=True)
 class Gamma1Report:
     entries: tuple[tuple[float, float, float], ...]  # (|mu|, |lambda|, smin)
-
-    @property
-    def all_certified(self) -> bool:
-        return all(smin >= TAU_OUT_DEFAULT for _, _, smin in self.entries)
 
 
 def gamma1_empty_check(

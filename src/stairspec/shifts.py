@@ -6,9 +6,6 @@ shift whose weights are |mu| raised to consecutive border drops.  This
 module builds that shift description, evaluates the exact spectral-radius
 style bounds (geometric-mean asymptotics of weight products, which for these
 weights are again |mu| to the spectral parameters), and predicts membership.
-For mu = 0 the shift degenerates to a power partial isometry; the census
-here records its backward/unilateral parts and the truncated-block gap
-statistics that decide closed-range failure.
 """
 
 from __future__ import annotations
@@ -229,52 +226,3 @@ def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) ->
         intervals = ((b.i_plus, b.r_plus), (b.r_plus, b.i_minus), (b.i_minus, b.r_minus))
     states = (_radius_interval_member(lambda_abs, b.mu_abs, lo, hi) for lo, hi in intervals)
     return BandMembership(best_membership(*states))
-
-
-@dataclass(frozen=True)
-class PpiCensus:
-    """Census of the mu = 0 power partial isometry.
-
-    ``index_histogram`` maps truncated-block index (gap between consecutive
-    border drops) to its multiplicity within the scanned range; the
-    unboundedness flag is decided symbolically from the tails so it reflects
-    the whole diagram, not just the scan.
-    """
-
-    has_backward: bool
-    has_unilateral: bool
-    truncated_indices_unbounded: bool
-    index_histogram: dict[int, int]
-
-
-def ppi_census(profile: DiagramProfile, scan: int) -> PpiCensus:
-    """Drop positions and gap statistics over [-scan, scan].
-
-    A backward-shift part exists exactly when the minus tail stops dropping
-    (constant rows below); a unilateral part when the plus tail does.  Gap
-    lengths are unbounded exactly when a tail keeps producing arbitrarily
-    long flat runs: a zero-rise periodic tail or geometric blocks containing
-    a zero slope.
-    """
-    if scan < 1:
-        raise SpecError("scan must be >= 1")
-    rows = m_exact(profile, range(-scan, scan + 1)).tolist()
-    drops = [
-        j
-        for j, mj, mnext in zip(range(-scan, scan), rows, rows[1:])
-        if isinstance(mj, int) and mj > mnext
-    ]
-    histogram: dict[int, int] = {}
-    for left, right in zip(drops, drops[1:]):
-        gap = right - left
-        histogram[gap] = histogram.get(gap, 0) + 1
-    unbounded = (
-        profile.minus_tail.unbounded_flat_runs()
-        or profile.plus_tail.unbounded_flat_runs()
-    )
-    return PpiCensus(
-        has_backward=profile.minus_tail.is_rise_zero(),
-        has_unilateral=profile.plus_tail.is_rise_zero(),
-        truncated_indices_unbounded=unbounded,
-        index_histogram=histogram,
-    )

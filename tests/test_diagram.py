@@ -29,7 +29,6 @@ from stairspec.diagram import (
     TailMismatch,
     UnsupportedTranspose,
     WoldType,
-    borders,
     eval_M,
     eval_N,
     m_exact,
@@ -526,8 +525,6 @@ class TestColumnBorders:
             monkeypatch.setattr(module, "eval_N", counted("eval_N", eval_N), raising=False)
         for profile in transpose_duality_suite():
             transpose(transpose(transpose(profile)))
-            borders(profile, (-20, 20, -20, 20))
-            shifts.ppi_census(profile, 64)
             oracle.joint_adjoint_kernel_smin(profile, 0.5, 0.5, (-6, 6, -6, 6))
         assert calls == []
 
@@ -557,65 +554,6 @@ class TestColumnBorders:
         with pytest.raises(AssertionError) as failure:
             D._check_transpose(original, result)
         assert str(failure.value) == f"transpose self-check failed at {message}"
-
-
-class TestBorders:
-    def test_quarter_plane_single_corner(self):
-        report = borders(simple_quarter_profile(), (-2, 2, -2, 2))
-        assert report.outer == ((0, 0),)
-        assert report.inner == ()
-        assert report.outer_nonempty and not report.inner_nonempty
-
-    def test_notched_plane_single_inner(self):
-        report = borders(notched_plane_profile(), (-3, 3, -3, 3))
-        assert not report.outer_nonempty
-        assert report.inner_nonempty
-        assert report.inner == ((0, 1),)
-        assert report.outer == ()
-
-    def test_line_staircase_against_bruteforce(self):
-        line = line_profile()
-        viewport = (-3, 3, -3, 3)
-        report = borders(line, viewport)
-
-        def in_j(i, j):
-            return eval_M(line, j) <= i
-
-        vb, hb, inner, outer = [], [], [], []
-        for j in range(-3, 4):
-            for i in range(-3, 4):
-                if not in_j(i, j):
-                    continue
-                if not in_j(i - 1, j):
-                    vb.append((i, j))
-                if not in_j(i, j - 1):
-                    hb.append((i, j))
-                if in_j(i - 1, j) and in_j(i, j - 1) and not in_j(i - 1, j - 1):
-                    inner.append((i, j))
-        outer = sorted(set(vb) & set(hb))
-        assert sorted(report.vb) == sorted(vb)
-        assert sorted(report.hb) == sorted(hb)
-        assert sorted(report.inner) == sorted(inner)
-        assert sorted(report.outer) == outer
-        assert len(report.outer) == 7
-        assert report.inner_nonempty
-
-    @pytest.mark.parametrize("name,profile", canonical_nonsimple())
-    def test_viewport_against_bruteforce(self, name, profile):
-        viewport = (-4, 4, -4, 4)
-        report = borders(profile, viewport)
-
-        def in_j(i, j):
-            return eval_M(profile, j) <= i
-
-        for i, j in report.vb:
-            assert in_j(i, j) and not in_j(i - 1, j)
-        for i, j in report.hb:
-            assert in_j(i, j) and not in_j(i, j - 1)
-        for i, j in report.outer:
-            assert (i, j) in set(report.vb) and (i, j) in set(report.hb)
-        for i, j in report.inner:
-            assert in_j(i - 1, j) and in_j(i, j - 1) and not in_j(i - 1, j - 1)
 
 
 class TestTranslate:

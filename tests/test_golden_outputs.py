@@ -7,9 +7,6 @@ leave every digest as it is.  Regenerate the file only for an intended change
 of output, and record why in the change log:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
-
-``oracle t3`` is not covered: the last digits of ARPACK's answer can vary
-between BLAS builds.
 """
 
 import contextlib
@@ -38,6 +35,8 @@ COMMANDS = {
     "fringe": (["fringe"], ["--mu", "0.5"]),
     "oracle_gamma2": (["oracle", "gamma2"], ["--mu", "0.5", "--lambda", "0.6", "--terms", "256"]),
     "oracle_fringe": (["oracle", "fringe"], ["--mu", "0.5", "--lambda", "0.7", "--sizes", "16,64"]),
+    **{f"oracle_t3_{n}": (["oracle", "t3"], ["--mu", "0.5", "--lambda", "0.6", "--window", str(n)])
+       for n in (40, 64)},
     "sample": (["sample"], ["--resolution", "21", "--out", "OUT"]),
     "sample_257": (["sample"], ["--resolution", "257", "--out", "OUT"]),
     **{f"member_{s}": (["member"], ["--mu", "0.4", "--lambda", "0.5", "--set", s]) for s in SETS},

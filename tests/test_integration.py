@@ -21,6 +21,7 @@ from stairspec.diagram import (
     InvertedBlocksTail,
     PeriodicTail,
     UnsupportedTranspose,
+    WoldType,
     eval_M,
     eval_N,
     transpose,
@@ -30,7 +31,7 @@ from stairspec.extnum import Membership
 from stairspec.oracle import ScanVerdict, window_smin_scan
 from stairspec.params import compute_params, estimate_params_bruteforce
 from stairspec.regions import parts_consistency_check
-from stairspec.shifts import ShiftKind, fringe_operator, ppi_census, ridge_bounds, sigma_ap_predict
+from stairspec.shifts import ShiftKind, fringe_operator, ridge_bounds, sigma_ap_predict
 
 FR = Fraction
 
@@ -144,9 +145,9 @@ class TestInvertedTailsThroughPipeline:
 
     def test_census_on_inverted_tails(self):
         flipped = _transposed_gb_profile()
-        census = ppi_census(flipped, 64)
-        assert not census.truncated_indices_unbounded  # positive slopes only
-        assert not census.has_backward and not census.has_unilateral
+        structure = validate(flipped)  # both isometries are pure shifts
+        assert structure.wold_w is WoldType.PURE_SHIFT
+        assert structure.wold_z is WoldType.PURE_SHIFT
 
     def test_scan_on_inverted_tails(self):
         flipped = _transposed_gb_profile()
@@ -165,7 +166,7 @@ class TestInvertedTailsThroughPipeline:
         bounds = ridge_bounds(spec, compute_params(flipped))
         # deep inside the union of predicted intervals: between mu**rho_plus
         # and mu**delta_minus the dual spectrum is connected
-        lam = 0.5 ** float(compute_params(flipped).eta_minus.as_fraction())
+        lam = 0.5 ** float(compute_params(flipped).eta_minus)
         state = sigma_ap_predict(spec, bounds, lam).state
         result = window_smin_scan(spec, lam, [256, 1024, 4096], j_scan=4096)
         if result.verdict is ScanVerdict.INSIDE_AP_SPECTRUM:

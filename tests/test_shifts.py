@@ -17,7 +17,6 @@ from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
     ShiftKind,
     fringe_operator,
-    ppi_census,
     ridge_bounds,
     sigma_ap_predict,
 )
@@ -27,7 +26,6 @@ from conftest import (
     gb01_profile,
     half_lines_profile,
     line_profile,
-    notched_plane_profile,
     quarter_steps_profile,
     wold_mixed_profile,
 )
@@ -266,39 +264,18 @@ class TestSigmaApPredict:
 
 
 class TestPpiCensus:
-    def test_line_every_index_one(self):
-        census = ppi_census(line_profile(), 20)
-        assert set(census.index_histogram) == {1}
-        assert not census.truncated_indices_unbounded
-        assert not census.has_backward and not census.has_unilateral
-
-    def test_backward_part(self):
-        census = ppi_census(notched_plane_profile(), 20)
-        assert census.has_backward
-        census = ppi_census(wold_mixed_profile(), 20)
-        assert census.has_backward
-
-    def test_unilateral_part(self):
-        census = ppi_census(quarter_steps_profile(), 20)
-        assert census.has_unilateral
-
-    def test_gb_unbounded_gaps(self):
-        census = ppi_census(gb01_profile(), 200)
-        assert census.truncated_indices_unbounded
-        assert max(census.index_histogram) >= 16
+    """At mu = 0 the fringe shift is a power partial isometry."""
 
     @pytest.mark.parametrize("name,profile", canonical_nonsimple())
     def test_consistency_with_mu_zero_membership(self, name, profile):
-        # On shift/shift profiles the census unboundedness flag must agree
-        # with membership of {|mu| = 0} x circle points in the final locus.
+        # On shift/shift profiles {|mu| = 0} x circle points lie in the final
+        # locus exactly when an extreme exponent is zero.
         structure = validate(profile)
         from stairspec.regions import WoldCase, wold_case
 
         if wold_case(structure) is not WoldCase.SHIFT_SHIFT:
             return
         params = compute_params(profile)
-        census = ppi_census(profile, 64)
         member = region_member(gamma3_region(params, structure), 0.0, 0.7).state
         zero_extreme = params.delta_minus == ExtReal(0) or params.delta_plus == ExtReal(0)
-        assert census.truncated_indices_unbounded == zero_extreme
         assert (member is Membership.INSIDE) == zero_extreme, name
