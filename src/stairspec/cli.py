@@ -2,14 +2,16 @@
 
 Subcommands: validate | report | params | member | sample | raster | fringe |
 oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
-for the schema.  The exit code is the base class of the error that stops a
-command: 0 ok, 2 for a ``SpecError`` (a malformed or invalid spec or probe
-size), 3 for a ``RegimeError`` (a valid spec whose requested computation is
-outside its numeric regime: a simple diagram asked for its parameters,
-regions or fringe shift, ``fringe`` and ``oracle fringe`` included; a
-magnitude out of range or NaN, a scan through non-finite rows, border
-differences beyond float64, a probe or grid over one of its size budgets,
-a sparse eigensolver that does not converge).  A command line that does not
+for the schema.  Every refusal is one of the library's two error types,
+and the exit code says which; stderr carries its message, which names the
+check that refused.  0 ok, 2 for a ``SpecError`` (a malformed or invalid
+spec, a flag value no command can run with, or an output file that cannot
+be written), 3 for a ``RegimeError`` (a valid spec whose requested
+computation is outside its numeric regime: a simple diagram asked for its
+parameters, regions or fringe shift, ``fringe`` and ``oracle fringe``
+included; a magnitude out of range or NaN, a scan through non-finite rows,
+border differences beyond float64, a probe or grid over one of its size
+budgets, a sparse eigensolver that does not converge).  A command line that does not
 parse, a malformed ``--mu`` or ``--lambda`` included, is argparse's usage
 error and exits 2 as well.
 """
@@ -26,15 +28,13 @@ import numpy as np
 
 from .diagram import (
     DiagramProfile,
-    SpecParseError,
+    json_number,
     profile_from_json,
     profile_to_json,
     validate,
 )
 from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError
 from .oracle import (
-    ProbeSizeError,
-    ScanBudgetError,
     check_lattice_window,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
@@ -73,9 +73,9 @@ def _load_profile(path: str) -> DiagramProfile:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise SpecParseError(f"{path}: {exc}") from exc
+        raise SpecError(f"{path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an int, too deep
-        raise SpecParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise SpecError(f"{path}: invalid JSON: {exc}") from exc
     return profile_from_json(doc)
 
 
@@ -102,7 +102,7 @@ def _region_triple(structure, params) -> tuple[RegionSpec, RegionSpec, RegionSpe
 def _check_grid(points: int) -> None:
     """Refuse a grid of more than ``GRID_POINT_BUDGET`` points before it is allocated."""
     if points > GRID_POINT_BUDGET:
-        raise ScanBudgetError(
+        raise RegimeError(
             f"a grid of {points} points is over the budget of {GRID_POINT_BUDGET}"
         )
 
@@ -131,9 +131,9 @@ def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
 
 def _cmd_report(profile: DiagramProfile, args) -> int:
     if args.mc_samples < 1:
-        raise SpecParseError(f"--mc-samples must be >= 1, got {args.mc_samples}")
+        raise SpecError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     if args.seed < 0:
-        raise SpecParseError(f"--seed must be >= 0, got {args.seed}")
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
     structure = validate(profile)
     doc = {"input": profile_to_json(profile), "structure": structure.to_json()}
     if structure.is_simple:
@@ -197,7 +197,7 @@ def _cmd_member(profile: DiagramProfile, args) -> int:
 def _cmd_sample(profile: DiagramProfile, args) -> int:
     n = args.resolution
     if n < 2:
-        raise SpecParseError("--resolution must be >= 2")
+        raise SpecError("--resolution must be >= 2")
     _check_grid(n**2)
     axis = np.array([k / (n - 1) for k in range(n)])
     labels = np.array([state.value for state in CODE_STATES], dtype=object)
@@ -215,13 +215,13 @@ def _cmd_sample(profile: DiagramProfile, args) -> int:
             handle.write(",".join(["mu_abs", "lambda_abs", *SETS]) + "\r\n")
             handle.writelines(row + "\r\n" for row in rows)
     except OSError as exc:
-        raise SpecParseError(f"{args.out}: {exc}") from exc
+        raise SpecError(f"{args.out}: {exc}") from exc
     return EXIT_OK
 
 
 def _cmd_raster(profile: DiagramProfile, args) -> int:
     if args.width < 16 or args.height < 16:
-        raise SpecParseError("--width and --height must be >= 16")
+        raise SpecError("--width and --height must be >= 16")
     regions = _region_triple(validate(profile), compute_params(profile))
     region = regions[SETS.index(args.set)]
     width, height = args.width, args.height
@@ -241,7 +241,7 @@ def _cmd_raster(profile: DiagramProfile, args) -> int:
             handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
             handle.write(pixels)
     except OSError as exc:
-        raise SpecParseError(f"{args.out}: {exc}") from exc
+        raise SpecError(f"{args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -277,7 +277,7 @@ def _cmd_oracle_fringe(profile: DiagramProfile, args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
-        raise SpecParseError(
+        raise SpecError(
             f"--sizes: expected comma-separated integers, got {args.sizes!r}"
         ) from exc
     result = window_smin_scan(spec, args.lam, sizes, j_scan=args.j_scan)
@@ -293,10 +293,6 @@ def _cmd_oracle_fringe(profile: DiagramProfile, args) -> int:
     return EXIT_OK
 
 
-def _finite_or_str(x: float):
-    return x if math.isfinite(x) else str(x)
-
-
 def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> int:
     verdict = gamma2_series_test(profile, args.mu, args.lam, args.terms, args.tol)
     _dump(
@@ -305,13 +301,13 @@ def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> int:
             "lambda_abs": args.lam,
             "classification": verdict.classification.value,
             "log10_partial_sums": [
-                {"terms": n, "down_series": _finite_or_str(lo), "up_series": _finite_or_str(hi)}
+                {"terms": n, "down_series": json_number(lo), "up_series": json_number(hi)}
                 for n, lo, hi in verdict.log10_partial_sums
             ],
-            "root_minus": _finite_or_str(verdict.root_minus),
-            "root_plus": _finite_or_str(verdict.root_plus),
-            "predicted_root_minus": _finite_or_str(verdict.predicted_root_minus),
-            "predicted_root_plus": _finite_or_str(verdict.predicted_root_plus),
+            "root_minus": json_number(verdict.root_minus),
+            "root_plus": json_number(verdict.root_plus),
+            "predicted_root_minus": json_number(verdict.predicted_root_minus),
+            "predicted_root_plus": json_number(verdict.predicted_root_plus),
         }
     )
     return EXIT_OK
@@ -319,7 +315,7 @@ def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> int:
 
 def _cmd_oracle_t3(profile: DiagramProfile, args) -> int:
     if args.window < 4:
-        raise ProbeSizeError(
+        raise SpecError(
             f"--window must be >= 4 (the ladder probes window // 4, window // 2 "
             f"and window), got {args.window}"
         )

@@ -47,34 +47,6 @@ POS_INF = float("inf")
 MValue = int | float  # integer, or +-inf at the degenerate tails
 
 
-class DiagramError(SpecError):
-    """Base class for profile construction and validation failures."""
-
-
-class MonotonicityViolation(DiagramError):
-    """The window values fail to be non-increasing."""
-
-
-class TailMismatch(DiagramError):
-    """A tail kind was placed on a side where it cannot define a diagram."""
-
-
-class DegenerateAllEqualSlopes(DiagramError):
-    """Geometric blocks with all slopes equal must be expressed as periodic."""
-
-
-class UnsupportedTranspose(DiagramError):
-    """The transpose would need a tail outside the supported families."""
-
-
-class SpecParseError(DiagramError):
-    """A diagram spec document is malformed; the message carries the field path."""
-
-
-class BorderOverflowError(RegimeError):
-    """A border value or difference asked for as a float is beyond the float64 range."""
-
-
 class Side(Enum):
     MINUS = "minus"
     PLUS = "plus"
@@ -168,9 +140,9 @@ class PeriodicTail(Tail):
 
     def __post_init__(self):
         if self.period < 1:
-            raise DiagramError(f"periodic tail needs period >= 1, got {self.period}")
+            raise SpecError(f"periodic tail needs period >= 1, got {self.period}")
         if self.rise < 0:
-            raise DiagramError(f"periodic tail needs rise >= 0, got {self.rise}")
+            raise SpecError(f"periodic tail needs rise >= 0, got {self.rise}")
 
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
         exact = (_top(ts) + 1) * (self.rise + self.period) >= _INT64_GUARD
@@ -275,19 +247,19 @@ class GeometricBlocksTail(Tail):
 
     def __post_init__(self):
         if not self.slopes:
-            raise DiagramError("geometric tail needs at least one slope")
+            raise SpecError("geometric tail needs at least one slope")
         if any(s < 0 for s in self.slopes):
-            raise DiagramError("geometric tail slopes must be >= 0")
+            raise SpecError("geometric tail slopes must be >= 0")
         if len(set(self.slopes)) == 1:
-            raise DegenerateAllEqualSlopes(
+            raise SpecError(
                 "all block slopes equal; use a periodic tail instead"
             )
         if self.ratio < 2:
-            raise DiagramError(f"geometric tail needs ratio >= 2, got {self.ratio}")
+            raise SpecError(f"geometric tail needs ratio >= 2, got {self.ratio}")
         if self.base_len < 1:
-            raise DiagramError(f"geometric tail needs base_len >= 1, got {self.base_len}")
+            raise SpecError(f"geometric tail needs base_len >= 1, got {self.base_len}")
         if self.t_shift < 0:
-            raise DiagramError(f"geometric tail needs t_shift >= 0, got {self.t_shift}")
+            raise SpecError(f"geometric tail needs t_shift >= 0, got {self.t_shift}")
 
     @cached_property
     def _table(self) -> _BlockTable:
@@ -352,11 +324,11 @@ class InvertedBlocksTail(Tail):
 
     def __post_init__(self):
         if any(s <= 0 for s in self.inner.slopes):
-            raise UnsupportedTranspose(
+            raise SpecError(
                 "a zero-slope block would invert to infinite-slope blocks"
             )
         if self.base_t < 0:
-            raise DiagramError(f"base_t must be >= 0, got {self.base_t}")
+            raise SpecError(f"base_t must be >= 0, got {self.base_t}")
 
     @property
     def sides(self) -> tuple[Side, ...]:
@@ -432,6 +404,13 @@ class WoldType(Enum):
     MIXED_UNITARY_AND_SHIFT = "mixed_unitary_and_shift"
 
 
+def json_number(x: int | float) -> int | float | str:
+    """A number as a JSON value: an int or finite float as itself, and inf,
+    -inf or nan as that text.  Ints are taken first: ``math.isfinite``
+    raises on an int beyond float64."""
+    return x if isinstance(x, int) or math.isfinite(x) else str(x)
+
+
 @dataclass(frozen=True)
 class StructureReport:
     is_simple: bool
@@ -442,16 +421,13 @@ class StructureReport:
     j1: MValue
 
     def to_json(self) -> dict:
-        def _j(v: MValue):
-            return v if isinstance(v, int) else ("-inf" if v == NEG_INF else "inf")
-
         return {
             "is_simple": self.is_simple,
             "defect_class": self.defect_class.value,
             "wold_w": self.wold_w.value,
             "wold_z": self.wold_z.value,
-            "j0": _j(self.j0),
-            "j1": _j(self.j1),
+            "j0": json_number(self.j0),
+            "j1": json_number(self.j1),
         }
 
 
@@ -462,9 +438,9 @@ class DiagramProfile:
     ``window[k]`` is M_{j_lo + k}; ``minus_tail`` governs j < j_lo and
     ``plus_tail`` governs j > j_hi.  A profile is checked when it is built:
     the window must be a nonempty non-increasing tuple of ints and each tail
-    must sit on one of its ``sides``, or a :class:`DiagramError` subclass is
-    raised.  The structure report of the check is kept on the (immutable)
-    profile, and :func:`validate` returns it.
+    must sit on one of its ``sides``, or a ``SpecError`` is raised.  The
+    structure report of the check is kept on the (immutable) profile, and
+    :func:`validate` returns it.
     """
 
     j_lo: int
@@ -497,18 +473,18 @@ def validate(profile: DiagramProfile) -> StructureReport:
 def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     window = profile.window
     if not window:
-        raise DiagramError("window must contain at least one value")
+        raise SpecError("window must contain at least one value")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in window):
-        raise DiagramError("window values must be integers")
+        raise SpecError("window values must be integers")
     for left, right in zip(window, window[1:]):
         if right > left:
-            raise MonotonicityViolation(
+            raise SpecError(
                 f"window must be non-increasing, got {left} before {right}"
             )
     minus, plus = profile.minus_tail, profile.plus_tail
     for side, tail in ((Side.MINUS, minus), (Side.PLUS, plus)):
         if not isinstance(tail, Tail) or side not in tail.sides:
-            raise TailMismatch(
+            raise SpecError(
                 f"{side.value}_tail: {tail!r} does not define a diagram on the {side.value} side"
             )
 
@@ -596,8 +572,7 @@ def float_drops(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
     Each operand is monotone (or one value, broadcast), so its ends bound it:
     the difference runs in int64 while every end is below the guard and on
-    Python ints otherwise.  A difference beyond float64 raises
-    :class:`BorderOverflowError`.
+    Python ints otherwise.  A difference beyond float64 raises ``RegimeError``.
     """
     ends = (upper[0], upper[-1], lower[0], lower[-1])
     if upper.dtype == lower.dtype == np.int64 and max(abs(int(v)) for v in ends) < _INT64_GUARD:
@@ -607,20 +582,19 @@ def float_drops(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     try:
         return drops.astype(np.float64)
     except OverflowError as exc:
-        raise BorderOverflowError("a border difference is beyond the float64 range") from exc
+        raise RegimeError("a border difference is beyond the float64 range") from exc
 
 
 def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
     """M_j over j_from..j_to inclusive, as float64 (+-inf allowed): the
     float64 view of :func:`m_exact`.
 
-    Raises :class:`BorderOverflowError` when a finite value is beyond the
-    float64 range.
+    Raises ``RegimeError`` when a finite value is beyond the float64 range.
     """
     try:
         return m_exact(profile, range(j_from, j_to + 1)).astype(np.float64)
     except OverflowError as exc:
-        raise BorderOverflowError(
+        raise RegimeError(
             f"a border value in [{j_from}, {j_to}] is beyond the float64 range"
         ) from exc
 
@@ -691,8 +665,8 @@ def _transposed(tail: Tail, side: Side) -> tuple[Tail, int]:
     window-top adjustment (c_top - w_hi) for the minus side, the
     window-bottom adjustment (c_bot - w_lo) for the plus side.
 
-    A geometric tail with a zero slope is refused with
-    :class:`UnsupportedTranspose` by its inverse.
+    A geometric tail with a zero slope is refused with ``SpecError`` by its
+    inverse.
     """
     plus = side is Side.PLUS
     if not tail.finite:
@@ -713,11 +687,11 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
 
     The reflected border sequence is the column sequence of the original:
     ``eval_M(transpose(P), k) == eval_N(P, k)`` for every k.  Raises
-    :class:`UnsupportedTranspose` when a geometric tail contains a zero
-    slope (its inverse would need infinite-slope blocks).
+    ``SpecError`` when a geometric tail contains a zero slope (its inverse
+    would need infinite-slope blocks).
     """
     if validate(profile).is_simple and profile.minus_tail.finite:
-        raise UnsupportedTranspose(
+        raise SpecError(
             "the diagram is a half-plane: every row of its transpose is empty or full"
         )
     new_plus, top_adjust = _transposed(profile.minus_tail, Side.MINUS)
@@ -731,7 +705,7 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     values = n_exact(profile, range(w_lo, w_hi + 1)).tolist()
     for k, n in enumerate(values, w_lo):
         if not isinstance(n, int):
-            raise UnsupportedTranspose(
+            raise SpecError(
                 f"transposed window value at column {k} is not finite"
             )
 
@@ -765,31 +739,31 @@ def _check_transpose(original: DiagramProfile, result: DiagramProfile) -> None:
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
     extra = set(obj) - keys
     if extra:
-        raise SpecParseError(f"{where}: unknown fields {sorted(extra)}")
+        raise SpecError(f"{where}: unknown fields {sorted(extra)}")
     missing = keys - set(obj)
     if missing:
-        raise SpecParseError(f"{where}: missing fields {sorted(missing)}")
+        raise SpecError(f"{where}: missing fields {sorted(missing)}")
 
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecParseError(f"{where}.{key}: expected an integer, got {value!r}")
+        raise SpecError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
 
 
 def _slopes_field(obj: dict, key: str, where: str) -> tuple[Fraction, ...]:
     raw = obj[key]
     if not isinstance(raw, list) or not raw:
-        raise SpecParseError(f"{where}.{key}: expected a nonempty list")
+        raise SpecError(f"{where}.{key}: expected a nonempty list")
     slopes = []
     for idx, s in enumerate(raw):
         if not isinstance(s, (str, int)) or isinstance(s, bool):
-            raise SpecParseError(f"{where}.{key}[{idx}]: expected 'p/q' or integer, got {s!r}")
+            raise SpecError(f"{where}.{key}[{idx}]: expected 'p/q' or integer, got {s!r}")
         try:
             slopes.append(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"{where}.{key}[{idx}]: cannot parse {s!r}") from exc
+            raise SpecError(f"{where}.{key}[{idx}]: cannot parse {s!r}") from exc
     return tuple(slopes)
 
 
@@ -810,27 +784,27 @@ _TAIL_FORMS = {
 
 def _tail_from_json(obj, where: str) -> Tail:
     if not isinstance(obj, dict):
-        raise SpecParseError(f"{where}: expected an object")
+        raise SpecError(f"{where}: expected an object")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _TAIL_FORMS:
-        raise SpecParseError(f"{where}.kind: expected {'|'.join(_TAIL_FORMS)}, got {kind!r}")
+        raise SpecError(f"{where}.kind: expected {'|'.join(_TAIL_FORMS)}, got {kind!r}")
     cls, fields = _TAIL_FORMS[kind]
     _require_keys(obj, {"kind", *fields}, where)
     values = {key: read(obj, key, where) for key, read in fields.items()}
     try:
         return cls(**values)
-    except DiagramError as exc:
-        raise SpecParseError(f"{where}: {exc}") from exc
+    except SpecError as exc:
+        raise SpecError(f"{where}: {exc}") from exc
 
 
 def profile_from_json(obj) -> DiagramProfile:
     """Parse a diagram spec document; unknown fields are rejected."""
     if not isinstance(obj, dict):
-        raise SpecParseError("top level: expected an object")
+        raise SpecError("top level: expected an object")
     _require_keys(obj, {"window", "minus_tail", "plus_tail"}, "top level")
     win = obj["window"]
     if not isinstance(win, dict):
-        raise SpecParseError("window: expected an object")
+        raise SpecError("window: expected an object")
     _require_keys(win, {"j_lo", "values"}, "window")
     j_lo = _int_field(win, "j_lo", "window")
     values = win["values"]
@@ -839,18 +813,15 @@ def profile_from_json(obj) -> DiagramProfile:
         or not values
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
     ):
-        raise SpecParseError("window.values: expected a nonempty list of integers")
+        raise SpecError("window.values: expected a nonempty list of integers")
     minus_tail = _tail_from_json(obj["minus_tail"], "minus_tail")
     plus_tail = _tail_from_json(obj["plus_tail"], "plus_tail")
-    try:
-        return DiagramProfile(j_lo, tuple(values), minus_tail, plus_tail)
-    except DiagramError as exc:
-        raise SpecParseError(str(exc)) from exc
+    return DiagramProfile(j_lo, tuple(values), minus_tail, plus_tail)
 
 
 def _tail_to_json(tail: Tail) -> dict:
     if tail.kind not in _TAIL_FORMS or getattr(tail, "t_shift", 0):
-        raise DiagramError(f"tail {tail!r} has no spec-document form")
+        raise SpecError(f"tail {tail!r} has no spec-document form")
     doc = {"kind": tail.kind}
     for key in _TAIL_FORMS[tail.kind][1]:
         value = getattr(tail, key)

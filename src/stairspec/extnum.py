@@ -40,10 +40,6 @@ class RegimeError(ValueError):
     """Base of every refusal of a valid input outside the numeric regime: the CLI exits 3."""
 
 
-class BandDomainError(RegimeError):
-    """Raised when a magnitude or exponent argument leaves the supported domain."""
-
-
 class ExtReal:
     """An exact element of [0, inf]: a reduced nonnegative fraction or infinity.
 
@@ -76,7 +72,7 @@ class ExtReal:
             return
         frac = value if isinstance(value, (int, Fraction)) else Fraction(value)
         if frac.numerator < 0:
-            raise BandDomainError(f"negative value not representable: {value}")
+            raise RegimeError(f"negative value not representable: {value}")
         _init(self, frac.numerator, frac.denominator)
 
     def __setattr__(self, name, value):
@@ -147,7 +143,7 @@ class ExtReal:
         try:
             return f"{self._n}/{self._d}"
         except ValueError as exc:  # past the interpreter's int-to-str digit limit
-            raise BandDomainError(
+            raise RegimeError(
                 "exponent has more decimal digits than the interpreter writes "
                 f"({self._n.bit_length()}-bit numerator, {self._d.bit_length()}-bit denominator)"
             ) from exc
@@ -179,7 +175,7 @@ def pow_ext(base: float, exponent: ExtReal) -> float:
     """base**exponent for base in (0, 1] and an exact exponent in [0, inf]:
     float power keeps the conventions 1.0 ** inf = 1.0 and b ** inf = 0.0."""
     if not 0.0 < base <= 1.0:
-        raise BandDomainError(f"base must lie in (0, 1]: {base}")
+        raise RegimeError(f"base must lie in (0, 1]: {base}")
     return base ** float(exponent)
 
 
@@ -208,13 +204,13 @@ class BandMembership:
 def check_magnitude(name: str, x: float, open: bool = False) -> None:
     """Reject a magnitude outside [0, 1], or outside (0, 1) when ``open``; NaN too."""
     if not (0.0 < x < 1.0 if open else 0.0 <= x <= 1.0):
-        raise BandDomainError(f"{name} must lie in {'(0, 1)' if open else '[0, 1]'}: {x}")
+        raise RegimeError(f"{name} must lie in {'(0, 1)' if open else '[0, 1]'}: {x}")
 
 
 def check_tolerance(tol: float) -> None:
     """Reject a boundary tolerance that is not a positive finite number."""
     if not (tol > 0.0 and math.isfinite(tol)):
-        raise BandDomainError(f"tolerance must be positive and finite: {tol}")
+        raise RegimeError(f"tolerance must be positive and finite: {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ class _Cells(NamedTuple):
         for name, x in (("|mu|", a), ("|lambda|", b)):
             bad = ~((x >= 0.0) & (x <= 1.0))  # also catches NaN
             if bad.any():
-                raise BandDomainError(f"{name} must lie in [0, 1]: {x[bad][0]}")
+                raise RegimeError(f"{name} must lie in [0, 1]: {x[bad][0]}")
         full = partial(np.full, np.broadcast_shapes(a.shape, b.shape))
         return cls(_log(a), _log(b), a == 0.0, a == 1.0, b == 0.0, b == 1.0,
                    np.where, np.minimum, np.maximum, full)
@@ -338,7 +334,7 @@ def _classify_slacks(cells: _Cells, slack, tol: float):
 
 def _check_band(p: ExtReal, q: ExtReal) -> None:
     if q < p:
-        raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
+        raise RegimeError(f"band requires p <= q, got p={p}, q={q}")
 
 
 def _band_states(cells: _Cells, p: ExtReal, q: ExtReal, tol: float):

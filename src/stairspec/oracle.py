@@ -38,33 +38,6 @@ TAU_IN_DEFAULT = 1e-3
 TAU_OUT_DEFAULT = 5e-2
 
 
-class DegenerateSpecError(RegimeError):
-    """The scan was asked to resolve a finite nilpotent block numerically."""
-
-
-class ParameterRegimeError(RegimeError):
-    """The series test needs the border sequence to stay finite downward."""
-
-
-class EmptyWindowError(RegimeError):
-    """The requested lattice window misses the diagram entirely."""
-
-
-class ProbeSizeError(SpecError):
-    """Window sizes, a scan range or a term count that no probe can run with."""
-
-
-class ScanBudgetError(RegimeError):
-    """A probe would exceed one of its size budgets: window starts or window
-    length for a scan, terms for a series, columns for a lattice witness; or
-    a CLI grid its points budget."""
-
-
-class SolverConvergenceError(RegimeError):
-    """An eigensolver did not converge: the sparse one of a lattice witness,
-    or stebz on a scan window."""
-
-
 # Size budgets, each checked before the probe allocates anything.  The most
 # candidate window starts one scan may sweep, summed over its sizes; the
 # longest scan window; the most terms of each half of a series; the most
@@ -147,7 +120,7 @@ def _stebz(diag: np.ndarray, off: np.ndarray, top: float | None = None) -> np.nd
     else:
         m, w, _, _, info = dstebz(diag, off, 1, -1.0, top, 1, 1, top + 2.0, "E")
     if info:
-        raise SolverConvergenceError(
+        raise RegimeError(
             f"stebz did not converge on a window of length {diag.size} (info {info})"
         )
     return w[:m]
@@ -213,31 +186,31 @@ def window_smin_scan(
     lower a size's minimum are solved.  A scan whose
     candidates, summed over its sizes, exceed ``WINDOW_START_BUDGET``, or
     whose longest window exceeds ``WINDOW_LENGTH_BUDGET``, raises
-    :class:`ScanBudgetError` before it solves any window.
+    ``RegimeError`` before it solves any window.
     Verdicts: inside when the ladder keeps halving and ends below
     ``TAU_IN_DEFAULT``; outside when it ends at or above ``TAU_OUT_DEFAULT``
     without significant decay; unresolved otherwise.
     """
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
-        raise DegenerateSpecError(
+        raise RegimeError(
             "finite nilpotent block: membership holds exactly at lambda = 0"
         )
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ProbeSizeError("sizes must be at least two strictly increasing window lengths")
+        raise SpecError("sizes must be at least two strictly increasing window lengths")
     if any(n < 2 for n in sizes):
-        raise ProbeSizeError("window sizes must be >= 2")
+        raise SpecError("window sizes must be >= 2")
     if j_scan < 0:
-        raise ProbeSizeError(f"j_scan must be >= 0, got {j_scan}")
+        raise SpecError(f"j_scan must be >= 0, got {j_scan}")
     check_magnitude("|lambda|", lambda_abs)
     steps = [max(1, n // 4) for n in sizes]
     candidates = sum(2 * j_scan // step + 2 for step in steps)
     if candidates > WINDOW_START_BUDGET:
-        raise ScanBudgetError(
+        raise RegimeError(
             f"j_scan = {j_scan} gives {candidates} candidate window starts, more than "
             f"the budget of {WINDOW_START_BUDGET}"
         )
     if sizes[-1] > WINDOW_LENGTH_BUDGET:
-        raise ScanBudgetError(
+        raise RegimeError(
             f"window length {sizes[-1]} is over the budget of {WINDOW_LENGTH_BUDGET}"
         )
 
@@ -299,15 +272,15 @@ def gamma2_series_test(
     """
     structure = validate(profile)
     if structure.j0 != NEG_INF:
-        raise ParameterRegimeError(
+        raise RegimeError(
             "empty rows below: the witness cannot exist for lambda != 0"
         )
     check_magnitude("|mu|", mu_abs, open=True)
     check_magnitude("|lambda|", lambda_abs, open=True)
     if n_terms < 8:
-        raise ProbeSizeError(f"need n_terms >= 8, got {n_terms}")
+        raise SpecError(f"need n_terms >= 8, got {n_terms}")
     if n_terms > SERIES_TERM_BUDGET:
-        raise ScanBudgetError(f"{n_terms} terms are over the budget of {SERIES_TERM_BUDGET}")
+        raise RegimeError(f"{n_terms} terms are over the budget of {SERIES_TERM_BUDGET}")
     check_tolerance(tol)
 
     log_mu = math.log(mu_abs)
@@ -399,10 +372,10 @@ def check_lattice_window(window: tuple[int, int, int, int]) -> None:
     ``LATTICE_COLUMN_BUDGET`` points, before anything is assembled."""
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
-        raise EmptyWindowError(f"degenerate window: {window}")
+        raise RegimeError(f"degenerate window: {window}")
     points = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
     if points > LATTICE_COLUMN_BUDGET:
-        raise ScanBudgetError(
+        raise RegimeError(
             f"a lattice window of {points} points is over the budget of {LATTICE_COLUMN_BUDGET}"
         )
 
@@ -442,7 +415,7 @@ def _lattice_stack(
     counts = width + 1 - starts
     n_cols = int(counts.sum())
     if not n_cols:
-        raise EmptyWindowError("window does not intersect the diagram")
+        raise RegimeError("window does not intersect the diagram")
     k = np.repeat(np.arange(1, height - 1), counts)
     x = np.arange(n_cols) - np.repeat(np.cumsum(counts) - counts - starts, counts)
 
@@ -494,7 +467,7 @@ def _stacked_smin(matrix) -> float:
                 gram.tocsc(), k=1, sigma=-1e-10, which="LM", v0=np.ones(n_cols), rng=0
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise SolverConvergenceError(
+            raise RegimeError(
                 f"the sparse eigensolver did not converge on a {n_cols}-column lattice window"
             ) from exc
     v = vectors[:, 0]

@@ -25,21 +25,13 @@ from .diagram import DiagramProfile, Side, StructureReport, float_drops, m_exact
 from .extnum import ExtReal, RegimeError, SpecError
 
 
-class SimpleDiagramError(RegimeError):
-    """Parameters, regions and the fringe shift are only defined for non-simple diagrams."""
-
-
 def require_nonsimple(structure: StructureReport) -> None:
     """Refuse a simple diagram, the one case the band machinery leaves out."""
     if structure.is_simple:
-        raise SimpleDiagramError(
+        raise RegimeError(
             "simple diagram: the pair is doubly commuting and the band "
             "machinery does not apply"
         )
-
-
-class ScanOverflowError(RegimeError):
-    """A finite scan ran into rows that are empty or full."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +151,20 @@ def estimate_params_bruteforce(
 
     Every difference of border values is taken exactly and then rounded once
     to float64, so the estimate does not change when the diagram is
-    translated; a difference beyond float64 raises
-    :class:`BorderOverflowError`.  The eta scan skips the blocks that cannot
-    raise its maximum (see :func:`_eta_max`) and reads the rest in blocks of
-    at most ``_ETA_CHUNK`` values, so memory stays O(j_span + _ETA_CHUNK)
-    plus one bound per block.  Requires both tails finite over the scan;
-    raises :class:`ScanOverflowError` otherwise.
+    translated; a difference beyond float64 raises ``RegimeError``.  The eta
+    scan skips the blocks that cannot raise its maximum (see
+    :func:`_eta_max`) and reads the rest in blocks of at most ``_ETA_CHUNK``
+    values, so memory stays O(j_span + _ETA_CHUNK) plus one bound per block.  Requires both tails finite over the scan;
+    raises ``RegimeError`` otherwise.
     """
     if n_max < 2 or j_span < 0:
         raise SpecError("need n_max >= 2 and j_span >= 0")
     if eta_cutoff is not None and eta_cutoff < 1:
         raise SpecError("need eta_cutoff >= 1")
     if not profile.minus_tail.finite:
-        raise ScanOverflowError("minus tail has empty rows inside the scan")
+        raise RegimeError("minus tail has empty rows inside the scan")
     if not profile.plus_tail.finite:
-        raise ScanOverflowError("plus tail has full rows inside the scan")
+        raise RegimeError("plus tail has full rows inside the scan")
     if eta_cutoff is None:
         eta_cutoff = max(16, math.isqrt(n_max))
     eta_cutoff = min(eta_cutoff, n_max)

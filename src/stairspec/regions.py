@@ -147,7 +147,7 @@ def region_member(
     """Tri-state membership of one magnitude pair in a region.
 
     The point case of ``region_states``: the same masks, evaluated on
-    Python floats.  Raises ``BandDomainError`` like ``region_states``.
+    Python floats.  Raises ``RegimeError`` like ``region_states``.
     """
     check_tolerance(tol)
     code = _region_codes(region, _Cells.at(mu_abs, lambda_abs), tol)
@@ -163,7 +163,7 @@ def region_states(
     ``lambda_abs`` holding 0 (out), 1 (boundary) or 2 (in), the
     ``Membership.rank`` of the answer ``region_member`` gives at each point;
     ``CODE_STATES`` maps codes back to ``Membership``.  Raises
-    ``BandDomainError`` if any magnitude lies outside [0, 1] or is NaN, or if
+    ``RegimeError`` if any magnitude lies outside [0, 1] or is NaN, or if
     ``tol`` is not positive and finite.
     """
     check_tolerance(tol)

@@ -17,7 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from stairspec.diagram import NEG_INF, POS_INF, DiagramProfile, m_exact
-from stairspec.oracle import EmptyWindowError
+from stairspec.extnum import RegimeError
 
 
 def window_points(
@@ -26,7 +26,7 @@ def window_points(
     """Column index for each lattice point of the diagram inside the window."""
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
-        raise EmptyWindowError(f"degenerate window: {window}")
+        raise RegimeError(f"degenerate window: {window}")
     js = range(j_lo - 1, j_hi + 2)
     row_minima = dict(zip(js, m_exact(profile, js).tolist()))
     cols: dict[tuple[int, int], int] = {}
@@ -38,7 +38,7 @@ def window_points(
         for i in range(start, i_hi + 1):
             cols[(i, j)] = len(cols)
     if not cols:
-        raise EmptyWindowError("window does not intersect the diagram")
+        raise RegimeError("window does not intersect the diagram")
     return cols, row_minima
 
 

@@ -17,10 +17,10 @@ from stairspec.extnum import (
     DEFAULT_TOL,
     EXT_INF,
     EXT_ZERO,
-    BandDomainError,
     BandMembership,
     ExtReal,
     Membership,
+    RegimeError,
     best_membership,
     check_tolerance,
     pow_ext,
@@ -53,7 +53,7 @@ def square_points(exps: list[ExtReal]):
 
 def _check_magnitude(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise BandDomainError(f"{name} must lie in [0, 1]: {value}")
+        raise RegimeError(f"{name} must lie in [0, 1]: {value}")
 
 
 def lower_slack(a: float, b: float, e: ExtReal) -> float:
@@ -120,7 +120,7 @@ def band_member(
     _check_magnitude("b", b)
     check_tolerance(tol)
     if q < p:
-        raise BandDomainError(f"band requires p <= q, got p={p}, q={q}")
+        raise RegimeError(f"band requires p <= q, got p={p}, q={q}")
 
     p_zero = not p.is_infinite and p == EXT_ZERO
     if p_zero and q.is_infinite:
@@ -167,9 +167,9 @@ def envelope_pair_member(
 
 def _check_point(mu_abs: float, lambda_abs: float) -> None:
     if not 0.0 <= mu_abs <= 1.0:
-        raise BandDomainError(f"|mu| must lie in [0, 1]: {mu_abs}")
+        raise RegimeError(f"|mu| must lie in [0, 1]: {mu_abs}")
     if not 0.0 <= lambda_abs <= 1.0:
-        raise BandDomainError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
+        raise RegimeError(f"|lambda| must lie in [0, 1]: {lambda_abs}")
 
 
 def _band_eval(

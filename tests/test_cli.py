@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import importlib
 import inspect
@@ -18,7 +19,7 @@ import stairspec
 from stairspec import cli
 from stairspec.cli import COLOR_BOUNDARY, COLOR_IN, COLOR_OUT, _build_parser, main
 from stairspec.diagram import profile_from_json, validate
-from stairspec.extnum import Membership, RegimeError, SpecError
+from stairspec.extnum import Membership
 from stairspec.params import compute_params
 from stairspec.regions import gamma2_region, gamma3_region, taylor_region
 
@@ -789,20 +790,43 @@ class TestEveryFlagIsRead:
 
 
 class TestExitCodeIsTheBaseClass:
-    """Each refusal exits by its base class: SpecError 2, RegimeError 3."""
+    """Each refusal exits by its type: SpecError 2, RegimeError 3."""
 
-    def test_every_error_has_one_exit_base(self):
-        errors = []
-        for info in pkgutil.iter_modules(stairspec.__path__, "stairspec."):
-            module = importlib.import_module(info.name)
-            errors += [
-                cls for _, cls in inspect.getmembers(module, inspect.isclass)
-                if issubclass(cls, Exception) and cls.__module__ == info.name
-                and cls not in (SpecError, RegimeError)
-            ]
-        assert len(errors) >= 16  # DiagramError and its five, ProbeSizeError, the nine of exit 3
-        for cls in errors:
-            assert issubclass(cls, SpecError) != issubclass(cls, RegimeError), cls
+    def test_every_raise_names_an_exit_base(self):
+        """Each ``raise`` in the package names SpecError or RegimeError, but
+        for one protocol raise (argparse's usage error, itself an exit 2) and
+        two faults that no input can reach; and those two are the package's
+        only exception classes."""
+
+        def raises(node, where):
+            """(enclosing function, raise statement) for each raise below node."""
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from raises(child, child.name)
+                    continue
+                if isinstance(child, ast.Raise):
+                    yield where, child
+                yield from raises(child, where)
+
+        others = set()
+        for path in sorted(Path(stairspec.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for where, node in raises(tree, "<module>"):
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(raised) if raised else "a bare re-raise"
+                if name not in ("SpecError", "RegimeError"):
+                    others.add((path.name, where, name))
+        assert others == {
+            ("cli.py", "_magnitude", "argparse.ArgumentTypeError"),
+            ("diagram.py", "_check_transpose", "AssertionError"),
+            ("extnum.py", "__setattr__", "AttributeError"),
+        }
+        defined = [
+            cls for info in pkgutil.iter_modules(stairspec.__path__, "stairspec.")
+            for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == info.name
+        ]
+        assert sorted(cls.__name__ for cls in defined) == ["RegimeError", "SpecError"]
 
     @pytest.mark.parametrize(
         "command,extra", [(["fringe"], []), (["oracle", "fringe"], ["--lambda", "0.5"])],

@@ -6,11 +6,13 @@ all three regions, union consistency) and push transposed profiles --
 whose tails are exact staircase inverses -- through the numeric machinery.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stairspec.diagram import (
@@ -20,17 +22,23 @@ from stairspec.diagram import (
     GeometricBlocksTail,
     InvertedBlocksTail,
     PeriodicTail,
-    UnsupportedTranspose,
     WoldType,
     eval_M,
     eval_N,
     transpose,
     validate,
 )
-from stairspec.extnum import Membership
-from stairspec.oracle import ScanVerdict, window_smin_scan
+from stairspec.extnum import Membership, SpecError
+from stairspec.oracle import ScanVerdict, SeriesClass, gamma2_series_test, window_smin_scan
 from stairspec.params import compute_params, estimate_params_bruteforce
-from stairspec.regions import parts_consistency_check
+from stairspec.regions import (
+    gamma2_region,
+    gamma3_region,
+    parts_consistency_check,
+    region_member,
+    region_states,
+    taylor_region,
+)
 from stairspec.shifts import ShiftKind, fringe_operator, ridge_bounds, sigma_ap_predict
 
 FR = Fraction
@@ -99,7 +107,7 @@ def test_duality_on_random_transposable_profiles(profile):
             for t in (profile.minus_tail, profile.plus_tail)]
     if all(flat) and len(set(profile.window)) == 1:
         # a half-plane: every row of its transpose is empty or full
-        with pytest.raises(UnsupportedTranspose, match="half-plane"):
+        with pytest.raises(SpecError, match="half-plane"):
             transpose(profile)
         return
     p = compute_params(profile) if not validate(profile).is_simple else None
@@ -173,3 +181,98 @@ class TestInvertedTailsThroughPipeline:
             assert state is not Membership.OUTSIDE
         elif result.verdict is ScanVerdict.OUTSIDE_AP_SPECTRUM:
             assert state is not Membership.INSIDE
+
+
+@st.composite
+def periodic_profiles(draw, minus_rows=(), plus_rows=()):
+    """A window of 1-4 values in [-3, 3] between periodic tails of period 1-4
+    and rise 0-4, or between the given row tails."""
+    values = sorted(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4)), reverse=True)
+    periodic = st.builds(PeriodicTail, st.integers(1, 4), st.integers(0, 4))
+    minus, plus = (
+        draw(st.sampled_from(rows) | periodic if rows else periodic)
+        for rows in (minus_rows, plus_rows)
+    )
+    return DiagramProfile(draw(st.integers(-3, 3)), tuple(values), minus, plus)
+
+
+# Points closer than this, in log distance, to a radius or an envelope of
+# the closed forms are left out of the comparisons below.
+_MARGIN = 0.05
+
+
+def _log_distance(mu: float, lam: float, exponent) -> float:
+    """|log |lambda| - log |mu|**exponent|, infinite at an infinite exponent."""
+    return abs(math.log(lam) - float(exponent) * math.log(mu))
+
+
+def test_closed_forms_meet_the_oracles_on_periodic_tails():
+    """A definite window-scan verdict is ``sigma_ap_predict``'s answer, and a
+    converging or diverging series is gamma2 membership, at points off the
+    margins around the ridge radii and the eta envelopes."""
+    tally = Counter()
+    scan_answer = {
+        ScanVerdict.INSIDE_AP_SPECTRUM: Membership.INSIDE,
+        ScanVerdict.OUTSIDE_AP_SPECTRUM: Membership.OUTSIDE,
+    }
+    series_answer = {
+        SeriesClass.CONVERGES: Membership.INSIDE,
+        SeriesClass.DIVERGES: Membership.OUTSIDE,
+    }
+
+    @given(periodic_profiles(), st.floats(0.2, 0.8), st.floats(0.05, 0.95))
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    def check(profile, mu, lam):
+        structure = validate(profile)
+        assume(not structure.is_simple)
+        params = compute_params(profile)
+        spec = fringe_operator(profile, mu)
+        bounds = ridge_bounds(spec, params)
+        radii = (bounds.i_minus, bounds.i_plus, bounds.r_minus, bounds.r_plus)
+        if min(_log_distance(mu, lam, e) for e in radii) >= _MARGIN:
+            verdict = window_smin_scan(spec, lam, [64, 256, 1024], 64).verdict
+            if verdict is ScanVerdict.UNRESOLVED:
+                tally["scan unresolved"] += 1
+            else:
+                predicted = sigma_ap_predict(spec, bounds, lam).state
+                assert predicted is scan_answer[verdict], (profile, mu, lam)
+                tally["scan agreed"] += 1
+        envelopes = (params.eta_minus, params.eta_plus)
+        if min(_log_distance(mu, lam, e) for e in envelopes) >= _MARGIN:
+            series = gamma2_series_test(profile, mu, lam, 4096).classification
+            if series is SeriesClass.BORDERLINE:
+                tally["series borderline"] += 1
+            else:
+                member = region_member(gamma2_region(params, structure), mu, lam).state
+                assert member is series_answer[series], (profile, mu, lam)
+                tally["series agreed"] += 1
+
+    check()
+    assert tally["scan agreed"] and tally["series agreed"], tally
+
+
+def test_regions_are_transpose_covariant_on_periodic_tails():
+    """Each region of a profile at (a, b) answers as the same region of its
+    transpose at (b, a), at interior points where neither side is boundary."""
+    boundary = Membership.BOUNDARY.rank
+    tally = Counter()
+
+    def regions(profile):
+        structure, params = validate(profile), compute_params(profile)
+        return (taylor_region(params), gamma2_region(params, structure),
+                gamma3_region(params, structure))
+
+    @given(periodic_profiles([EMPTY_ROWS], [FULL_ROWS]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def check(profile, seed):
+        assume(not validate(profile).is_simple)
+        flipped = transpose(profile)
+        a, b = np.random.default_rng(seed).uniform(0.01, 0.99, (2, 200))
+        for region, dual in zip(regions(profile), regions(flipped)):
+            direct, mirrored = region_states(region, a, b), region_states(dual, b, a)
+            resolved = (direct != boundary) & (mirrored != boundary)
+            assert np.array_equal(direct[resolved], mirrored[resolved]), (profile, region.kind)
+            tally["compared"] += int(np.count_nonzero(resolved))
+
+    check()
+    assert tally["compared"], tally

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stairspec.diagram import transpose, validate
-from stairspec.extnum import DEFAULT_TOL, BandDomainError, ExtReal, Membership
+from stairspec.extnum import DEFAULT_TOL, ExtReal, Membership, RegimeError
 from stairspec.params import compute_params
 from stairspec.regions import (
     CODE_STATES,
@@ -64,9 +64,9 @@ class TestTaylor:
 
     def test_rejects_points_outside_square(self):
         t = taylor_region(compute_params(half_lines_profile()))
-        with pytest.raises(BandDomainError):
+        with pytest.raises(RegimeError, match=r"\|mu\| must lie in \[0, 1\]: 1.2"):
             region_member(t, 1.2, 0.5)
-        with pytest.raises(BandDomainError):
+        with pytest.raises(RegimeError, match=r"\|lambda\| must lie in \[0, 1\]: -0.1"):
             region_member(t, 0.5, -0.1)
 
     def test_rotation_invariance_via_modulus(self):
@@ -214,9 +214,9 @@ class TestTolerance:
             "gamma2": gamma2_region(params, structure),
             "gamma3": gamma3_region(params, structure),
         }[kind]
-        with pytest.raises(BandDomainError):
+        with pytest.raises(RegimeError, match="tolerance must be positive and finite"):
             region_member(region, 0.5, 0.6, tol)
-        with pytest.raises(BandDomainError):
+        with pytest.raises(RegimeError, match="tolerance must be positive and finite"):
             region_states(region, np.array([0.5]), np.array([0.6]), tol)
 
 
@@ -300,7 +300,8 @@ class TestRegionStates:
     @pytest.mark.parametrize("a,b", [(1.2, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan)])
     def test_rejects_points_outside_square(self, a, b):
         params, structure = _ps(wold_mixed_profile())
+        name = "mu" if not 0.0 <= a <= 1.0 else "lambda"
         for region in (taylor_region(params), gamma2_region(params, structure),
                        gamma3_region(params, structure)):
-            with pytest.raises(BandDomainError):
+            with pytest.raises(RegimeError, match=rf"^\|{name}\| must lie in \[0, 1\]: "):
                 region_states(region, np.array([0.3, a]), np.array([0.3, b]))

@@ -11,7 +11,7 @@ from stairspec.diagram import (
     translate,
     validate,
 )
-from stairspec.extnum import EXT_INF, BandDomainError, ExtReal, Membership
+from stairspec.extnum import EXT_INF, ExtReal, Membership, RegimeError
 from stairspec.params import compute_params
 from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
@@ -63,7 +63,7 @@ class TestFringeOperator:
 
     def test_mu_out_of_range(self):
         for bad in (0.0, 1.0, 1.5, -0.5):
-            with pytest.raises(BandDomainError, match=r"\(0, 1\)"):
+            with pytest.raises(RegimeError, match=r"\|mu\| must lie in \(0, 1\)"):
                 fringe_operator(line_profile(), bad)
 
 
@@ -259,7 +259,7 @@ class TestSigmaApPredict:
 
     def test_lambda_beyond_one_is_a_domain_error(self):
         spec, rb = _fringe(line_profile())
-        with pytest.raises(BandDomainError, match="lambda"):
+        with pytest.raises(RegimeError, match=r"\|lambda\| must lie in \[0, 1\]: 1.5"):
             sigma_ap_predict(spec, rb, 1.5)
 
 
