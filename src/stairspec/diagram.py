@@ -151,14 +151,11 @@ class PeriodicTail(Tail):
             return -((-ts * self.rise) // self.period)  # ceil
         return (ts * self.rise) // self.period  # floor
 
-    def slope(self) -> Fraction:
-        return Fraction(self.rise, self.period)
-
     def is_rise_zero(self) -> bool:
         return self.rise == 0
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
-        s = ExtReal(self.slope())
+        s = ExtReal.ratio(self.rise, self.period)
         return s, s, s
 
 
@@ -296,7 +293,7 @@ class GeometricBlocksTail(Tail):
         _, hi, denominator = self._cycle_ends
         return (
             ExtReal(min(self.slopes)),
-            ExtReal(Fraction(hi, denominator)),
+            ExtReal.ratio(hi, denominator),
             ExtReal(max(self.slopes)),
         )
 
@@ -379,7 +376,7 @@ class InvertedBlocksTail(Tail):
         lo, _, denominator = self.inner._cycle_ends
         return (
             ExtReal(1 / max(self.inner.slopes)),
-            ExtReal(Fraction(denominator, lo)),
+            ExtReal.ratio(denominator, lo),
             ExtReal(1 / min(self.inner.slopes)),
         )
 
@@ -491,8 +488,11 @@ def _check_and_classify(profile: DiagramProfile) -> StructureReport:
     j0: MValue = NEG_INF if minus.finite else profile.j_lo
     j1: MValue = POS_INF if plus.finite else profile.j_hi
 
-    drops = window[0] > window[-1] or any(  # the window is non-increasing
-        tail.finite and not tail.is_rise_zero() for tail in (minus, plus)
+    minus_flat = minus.is_rise_zero()
+    drops = (  # the window is non-increasing
+        window[0] > window[-1]
+        or (minus.finite and not minus_flat)
+        or (plus.finite and not plus.is_rise_zero())
     )
     has_inner = drops or not plus.finite  # some inner corner exists
     has_outer = drops or not minus.finite  # some outer corner exists
@@ -505,9 +505,7 @@ def _check_and_classify(profile: DiagramProfile) -> StructureReport:
         defect = DefectClass.DIFFERENCE_OF_PROJECTIONS
 
     wold_w = WoldType.PURE_SHIFT if plus.finite else WoldType.MIXED_UNITARY_AND_SHIFT
-    wold_z = (
-        WoldType.MIXED_UNITARY_AND_SHIFT if minus.is_rise_zero() else WoldType.PURE_SHIFT
-    )
+    wold_z = WoldType.MIXED_UNITARY_AND_SHIFT if minus_flat else WoldType.PURE_SHIFT
     return StructureReport(not has_inner, defect, wold_w, wold_z, j0, j1)
 
 
@@ -737,6 +735,8 @@ def _check_transpose(original: DiagramProfile, result: DiagramProfile) -> None:
 
 
 def _require_keys(obj: dict, keys: set[str], where: str) -> None:
+    if obj.keys() == keys:
+        return
     extra = set(obj) - keys
     if extra:
         raise SpecError(f"{where}: unknown fields {sorted(extra)}")
@@ -747,7 +747,7 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
 
 def _int_field(obj: dict, key: str, where: str) -> int:
     value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # json gives exact ints; bool, an int subclass, is refused
         raise SpecError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
 
@@ -811,7 +811,7 @@ def profile_from_json(obj) -> DiagramProfile:
     if (
         not isinstance(values, list)
         or not values
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+        or not all(type(v) is int for v in values)
     ):
         raise SpecError("window.values: expected a nonempty list of integers")
     minus_tail = _tail_from_json(obj["minus_tail"], "minus_tail")

@@ -70,10 +70,14 @@ class ExtReal:
         if value is None:
             _init(self, 1, 0)
             return
-        frac = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        if frac.numerator < 0:
+        if type(value) is int:  # already a reduced n/1
+            n, d = value, 1
+        else:
+            frac = value if isinstance(value, (int, Fraction)) else Fraction(value)
+            n, d = frac.numerator, frac.denominator
+        if n < 0:
             raise RegimeError(f"negative value not representable: {value}")
-        _init(self, frac.numerator, frac.denominator)
+        _init(self, n, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
@@ -85,6 +89,17 @@ class ExtReal:
     @classmethod
     def infinity(cls) -> "ExtReal":
         return cls(None)
+
+    @classmethod
+    def ratio(cls, n: int, d: int) -> "ExtReal":
+        """n/d for ints n >= 0 and d >= 1, reduced by their gcd: the value of
+        ``ExtReal(Fraction(n, d))`` without building the Fraction."""
+        if n < 0 or d < 1:
+            raise RegimeError(f"ratio needs n >= 0 and d >= 1, got {n}/{d}")
+        g = math.gcd(n, d)
+        out = cls.__new__(cls)
+        _init(out, n // g, d // g)
+        return out
 
     @property
     def is_infinite(self) -> bool:
@@ -158,13 +173,17 @@ def _init(x: ExtReal, n: int, d: int) -> None:
     ``n / d`` is int true division, correctly rounded like ``float(Fraction)``,
     saturated to DBL_MAX beyond float64 (see ``ExtReal``).
     """
-    object.__setattr__(x, "_n", n)
-    object.__setattr__(x, "_d", d)
+    _set_n(x, n)
+    _set_d(x, d)
     try:
         value = n / d if d else math.inf
     except OverflowError:
         value = sys.float_info.max
-    object.__setattr__(x, "_float", value)
+    _set_float(x, value)
+
+
+# The slot descriptors' own setters: ``ExtReal.__setattr__`` refuses writes.
+_set_n, _set_d, _set_float = (slot.__set__ for slot in (ExtReal._n, ExtReal._d, ExtReal._float))
 
 
 EXT_ZERO = ExtReal(0)
@@ -189,11 +208,6 @@ class Membership(Enum):
     @property
     def rank(self) -> int:
         return CODE_STATES.index(self)
-
-
-def best_membership(*states: Membership) -> Membership:
-    """Union semantics: a point is in a union if it is in any part."""
-    return max(states, key=lambda s: s.rank)
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,9 @@ CODE_STATES = (Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE)
 """Membership of each code the kernel returns; a state's index is its ``rank``."""
 
 _OUT, _BOUNDARY, _IN = (state.rank for state in CODE_STATES)
+
+_ANSWERS = tuple(BandMembership(state) for state in CODE_STATES)
+"""The answer of each code: point queries share these immutable values."""
 
 
 def _ln(v: float) -> float:
@@ -290,8 +307,9 @@ class _Cells(NamedTuple):
     @classmethod
     def at(cls, a: float, b: float) -> "_Cells":
         """One point (a, b) = (|mu|, |lambda|)."""
-        check_magnitude("|mu|", a)
-        check_magnitude("|lambda|", b)
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):  # also catches NaN
+            check_magnitude("|mu|", a)
+            check_magnitude("|lambda|", b)
         return cls(_ln(a), _ln(b), a == 0.0, a == 1.0, b == 0.0, b == 1.0,
                    _pick, min, max, _same)
 
@@ -304,9 +322,9 @@ def _lower_slacks(cells: _Cells, e: ExtReal):
     declared satisfied); b = 0 fails it otherwise.  The masks overwrite the
     NaN the formula gives on their cells.
     """
-    if e.is_infinite:
+    if not e._d:  # e = inf
         return cells.full(math.inf)
-    slack = cells.log_b - float(e) * cells.log_a
+    slack = cells.log_b - e._float * cells.log_a
     slack = cells.where(cells.b0, -math.inf, slack)
     return cells.where(cells.a0, math.inf, slack)
 
@@ -317,12 +335,12 @@ def _upper_slacks(cells: _Cells, e: ExtReal):
     Conventions: 0**0 and 1**inf are declared satisfied, a**inf = 0 for
     a < 1 and 0**e = 0 for e > 0.
     """
-    if e.is_infinite:
+    if not e._d:  # e = inf
         return cells.where(cells.a1 | cells.b0, math.inf, -math.inf)
-    if e == EXT_ZERO:
-        # -log(b), which is +inf at b = 0
+    if not e._n:
+        # e = 0: -log(b), which is +inf at b = 0
         return cells.where(cells.a0, math.inf, -cells.log_b)
-    slack = float(e) * cells.log_a - cells.log_b
+    slack = e._float * cells.log_a - cells.log_b
     slack = cells.where(cells.a0, -math.inf, slack)
     return cells.where(cells.b0, math.inf, slack)
 
@@ -339,14 +357,14 @@ def _check_band(p: ExtReal, q: ExtReal) -> None:
 
 def _band_states(cells: _Cells, p: ExtReal, q: ExtReal, tol: float):
     """Codes of the closed band a**q <= b <= a**p, p <= q; see ``band_member``."""
-    p_zero = p == EXT_ZERO
-    if p_zero and q.is_infinite:
+    p_zero, q_inf = not p._n, not q._d
+    if p_zero and q_inf:
         return cells.full(_IN)
-    if p_zero and q == EXT_ZERO:
+    if p_zero and not q._n:
         return cells.where(cells.a0 | cells.b1, _IN, _OUT)
-    if p.is_infinite:  # p = q = inf
+    if not p._d:  # p = q = inf
         return cells.where(cells.a1 | cells.b0, _IN, _OUT)
-    if q.is_infinite:
+    if q_inf:
         slack = _upper_slacks(cells, p)
     elif p_zero:
         slack = _lower_slacks(cells, q)
@@ -386,7 +404,7 @@ def band_member(
     cells = _Cells.at(a, b)
     check_tolerance(tol)
     _check_band(p, q)
-    return BandMembership(CODE_STATES[_band_states(cells, p, q, tol)])
+    return _ANSWERS[_band_states(cells, p, q, tol)]
 
 
 def envelope_pair_member(
@@ -404,4 +422,4 @@ def envelope_pair_member(
     """
     cells = _Cells.at(a, b)
     check_tolerance(tol)
-    return BandMembership(CODE_STATES[_envelope_states(cells, lower_exp, upper_exp, tol)])
+    return _ANSWERS[_envelope_states(cells, lower_exp, upper_exp, tol)]

@@ -33,6 +33,7 @@ import numpy as np
 
 from .diagram import DefectClass, StructureReport, WoldType
 from .extnum import (
+    _ANSWERS,
     _BOUNDARY,
     _IN,
     _OUT,
@@ -147,11 +148,11 @@ def region_member(
     """Tri-state membership of one magnitude pair in a region.
 
     The point case of ``region_states``: the same masks, evaluated on
-    Python floats.  Raises ``RegimeError`` like ``region_states``.
+    Python floats.  The answer is one of three shared immutable values, one
+    per code.  Raises ``RegimeError`` like ``region_states``.
     """
     check_tolerance(tol)
-    code = _region_codes(region, _Cells.at(mu_abs, lambda_abs), tol)
-    return BandMembership(CODE_STATES[code])
+    return _ANSWERS[_region_codes(region, _Cells.at(mu_abs, lambda_abs), tol)]
 
 
 def region_states(

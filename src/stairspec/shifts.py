@@ -25,13 +25,15 @@ from .diagram import (
     validate,
 )
 from .extnum import (
+    _ANSWERS,
+    _BOUNDARY,
+    _IN,
+    _OUT,
     DEFAULT_TOL,
     EXT_INF,
     BandMembership,
     ExtReal,
-    Membership,
     SpecError,
-    best_membership,
     check_magnitude,
     pow_ext,
 )
@@ -177,28 +179,30 @@ def ridge_bounds(spec: ShiftSpec, params: SpectralParams) -> RidgeBounds:
     return RidgeBounds(spec.mu_abs, *exponents)
 
 
-def _radius_interval_member(
+def _radius_interval_code(
     lambda_abs: float, mu_abs: float, lo_exp: ExtReal, hi_exp: ExtReal
-) -> Membership:
-    """Closed-interval membership of a radius in [|mu|**lo_exp, |mu|**hi_exp].
+) -> int:
+    """Closed-interval membership code of a radius in [|mu|**lo_exp, |mu|**hi_exp].
 
     Points in the interval (including its endpoints) are inside; points whose
     violation is below ``DEFAULT_TOL`` in the log domain are boundary.  An empty
     interval (lo > hi) admits no members.  Only an infinite ``lo_exp`` puts
-    0 in: a lower end that underflows to 0.0 is still positive.
+    0 in: a lower end that underflows to 0.0 is still positive.  The ends are
+    ``pow_ext``'s float power; ``fringe_operator`` has range-checked |mu|.
     """
-    lo, hi = pow_ext(mu_abs, lo_exp), pow_ext(mu_abs, hi_exp)
+    lo_float = float(lo_exp)  # inf exactly when lo_exp is: finite values saturate
+    lo, hi = mu_abs ** lo_float, mu_abs ** float(hi_exp)
     if lambda_abs == 0.0:
-        slack = math.inf if lo_exp.is_infinite else -math.inf
+        slack = math.inf if lo_float == math.inf else -math.inf
     else:
         lower = math.inf if lo == 0.0 else math.log(lambda_abs) - math.log(lo)
         upper = -math.inf if hi == 0.0 else math.log(hi) - math.log(lambda_abs)
         slack = min(lower, upper)
     if slack >= 0.0:
-        return Membership.INSIDE
+        return _IN
     if slack > -DEFAULT_TOL:
-        return Membership.BOUNDARY
-    return Membership.OUTSIDE
+        return _BOUNDARY
+    return _OUT
 
 
 def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) -> BandMembership:
@@ -211,12 +215,12 @@ def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) ->
     of radius r.  Unilateral adjoint: the annulus [i, r].  Finite nilpotent:
     the single point 0.  These are genuine closed sets, so exact members
     (even on a degenerate circle) report inside; the boundary state is the
-    thin outside collar within ``DEFAULT_TOL`` in the log domain.
+    thin outside collar within ``DEFAULT_TOL`` in the log domain.  Answers
+    are the shared values of ``region_member``, one per code.
     """
     check_magnitude("|lambda|", lambda_abs)
     if spec.kind is ShiftKind.FINITE_NILPOTENT:
-        state = Membership.INSIDE if lambda_abs == 0.0 else Membership.OUTSIDE
-        return BandMembership(state)
+        return _ANSWERS[_IN if lambda_abs == 0.0 else _OUT]
     b = bounds
     if spec.kind is ShiftKind.UNILATERAL:
         intervals = ((EXT_INF, b.r_minus),)  # the disc: |mu|**inf = 0
@@ -224,5 +228,6 @@ def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) ->
         intervals = ((b.i_minus, b.r_minus),)
     else:
         intervals = ((b.i_plus, b.r_plus), (b.r_plus, b.i_minus), (b.i_minus, b.r_minus))
-    states = (_radius_interval_member(lambda_abs, b.mu_abs, lo, hi) for lo, hi in intervals)
-    return BandMembership(best_membership(*states))
+    # a union: a point is in it if it is in any part
+    return _ANSWERS[max([_radius_interval_code(lambda_abs, b.mu_abs, lo, hi)
+                         for lo, hi in intervals])]

@@ -21,7 +21,6 @@ from stairspec.extnum import (
     ExtReal,
     Membership,
     RegimeError,
-    best_membership,
     check_tolerance,
     pow_ext,
 )
@@ -49,6 +48,14 @@ def square_points(exps: list[ExtReal]):
         on_envelope,
         st.tuples(unit, unit),
     )
+
+
+_UNION_ORDER = (Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE)
+
+
+def best_membership(*states: Membership) -> Membership:
+    """Union semantics: a point is in a union if it is in any part."""
+    return max(states, key=_UNION_ORDER.index)
 
 
 def _check_magnitude(name: str, value: float) -> None:

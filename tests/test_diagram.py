@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -645,6 +647,48 @@ class TestSpecDocuments:
             "surprise": True,
         }
         with pytest.raises(SpecError, match=r"top level: unknown fields \['surprise'\]"):
+            profile_from_json(doc)
+
+    _DOC = {
+        "window": {"j_lo": 0, "values": [1, 0]},
+        "minus_tail": {"kind": "geometric", "slopes": ["0", "1"], "ratio": 2, "base_len": 1},
+        "plus_tail": {"kind": "periodic", "period": 1, "rise": 1},
+    }
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    @pytest.mark.parametrize(
+        "part,key,message",
+        [
+            ("window", "j_lo", "window.j_lo: expected an integer, got {value!r}"),
+            ("window", "values", "window.values: expected a nonempty list of integers"),
+            ("plus_tail", "period", "plus_tail.period: expected an integer, got {value!r}"),
+            ("plus_tail", "rise", "plus_tail.rise: expected an integer, got {value!r}"),
+            ("minus_tail", "ratio", "minus_tail.ratio: expected an integer, got {value!r}"),
+            ("minus_tail", "base_len", "minus_tail.base_len: expected an integer, got {value!r}"),
+        ],
+        ids=["j_lo", "values", "period", "rise", "ratio", "base_len"],
+    )
+    def test_integer_fields_refuse_bools_and_floats(self, part, key, message, value):
+        doc = copy.deepcopy(self._DOC)
+        profile_from_json(doc)
+        doc[part][key] = [1, value] if key == "values" else value
+        with pytest.raises(SpecError, match=f"^{re.escape(message.format(value=value))}$"):
+            profile_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "part,key,message",
+        [
+            (None, "plus_tail", "top level: missing fields ['plus_tail']"),
+            ("window", "values", "window: missing fields ['values']"),
+            ("minus_tail", "base_len", "minus_tail: missing fields ['base_len']"),
+            ("plus_tail", "rise", "plus_tail: missing fields ['rise']"),
+        ],
+        ids=["top", "window", "minus_tail", "plus_tail"],
+    )
+    def test_missing_fields_named(self, part, key, message):
+        doc = copy.deepcopy(self._DOC)
+        del (doc if part is None else doc[part])[key]
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             profile_from_json(doc)
 
     def test_field_path_in_errors(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairspec.diagram import validate
@@ -72,6 +72,45 @@ class TestExtReal:
     def test_rejects_negative(self):
         with pytest.raises(RegimeError, match="negative value not representable: -1/2"):
             ExtReal(Fraction(-1, 2))
+        with pytest.raises(RegimeError, match="negative value not representable: -3$"):
+            ExtReal(-3)
+        for n, d in ((-1, 2), (1, 0), (1, -2)):
+            with pytest.raises(RegimeError, match=f"ratio needs n >= 0 and d >= 1, got {n}/{d}"):
+                ExtReal.ratio(n, d)
+
+    def test_bool_is_an_int(self):
+        one = ExtReal(True)
+        assert (one._n, one._d) == (1, 1) and type(one._n) is int
+        assert one == ExtReal(1) and str(one) == "1/1"
+
+    @given(
+        n=st.integers(0, 10**6) | st.integers(2**1100, 2**1200),
+        d=st.integers(1, 10**6),
+        k=st.integers(1, 1000),
+    )
+    @example(n=0, d=7, k=3)
+    @example(n=6, d=4, k=1)
+    @example(n=2**1100, d=1, k=1)
+    @settings(max_examples=200, deadline=None)
+    def test_ints_build_the_fraction_value(self, n, d, k):
+        """``ExtReal(n)`` and ``ExtReal.ratio`` of an unreduced pair are the
+        value ``ExtReal(Fraction(...))`` builds, in every view of it."""
+        probes = (ZERO, ExtReal(1), ExtReal(Fraction(7, 3)), ExtReal(2**1100), EXT_INF)
+        for got, want in (
+            (ExtReal(n), ExtReal(Fraction(n))),
+            (ExtReal.ratio(n * k, d * k), ExtReal(Fraction(n, d))),
+        ):
+            assert (got._n, got._d) == (want._n, want._d)
+            assert type(got._n) is int and type(got._d) is int
+            assert float(got) == float(want)
+            assert hash(got) == hash(want) and str(got) == str(want)
+            assert got == want and not got < want and not got > want
+            for other in probes:
+                assert [got < other, got <= other, got == other, got >= other, got > other] == [
+                    want < other, want <= other, want == other, want >= other, want > other
+                ]
+        if n // d >= 2**1024:  # beyond float64: saturated, not inf
+            assert float(ExtReal.ratio(n, d)) == sys.float_info.max
 
     def test_float_and_pow(self):
         assert float(EXT_INF) == math.inf

@@ -257,6 +257,51 @@ class TestSigmaApPredict:
         for lam in (5e-324, 1e-320, 0.5):
             assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
 
+    @pytest.mark.parametrize(
+        "log_offset,state",
+        [
+            (0.0, Membership.INSIDE),
+            (5e-13, Membership.BOUNDARY),
+            (-5e-13, Membership.BOUNDARY),
+            (2e-12, Membership.OUTSIDE),
+            (-2e-12, Membership.OUTSIDE),
+        ],
+    )
+    def test_collar_around_a_radius(self, log_offset, state):
+        """The circle |lambda| = 1/2 is closed; the collar is DEFAULT_TOL wide in log."""
+        spec, rb = _fringe(line_profile())
+        assert rb.i_minus_value == rb.r_minus_value == 0.5
+        lam = 0.5 * math.exp(log_offset)
+        assert (lam == 0.5) == (log_offset == 0.0)
+        assert sigma_ap_predict(spec, rb, lam).state is state
+
+    @pytest.mark.parametrize(
+        "profile,kind,state",
+        [
+            (DiagramProfile(0, (1, 0), EMPTY_ROWS, PeriodicTail(2, 1)),
+             ShiftKind.UNILATERAL, Membership.INSIDE),  # a disc holds its centre
+            (line_profile(), ShiftKind.BILATERAL, Membership.OUTSIDE),
+        ],
+        ids=["unilateral", "bilateral"],
+    )
+    def test_lambda_zero(self, profile, kind, state):
+        spec, rb = _fringe(profile)
+        assert spec.kind is kind
+        assert sigma_ap_predict(spec, rb, 0.0).state is state
+
+    def test_empty_middle_interval(self):
+        """The middle interval [r+, i-] is empty for half-lines (slope 1/2 behind,
+        1 ahead), so the gap between the circles 1/2 and 2**-0.5 is out; with the
+        slopes swapped it is the annulus between them."""
+        spec, rb = _fringe(half_lines_profile())
+        assert rb.r_plus_value > rb.i_minus_value
+        swapped = DiagramProfile(0, (0,), PeriodicTail(1, 1), PeriodicTail(2, 1))
+        spec_swapped, rb_swapped = _fringe(swapped)
+        assert rb_swapped.r_plus_value < rb_swapped.i_minus_value
+        for lam in (0.55, 0.6, 0.65, 0.7):
+            assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
+            assert sigma_ap_predict(spec_swapped, rb_swapped, lam).state is Membership.INSIDE
+
     def test_lambda_beyond_one_is_a_domain_error(self):
         spec, rb = _fringe(line_profile())
         with pytest.raises(RegimeError, match=r"\|lambda\| must lie in \[0, 1\]: 1.5"):
