@@ -153,7 +153,7 @@ def _cmd_report(profile: DiagramProfile, args) -> int:
         "eta_plus": str(params.eta_plus),
         "mu_axis_included": gamma2.include_mu_axis,
         "lambda_axis_included": gamma2.include_lambda_axis,
-        "origin_included": True,
+        "origin_included": gamma2.origin_included,
     }
     doc["gamma3"] = {
         "case": wold_case(structure).value,

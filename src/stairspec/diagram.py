@@ -24,7 +24,7 @@ on either side, unless its class says otherwise.
   through a list of rational slopes, rasterized by cumulative rounding so
   long-run averages hit their exact rational targets.
 * ``InvertedBlocksTail`` -- the exact staircase inverse of a geometric-block
-  tail, on the side its inversion mode was built for; produced by
+  tail, where a zero-slope block inverts to a jump; produced by
   :func:`transpose` only, never parsed from input.
 """
 
@@ -83,13 +83,12 @@ def _ints(values, *anchors: int) -> np.ndarray:
 # Every tail kind derives from ``Tail`` and says only where it differs from
 # its defaults: the rows stay finite beyond the window, the tail is not a
 # constant run (``is_rise_zero``), and may sit on either side of the window
-# (``sides``).  Empty rows may sit only below the window (the minus side),
-# full rows only above it (the plus side), and an inverted tail only on the
-# side its ``mode`` was built for; a profile refuses any other placement
-# when it is built.  A finite tail has one evaluator, ``rises(ts, side)``:
-# the exact rise of the border sequence ``t`` steps beyond the window for
-# each ``t >= 0`` in ``ts``, as an int64 array or, past the magnitude guard,
-# an object array of Python ints.
+# (``sides``).  Empty rows may sit only below the window (the minus side)
+# and full rows only above it (the plus side); a profile refuses any other
+# placement when it is built.  A finite tail has one evaluator,
+# ``rises(ts, side)``: the exact rise of the border sequence ``t`` steps
+# beyond the window for each ``t >= 0`` in ``ts``, as an int64 array or,
+# past the magnitude guard, an object array of Python ints.
 # ---------------------------------------------------------------------------
 
 
@@ -298,54 +297,32 @@ class GeometricBlocksTail(Tail):
         )
 
 
-class InversionMode(Enum):
-    FLOOR_INVERSE = "floor_inverse"  # max{u : inner rise(u) <= t}; plus side
-    CEIL_INVERSE = "ceil_inverse"  # min{u : inner rise(u) >= t}; minus side
-
-
 @dataclass(frozen=True)
 class InvertedBlocksTail(Tail):
-    """Exact staircase inverse of a geometric-block tail with positive slopes.
+    """Exact staircase inverse of a geometric-block tail, on either side.
 
-    ``FLOOR_INVERSE`` tails arise when a minus geometric tail moves to the
-    transpose's plus side; ``CEIL_INVERSE`` tails when a plus geometric tail
-    moves to the minus side.  ``base_t`` offsets the inversion to match the
-    window anchoring chosen by :func:`transpose`.  Transposing again returns
-    a (shifted) copy of ``inner``.
+    Its rise t steps out is the number of inner steps from where the inner
+    rise first reaches 1 to where it first reaches t + 1.  A zero-slope block
+    of the inner tail inverts to a jump.  Transposing again returns a
+    (shifted) copy of ``inner``.
     """
 
     inner: GeometricBlocksTail
-    mode: InversionMode
-    base_t: int = 0
     kind = "inverted"
 
-    def __post_init__(self):
-        if any(s <= 0 for s in self.inner.slopes):
-            raise SpecError(
-                "a zero-slope block would invert to infinite-slope blocks"
-            )
-        if self.base_t < 0:
-            raise SpecError(f"base_t must be >= 0, got {self.base_t}")
-
-    @property
-    def sides(self) -> tuple[Side, ...]:
-        return (Side.MINUS,) if self.mode is InversionMode.CEIL_INVERSE else (Side.PLUS,)
-
     def _inverse(self, ts: np.ndarray) -> np.ndarray:
-        """Inverse of the inner staircase at rise y = t + base_t, per t in ts.
+        """min{u : inner rise(u) >= t + 1}, per t in ts.
 
-        With ``v`` the first absolute step whose cumulative target reaches
-        ``y + r0 - 1/2`` (ceil mode: the inner rise reaches y) or
-        ``y + r0 + 1/2`` (floor mode: the inner rise passes y), where ``r0``
-        is the inner rise already taken at its ``t_shift``, the result is
-        ``max(v - t_shift, 0)`` (ceil) or ``v - t_shift`` (floor), which is
-        one more than max{u : inner rise(u) <= y}.  Solved per block in closed
-        form with integer ceil division.
+        With ``r0`` the inner rise already taken at its ``t_shift``, that is
+        the first absolute step ``v`` whose cumulative target reaches
+        ``t + r0 + 1/2``, less ``t_shift``.  Solved per block in closed form
+        with integer ceil division.  The block used is the first whose end
+        target reaches the bound; the bound is positive and a zero-slope block
+        ends at its start target, so that block's slope is positive.
         """
         inner = self.inner
         table = inner._table
-        half = -1 if self.mode is InversionMode.CEIL_INVERSE else 1
-        offset = 2 * (self.base_t + inner._base) + half  # scaled bound: (2t + offset) * scale/2
+        offset = 2 * inner._base + 1  # scaled bound: (2t + offset) * scale/2
         top = (2 * _top(ts) + offset) * (table.scale // 2)
         starts, targets, slopes = table.covering(0, top)
         bounds = np.asarray(ts).astype(targets.dtype, copy=False) * 2
@@ -354,10 +331,7 @@ class InvertedBlocksTail(Tail):
         k = np.searchsorted(targets[1:], bounds)
         out = targets[k] - bounds
         out //= slopes[k]
-        out = starts[k] - out - inner.t_shift
-        if self.mode is InversionMode.CEIL_INVERSE:
-            np.maximum(out, 0, out=out)
-        return out
+        return starts[k] - out - inner.t_shift
 
     @cached_property
     def _base(self) -> int:
@@ -375,9 +349,9 @@ class InvertedBlocksTail(Tail):
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         lo, _, denominator = self.inner._cycle_ends
         return (
-            ExtReal(1 / max(self.inner.slopes)),
+            ExtReal(max(self.inner.slopes)).reciprocal(),
             ExtReal.ratio(denominator, lo),
-            ExtReal(1 / min(self.inner.slopes)),
+            ExtReal(min(self.inner.slopes)).reciprocal(),
         )
 
 
@@ -662,9 +636,6 @@ def _transposed(tail: Tail, side: Side) -> tuple[Tail, int]:
     transpose, and how far the window's edge on ``side`` moves in: the
     window-top adjustment (c_top - w_hi) for the minus side, the
     window-bottom adjustment (c_bot - w_lo) for the plus side.
-
-    A geometric tail with a zero slope is refused with ``SpecError`` by its
-    inverse.
     """
     plus = side is Side.PLUS
     if not tail.finite:
@@ -673,20 +644,17 @@ def _transposed(tail: Tail, side: Side) -> tuple[Tail, int]:
         if tail.rise == 0:
             return (EMPTY_ROWS, 0) if plus else (FULL_ROWS, 1)
         return PeriodicTail(period=tail.rise, rise=tail.period), tail.rise if plus else 0
-    if isinstance(tail, InvertedBlocksTail):
-        return tail.uninverted(), 1 if plus else 0
-    if plus:
-        return InvertedBlocksTail(tail, InversionMode.CEIL_INVERSE, base_t=1), 1
-    return InvertedBlocksTail(tail, InversionMode.FLOOR_INVERSE, base_t=0), 0
+    inverse = tail.uninverted() if isinstance(tail, InvertedBlocksTail) else InvertedBlocksTail(tail)
+    return inverse, 1 if plus else 0
 
 
 def transpose(profile: DiagramProfile) -> DiagramProfile:
     """Profile of the reflected diagram {(j, i) : (i, j) in J}.
 
     The reflected border sequence is the column sequence of the original:
-    ``eval_M(transpose(P), k) == eval_N(P, k)`` for every k.  Raises
-    ``SpecError`` when a geometric tail contains a zero slope (its inverse
-    would need infinite-slope blocks).
+    ``eval_M(transpose(P), k) == eval_N(P, k)`` for every k.  A geometric
+    tail becomes an inverted tail on the other side, and an inverted tail a
+    shifted copy of its inner tail.
     """
     if validate(profile).is_simple and profile.minus_tail.finite:
         raise SpecError(

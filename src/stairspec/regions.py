@@ -193,21 +193,19 @@ def _region_codes(region: RegionSpec, cells: _Cells, tol: float):
         codes = where(cells.a0, _IN if region.include_lambda_axis else _OUT, codes)
         codes = where(cells.b0, _IN if region.include_mu_axis else _OUT, codes)
         codes = where(cells.a1 | cells.b1, _OUT, codes)
-        codes = where(cells.a1 & cells.b1, _BOUNDARY, codes)  # torus shell unresolved
-        return where(cells.a0 & cells.b0, _IN, codes)
-
-    # final-stage locus: the union of its parts, then the two corner rules
-    codes = cells.full(_OUT)
-    for p, q in region.bands:
-        if q < p:  # a crossed pair: empty away from its convention cells
-            part = _envelope_states(cells, lower_exp=q, upper_exp=p, tol=tol)
-        else:
-            part = _band_states(cells, p, q, tol)
-        codes = cells.maximum(codes, part)
-    if region.include_t_cross_d:
-        codes = where(cells.a1, _IN, codes)
-    if region.include_d_cross_t:
-        codes = where(cells.b1, _IN, codes)
+    else:  # final-stage locus: the union of its parts and its torus strips
+        codes = cells.full(_OUT)
+        for p, q in region.bands:
+            if q < p:  # a crossed pair: empty away from its convention cells
+                part = _envelope_states(cells, lower_exp=q, upper_exp=p, tol=tol)
+            else:
+                part = _band_states(cells, p, q, tol)
+            codes = cells.maximum(codes, part)
+        if region.include_t_cross_d:
+            codes = where(cells.a1, _IN, codes)
+        if region.include_d_cross_t:
+            codes = where(cells.b1, _IN, codes)
+    # the two corner rules
     codes = where(cells.a0 & cells.b0, _IN if region.origin_included else _OUT, codes)
     return where(cells.a1 & cells.b1, _BOUNDARY, codes)  # torus shell unresolved
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from stairspec.diagram import (
@@ -13,7 +12,6 @@ from stairspec.diagram import (
     DiagramProfile,
     GeometricBlocksTail,
     InvertedBlocksTail,
-    InversionMode,
     PeriodicTail,
 )
 
@@ -99,20 +97,14 @@ _SLOPES = st.lists(
 
 
 @st.composite
-def finite_tails(draw, side: str):
-    """A periodic, geometric or inverted tail for ``side`` ("minus" or "plus")."""
+def finite_tails(draw):
+    """A periodic, geometric or inverted tail; each may sit on either side."""
     kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
     if kind == "periodic":
         return PeriodicTail(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
     slopes = tuple(draw(_SLOPES))
-    if kind == "inverted":
-        slopes = tuple(s for s in slopes if s > 0)
-        assume(len(slopes) >= 2)
     inner = GeometricBlocksTail(slopes, draw(st.integers(2, 3)), draw(st.integers(1, 3)))
-    if kind == "geometric":
-        return inner
-    mode = InversionMode.CEIL_INVERSE if side == "minus" else InversionMode.FLOOR_INVERSE
-    return InvertedBlocksTail(inner, mode, draw(st.integers(0, 3)))
+    return inner if kind == "geometric" else InvertedBlocksTail(inner)
 
 
 @pytest.fixture

@@ -202,7 +202,8 @@ def region_member(
 
     if region.kind is RegionKind.GAMMA2:
         if a == 0.0 and b == 0.0:
-            return BandMembership(Membership.INSIDE)
+            state = Membership.INSIDE if region.origin_included else Membership.OUTSIDE
+            return BandMembership(state)
         if a == 1.0 and b == 1.0:
             return BandMembership(Membership.BOUNDARY)  # torus shell unresolved
         if a == 1.0 or b == 1.0:

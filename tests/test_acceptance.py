@@ -115,7 +115,7 @@ def test_criterion_3_full_bidisc_cases():
 
 
 def test_criterion_4_transpose_duality():
-    suite = transpose_duality_suite()
+    suite = transpose_duality_suite() + [gb01_profile()]
     bad = []
     for idx, profile in enumerate(suite):
         p = compute_params(profile)

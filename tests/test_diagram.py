@@ -19,7 +19,6 @@ from stairspec.diagram import (
     DefectClass,
     DiagramProfile,
     GeometricBlocksTail,
-    InversionMode,
     InvertedBlocksTail,
     PeriodicTail,
     Side,
@@ -36,7 +35,7 @@ from stairspec.diagram import (
     transpose,
     validate,
 )
-from stairspec.extnum import ExtReal, RegimeError, SpecError
+from stairspec.extnum import EXT_INF, ExtReal, RegimeError, SpecError
 from stairspec.params import compute_params
 from stairspec.shifts import fringe_operator
 
@@ -151,9 +150,7 @@ class TestValidate:
         assert len(calls) == 2
 
 
-_INNER = GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1)
-_CEIL = InvertedBlocksTail(_INNER, InversionMode.CEIL_INVERSE)
-_FLOOR = InvertedBlocksTail(_INNER, InversionMode.FLOOR_INVERSE)
+_INVERTED = InvertedBlocksTail(GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1))
 
 
 class TestCheckedWhenBuilt:
@@ -176,8 +173,6 @@ class TestCheckedWhenBuilt:
         [
             (FULL_ROWS, PeriodicTail(1, 1), "minus_tail"),
             (PeriodicTail(1, 1), EMPTY_ROWS, "plus_tail"),
-            (_FLOOR, PeriodicTail(1, 1), "minus_tail"),
-            (PeriodicTail(1, 1), _CEIL, "plus_tail"),
             (None, PeriodicTail(1, 1), "minus_tail"),
         ],
     )
@@ -186,7 +181,8 @@ class TestCheckedWhenBuilt:
             DiagramProfile(0, (0,), minus, plus)
 
     def test_inverted_tails_on_their_own_sides_build(self):
-        assert not validate(DiagramProfile(0, (0,), _CEIL, _FLOOR)).is_simple
+        """An inverted tail may sit on either side."""
+        assert not validate(DiagramProfile(0, (0,), _INVERTED, _INVERTED)).is_simple
 
     def test_translate_and_transpose_build_valid_profiles(self):
         for profile in transpose_duality_suite():
@@ -238,23 +234,18 @@ def _reference_rise(tail, t: int, side: Side) -> int:
         exact = Fraction(t * tail.rise, tail.period)
         return math.ceil(exact) if side is Side.MINUS else math.floor(exact)
     if isinstance(tail, InvertedBlocksTail):
-        ceil = tail.mode is InversionMode.CEIL_INVERSE
-
         def inverse(y: int) -> int:
-            """min{u : inner rise(u) >= y} (ceil) or max{u : inner rise(u) <= y}."""
-            def passes(u: int) -> bool:
-                rise = _reference_rise(tail.inner, u, side)
-                return rise >= y if ceil else rise > y
-            lo, hi = 0, 1  # passes(hi); not passes(lo) unless lo == 0
-            while not passes(hi):
+            """min{u : inner rise(u) >= y}, for y >= 1."""
+            def reaches(u: int) -> bool:
+                return _reference_rise(tail.inner, u, side) >= y
+            lo, hi = 0, 1  # not reaches(lo), reaches(hi)
+            while not reaches(hi):
                 lo, hi = hi, 2 * hi
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-            if ceil:
-                return 0 if passes(0) else hi
-            return lo
-        return inverse(t + tail.base_t) - inverse(tail.base_t)
+                lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+            return hi
+        return inverse(t + 1) - inverse(1)
 
     def rounded(u: int) -> int:
         start, target, k, length = 0, Fraction(0), 0, tail.base_len
@@ -267,28 +258,24 @@ def _reference_rise(tail, t: int, side: Side) -> int:
 
 
 @st.composite
-def _slopes(draw, positive: bool):
-    low = 1 if positive else 0
-    numerators = st.integers(low, 6) | st.sampled_from(BIG)
+def _slopes(draw):
+    numerators = st.integers(0, 6) | st.sampled_from(BIG)
     slopes = draw(st.lists(st.builds(Fraction, numerators, st.integers(1, 4)),
                            min_size=2, max_size=3, unique=True))
     return tuple(slopes)
 
 
 @st.composite
-def _finite_tails(draw, side: str):
+def _finite_tails(draw):
     kind = draw(st.sampled_from(["periodic", "geometric", "inverted"]))
     if kind == "periodic":
         rise = draw(st.integers(0, 7) | st.sampled_from(BIG))
         period = draw(st.integers(1, 5) | st.sampled_from([3 * 2**61, 2**62, 10**20]))
         return PeriodicTail(period, rise)
-    slopes = draw(_slopes(positive=kind == "inverted"))
+    slopes = draw(_slopes())
     inner = GeometricBlocksTail(slopes, draw(st.integers(2, 4)), draw(st.integers(1, 3)),
                                 draw(st.integers(0, 40)))
-    if kind == "geometric":
-        return inner
-    mode = InversionMode.CEIL_INVERSE if side == "minus" else InversionMode.FLOOR_INVERSE
-    return InvertedBlocksTail(inner, mode, draw(st.integers(0, 5)))
+    return inner if kind == "geometric" else InvertedBlocksTail(inner)
 
 
 @st.composite
@@ -298,8 +285,8 @@ def _any_profiles(draw):
     window = [top]
     for d in drops:
         window.append(window[-1] - d)
-    minus = draw(st.just(EMPTY_ROWS) | _finite_tails("minus"))
-    plus = draw(st.just(FULL_ROWS) | _finite_tails("plus"))
+    minus = draw(st.just(EMPTY_ROWS) | _finite_tails())
+    plus = draw(st.just(FULL_ROWS) | _finite_tails())
     return DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
 
 
@@ -333,10 +320,9 @@ class TestCycleEndAverages:
         assert tail._cycle_ends == (lo, hi, denominator)
         assert tail.asymptotics() == (
             ExtReal(min(slopes)), ExtReal(max(want)), ExtReal(max(slopes)))
-        if min(slopes) > 0:
-            for mode in InversionMode:
-                assert InvertedBlocksTail(tail, mode).asymptotics() == (
-                    ExtReal(1 / max(slopes)), ExtReal(1 / min(want)), ExtReal(1 / min(slopes)))
+        rho = ExtReal(1 / min(slopes)) if min(slopes) else EXT_INF  # a zero slope inverts to a jump
+        assert InvertedBlocksTail(tail).asymptotics() == (
+            ExtReal(1 / max(slopes)), ExtReal(1 / min(want)), rho)
 
     def test_each_block_tail_sums_its_cycles_once(self, monkeypatch):
         """The extremes are cached on the tail; its inverses read that cache."""
@@ -345,8 +331,7 @@ class TestCycleEndAverages:
         monkeypatch.setattr(D, "_cycle_end_sums", lambda *args: calls.append(args) or sums(*args))
         tail = GeometricBlocksTail((FR(1, 2), FR(2)), 2, 1)
         tail.asymptotics()
-        for mode in InversionMode:
-            InvertedBlocksTail(tail, mode).asymptotics()
+        InvertedBlocksTail(tail).asymptotics()
         tail.asymptotics()
         assert calls == [(tail.slopes, tail.ratio)]
 
@@ -543,7 +528,10 @@ class TestColumnBorders:
 
     def test_transposes_are_unchanged(self):
         """repr of the single, double and triple transposes of criterion 4's
-        suite, recorded from the per-column eval_N implementation."""
+        suite, recorded from the per-column eval_N implementation.  The
+        inverted tails' reprs have since lost two fields, the inversion mode
+        and its offset, when inversion became one rule; nothing else
+        changed."""
         recorded = json.loads((Path(__file__).parent / "transpose_reprs.json").read_text())
         got = []
         for profile in transpose_duality_suite():
@@ -622,9 +610,22 @@ class TestTranspose:
         for j in range(-20, 21):
             assert eval_M(flipped, j) == eval_M(line, j)
 
-    def test_zero_slope_blocks_rejected(self):
-        with pytest.raises(SpecError, match="a zero-slope block would invert to infinite-slope"):
-            transpose(gb01_profile())
+    def test_gb01_transposes(self):
+        """A zero-slope block inverts to a jump: rho_plus is infinite, the
+        delta/rho identities hold, and transposing again gives gb01's border
+        values back (the reprs differ: the double transpose has a t_shift)."""
+        gb01 = gb01_profile()
+        once = transpose(gb01)
+        p, d = compute_params(gb01), compute_params(once)
+        assert d.rho_plus == EXT_INF
+        assert d.delta_plus == p.rho_minus.reciprocal()
+        assert d.rho_plus == p.delta_minus.reciprocal()
+        assert d.delta_minus == p.rho_plus.reciprocal()
+        assert d.rho_minus == p.delta_plus.reciprocal()
+        twice = transpose(once)
+        js = range(-4096, 4097)
+        assert np.array_equal(m_exact(twice, js), m_exact(gb01, js))
+        assert np.array_equal(m_exact(transpose(twice), js), m_exact(once, js))
 
     def test_half_plane_rejected_up_front(self):
         half_plane = DiagramProfile(0, (0,), PeriodicTail(3, 0), PeriodicTail(2, 0))

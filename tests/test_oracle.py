@@ -17,6 +17,7 @@ from stairspec.diagram import (
     DiagramProfile,
     GeometricBlocksTail,
     PeriodicTail,
+    m_exact,
     m_values,
     profile_from_json,
     translate,
@@ -51,6 +52,7 @@ from conftest import (
     line_profile,
     notched_plane_profile,
     quarter_steps_profile,
+    transpose_duality_suite,
     wold_mixed_profile,
 )
 
@@ -257,8 +259,8 @@ def _scan_profiles(draw):
     window = [draw(st.integers(-2, 2))]
     for drop in draw(st.lists(st.integers(0, 2), max_size=3)):
         window.append(window[-1] - drop)
-    minus = draw(st.just(EMPTY_ROWS) | finite_tails("minus"))
-    plus = draw(st.just(FULL_ROWS) | finite_tails("plus"))
+    minus = draw(st.just(EMPTY_ROWS) | finite_tails())
+    plus = draw(st.just(FULL_ROWS) | finite_tails())
     profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
     structure = validate(profile)
     assume(not structure.is_simple)
@@ -592,8 +594,8 @@ def _lattice_cases(draw):
     window = [draw(st.integers(-2, 2))]
     for drop in draw(st.lists(st.integers(0, 3), max_size=4)):
         window.append(window[-1] - drop)
-    minus = draw(st.sampled_from([EMPTY_ROWS, PeriodicTail(1, 0)]) | finite_tails("minus"))
-    plus = draw(st.sampled_from([FULL_ROWS, PeriodicTail(1, 0)]) | finite_tails("plus"))
+    minus = draw(st.sampled_from([EMPTY_ROWS, PeriodicTail(1, 0)]) | finite_tails())
+    plus = draw(st.sampled_from([FULL_ROWS, PeriodicTail(1, 0)]) | finite_tails())
     profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window), minus, plus)
     i_lo, j_lo = draw(st.integers(-10, 8)), draw(st.integers(-10, 8))
     i_hi = i_lo + draw(st.integers(-1, 36))  # -1: a degenerate window
@@ -696,3 +698,42 @@ class TestLatticeStackMatchesReference:
         collect()
         errors = {"degenerate window", "window does not intersect the diagram"}
         assert seen == {"dense", "sparse"} | errors
+
+
+def _stack_by_point(profile: DiagramProfile, window, a: float, b: float, step: int):
+    """The diagram points of the window in ``_lattice_stack``'s column order
+    (row by row from j_lo, along each row from its first column), and the
+    stack as a dense array."""
+    i_lo, i_hi, j_lo, j_hi = window
+    rows = m_exact(profile, range(j_lo, j_hi + 1)).tolist()
+    points = [(i, j) for j, m in zip(range(j_lo, j_hi + 1), rows)
+              for i in range(i_lo, i_hi + 1) if i >= m]
+    stack = _lattice_stack(profile, window, a, b, step).toarray()
+    assert stack.shape[1] == len(points)
+    return points, stack
+
+
+def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
+    return matrix[np.lexsort(matrix.T[::-1])]
+
+
+class TestLatticeStackTransposes:
+    """Transposing swaps the two shifts: the stack of transpose(P) at
+    (|lambda|, |mu|) on the mirrored window is P's stack at (|mu|, |lambda|),
+    entry for entry, up to a row and a column permutation."""
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("half", [3, 6])
+    @pytest.mark.parametrize("profile", transpose_duality_suite() + [gb01_profile()])
+    def test_mirrored_window_permutes_the_stack(self, profile, half, step):
+        mu_abs, lambda_abs = 0.5, 0.25
+        i_c, j_c = profile.window[-1], profile.j_lo  # as `oracle t3` centres its windows
+        window = (i_c - half, i_c + half, j_c - half, j_c + half)
+        points, stack = _stack_by_point(profile, window, mu_abs, lambda_abs, step)
+        mirrored = window[2:] + window[:2]
+        flipped, flipped_stack = _stack_by_point(
+            transpose(profile), mirrored, lambda_abs, mu_abs, step)
+        column = {(j, i): k for k, (i, j) in enumerate(flipped)}  # keyed by P's point
+        assert sorted(column) == sorted(points)
+        flipped_stack = flipped_stack[:, [column[point] for point in points]]
+        assert np.array_equal(_sorted_rows(stack), _sorted_rows(flipped_stack))

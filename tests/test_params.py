@@ -236,7 +236,7 @@ def _finite_profiles(draw):
     for drop in draw(st.lists(st.integers(0, 3), max_size=3)):
         window.append(window[-1] - drop)
     profile = DiagramProfile(draw(st.integers(-3, 3)), tuple(window),
-                             draw(finite_tails("minus")), draw(finite_tails("plus")))
+                             draw(finite_tails()), draw(finite_tails()))
     validate(profile)
     return profile
 
