@@ -510,9 +510,17 @@ def m_exact(profile: DiagramProfile, js) -> np.ndarray:
 
     An int64 array while the indices and the tail arithmetic stay below the
     guard, else an object array of Python ints; an empty row is +inf and a
-    full row -inf, both in an object array.
+    full row -inf, both in an object array.  A range wholly below or wholly
+    above the window is read from that tail alone, on its step offsets.
     """
     lo, hi = profile.j_lo, profile.j_hi
+    if isinstance(js, range) and js and (max(js[0], js[-1]) < lo or min(js[0], js[-1]) > hi):
+        if js[0] < lo:
+            ts, side = range(lo - js.start, lo - js.stop, -js.step), Side.MINUS
+        else:
+            ts, side = range(js.start - hi, js.stop - hi, js.step), Side.PLUS
+        out = _beyond(profile, _ints(ts), side)
+        return out.astype(object) if out.dtype == np.float64 else out  # +-inf rows
     js = _ints(js, lo, hi)
     below, above = js < lo, js > hi
     n_below, n_above = np.count_nonzero(below), np.count_nonzero(above)

@@ -73,12 +73,14 @@ class ShiftSpec:
     def weights(self, js: range) -> np.ndarray:
         """The weight |mu|**(M_{j-1} - M_j) at every j in ``js``.
 
-        ``js`` is a range of step 1 inside [j_min, j_max].  The border rows
-        of its edges come from one exact evaluation, and each weight is |mu|
-        to the exact integer drop.  A drop across an empty row (+inf), or
-        one too large for a float, gives 0.0: it is capped at ``_DROP_CAP``
-        first.
+        ``js`` is a range of step 1 inside [j_min, j_max]; another step
+        raises ``SpecError``.  The border rows of its edges come from one
+        exact evaluation, and each weight is |mu| to the exact integer drop.
+        A drop across an empty row (+inf), or one too large for a float,
+        gives 0.0: it is capped at ``_DROP_CAP`` first.
         """
+        if js.step != 1:
+            raise SpecError(f"weights need a range of step 1, got step {js.step}")
         if js and (js[0] < self.j_min or js[-1] > self.j_max):
             bad = js[0] if js[0] < self.j_min else js[-1]
             raise SpecError(f"index {bad} outside the shift range")

@@ -507,6 +507,31 @@ class TestColumnBorders:
         assert got.dtype in (np.int64, object)
         assert _same(got.tolist(), [_reference_row(profile, int(j)) for j in js])
 
+    @given(_any_profiles(), st.sampled_from(["below", "above", "across"]),
+           st.integers(1, 40) | st.sampled_from([f for f in FAR if f > 0] + [2**62 - 8, 2**63]),
+           st.integers(0, 12), st.sampled_from([-3, -1, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_m_exact_on_ranges_of_every_step(self, profile, where, far, length, step):
+        """A range of any step, ascending or descending, wholly below, wholly
+        above or across the window, reads what its list of indices reads and
+        what the tail definitions give, in value, Python type and dtype."""
+        lo, hi = profile.j_lo, profile.j_hi
+        last = (length - 1) * step  # the offset of the last row from the first
+        if where == "below":  # every row at or below lo - far
+            first = lo - far - max(last, 0)
+        elif where == "above":  # every row at or above hi + far
+            first = hi + far - min(last, 0)
+        else:  # from min(far, 40) rows outside one end of the window past the other
+            off = min(far, 40)
+            first = lo - off if step > 0 else hi + off
+            length = (hi - lo + 2 * off) // abs(step) + 2
+        js = range(first, first + length * step, step)
+        got = m_exact(profile, js)
+        via_list = m_exact(profile, list(js))
+        assert got.dtype == via_list.dtype and got.dtype in (np.int64, object)
+        want = [_reference_row(profile, j) for j in js]
+        assert _same(got.tolist(), want) and _same(via_list.tolist(), want)
+
     def test_transposes_make_no_scalar_calls(self, monkeypatch):
         from stairspec import oracle, shifts
 

@@ -209,6 +209,24 @@ class TestEstimator:
         with pytest.raises(SpecError, match="n_max"):
             estimate_params_bruteforce(line_profile(), n_max=1, j_span=10)
 
+    @pytest.mark.parametrize("n_max, j_span", [
+        (10**14, 0), (params._SCAN_BUDGET + 1, 2), (1000, params._SCAN_BUDGET // 2), (1000, 10**14),
+    ])
+    def test_over_a_size_budget_raises_before_reading_rows(self, monkeypatch, n_max, j_span):
+        def read(*args):
+            raise AssertionError("a border row was read")
+
+        monkeypatch.setattr(params, "m_exact", read)
+        with pytest.raises(RegimeError, match="over the budget of"):
+            estimate_params_bruteforce(line_profile(), n_max, j_span)
+
+    def test_a_scan_at_the_budget_runs(self):
+        """The budget holds the depth 10**6 of criterion 5 and the benchmark."""
+        assert params._SCAN_BUDGET > 10**6
+        est = estimate_params_bruteforce(line_profile(), params._SCAN_BUDGET,
+                                         (params._SCAN_BUDGET - 1) // 2)
+        assert est.eta_minus == est.eta_plus == 1.0
+
 
 def _whole_range(profile, n_max, j_span, eta_cutoff):
     """The six estimates from one float64 array of the whole scanned range."""
@@ -279,6 +297,16 @@ class TestPrunedEtaScan:
             est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
         want = _whole_range(profile, n_max, j_span, eta_cutoff)
         assert _hexes(est) == [float(x).hex() for x in want]
+
+    @pytest.mark.parametrize("slopes", [
+        (FR(0), FR(1)), (FR(1, 2), FR(2)), (FR(0), FR(1), FR(3)),
+    ], ids=["0_1", "1/2_2", "0_1_3"])
+    def test_equals_whole_range_at_depth_10_6(self, slopes):
+        """The benchmark's brute-force profiles at its depth, with the real
+        block sizes: the scan first reads whole blocks of rows past the window."""
+        profile = DiagramProfile(0, (0,), GeometricBlocksTail(slopes, 2, 1), PeriodicTail(1, 1))
+        est = estimate_params_bruteforce(profile, 10**6, 2)
+        assert _hexes(est) == [float(x).hex() for x in _whole_range(profile, 10**6, 2, None)]
 
     @staticmethod
     def _reads(monkeypatch) -> list[int]:

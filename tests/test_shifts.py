@@ -11,7 +11,7 @@ from stairspec.diagram import (
     translate,
     validate,
 )
-from stairspec.extnum import EXT_INF, ExtReal, Membership, RegimeError
+from stairspec.extnum import EXT_INF, ExtReal, Membership, RegimeError, SpecError
 from stairspec.params import compute_params
 from stairspec.regions import gamma3_region, region_member
 from stairspec.shifts import (
@@ -113,6 +113,16 @@ class TestWeights:
             finite.weights(range(0, 4))
         assert finite.weights(range(0, 3)).tolist() == [0.0, 0.5, 0.5]
         assert finite.weights(range(0, 0)).tolist() == []
+
+    @pytest.mark.parametrize("js, step", [(range(-4, 4, 2), 2), (range(4, -4, -1), -1)])
+    def test_a_step_other_than_one_is_refused(self, js, step):
+        """Edge rows are read as one run from js.start - 1, so any other step
+        would read the wrong rows: on half_lines at |mu| = 0.5 the weights at
+        -4, -2, 0, 2 are all 0.5, but the run -4..-1 reads 0.5, 1.0, 0.5, 1.0."""
+        spec = fringe_operator(half_lines_profile(), 0.5)
+        with pytest.raises(SpecError, match=f"step {step}"):
+            spec.weights(js)
+        assert [spec.weights(range(j, j + 1))[0] for j in range(-4, 4, 2)] == [0.5] * 4
 
 
 class TestRidgeBounds:
