@@ -579,6 +579,16 @@ def m_values(profile: DiagramProfile, j_from: int, j_to: int) -> np.ndarray:
         ) from exc
 
 
+def _unreached(profile: DiagramProfile, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the full columns (every row reaches them, N = -inf) and the
+    empty columns (no row does, N = +inf) among ``cols``: only a constant
+    tail leaves a column full (minus side) or empty (plus side)."""
+    none = np.zeros(len(cols), dtype=bool)
+    full = cols >= profile.window[0] if profile.minus_tail.is_rise_zero() else none
+    empty = cols < profile.window[-1] if profile.plus_tail.is_rise_zero() else none
+    return full, empty
+
+
 def n_exact(profile: DiagramProfile, cols) -> np.ndarray:
     """Column border values N_i = inf{j : M_j <= i} at the integer columns ``cols``.
 
@@ -591,9 +601,7 @@ def n_exact(profile: DiagramProfile, cols) -> np.ndarray:
     columns still open.
     """
     cols = _ints(cols, profile.j_lo - 1, profile.j_hi + 1)
-    none = np.zeros(len(cols), dtype=bool)
-    full = cols >= profile.window[0] if profile.minus_tail.is_rise_zero() else none
-    empty = cols < profile.window[-1] if profile.plus_tail.is_rise_zero() else none
+    full, empty = _unreached(profile, cols)
     search = np.flatnonzero(~(full | empty))
     c = hi = cols[search]
     if c.size:
@@ -662,7 +670,10 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     The reflected border sequence is the column sequence of the original:
     ``eval_M(transpose(P), k) == eval_N(P, k)`` for every k.  A geometric
     tail becomes an inverted tail on the other side, and an inverted tail a
-    shifted copy of its inner tail.
+    shifted copy of its inner tail.  The column search :func:`n_exact` (which
+    also serves :func:`eval_N`) runs once, over the new window's columns; the
+    self-check then verifies each probed column with two border reads of the
+    original, searching none.
     """
     if validate(profile).is_simple and profile.minus_tail.finite:
         raise SpecError(
@@ -690,18 +701,41 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     return result
 
 
-def _check_transpose(original: DiagramProfile, result: DiagramProfile) -> None:
-    """Probe M_k of ``result`` == N_k of ``original`` around and beyond the window."""
+def _probe_columns(result: DiagramProfile) -> list[int]:
+    """The columns the transpose self-check probes: around and beyond the
+    window of ``result``."""
     span = max(8, 4 * len(result.window))
     probes = list(range(result.j_lo - span, result.j_hi + span + 1))
-    probes += [result.j_lo - span * 8, result.j_hi + span * 8]
-    rows, cols = m_exact(result, probes), n_exact(original, probes)
-    differ = np.flatnonzero(rows != cols)
+    return probes + [result.j_lo - span * 8, result.j_hi + span * 8]
+
+
+def _check_transpose(original: DiagramProfile, result: DiagramProfile) -> None:
+    """Check M_k of ``result`` == N_k of ``original`` at every probed column k.
+
+    Each claim is verified with two border reads instead of searched for.  M
+    is non-increasing, so a finite claim n is N_k exactly when
+    M_n <= k < M_{n-1}; one :func:`m_exact` call reads rows n and n - 1 of
+    every finite claim.  A claim of -inf or +inf holds exactly when the
+    column is full or empty by the rules of :func:`n_exact`.  Only the first
+    failing column is searched, for the message.
+    """
+    probes = _probe_columns(result)
+    cols = _ints(probes)
+    claims = m_exact(result, probes)
+    full, empty = _unreached(original, cols)
+    low = claims == NEG_INF
+    holds = np.where(low, full, empty)  # right for the infinite claims
+    finite = np.flatnonzero(~(low | (claims == POS_INF)))
+    if finite.size:
+        n, k = claims[finite], cols[finite]
+        rows = m_exact(original, np.concatenate([n, n - 1]))
+        holds[finite] = (rows[: len(n)] <= k) & (rows[len(n):] > k)
+    differ = np.flatnonzero(~holds)
     if differ.size:
-        at = differ[0]
+        col = probes[differ[0]]
         raise AssertionError(
-            f"transpose self-check failed at column {probes[at]}: "
-            f"{rows.item(at)} != {cols.item(at)}"
+            f"transpose self-check failed at column {col}: "
+            f"{claims.item(differ[0])} != {n_exact(original, [col]).item()}"
         )
 
 

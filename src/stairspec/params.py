@@ -93,14 +93,17 @@ class ParamEstimates:
 
 
 # The eta scan reads the border in blocks of at most ``_ETA_CHUNK`` steps, and
-# trims a visited block to sub-blocks of ``_ETA_SUB`` steps: a block of
-# float64 is 512 KiB, so a deep scan holds a few small arrays at a time.
-_ETA_CHUNK = 1 << 16
+# trims a visited block to sub-blocks of ``_ETA_SUB`` steps.  A block of int64
+# or float64 is 256 KiB.  At 2**16 steps (512 KiB) every temporary was
+# page-faulted in afresh: 3,168 minor faults per pass of the benchmark's
+# deep_tails workload against 0 at 2**15, and ``float_drops`` took 5.9-6.2 ns
+# per element against 0.83 ns (timeit, glibc 2.36, 2-core x86-64 VM).
+_ETA_CHUNK = 1 << 15
 _ETA_SUB = 1 << 12
 # Both the depth n_max (the rows of one side's eta scan) and the 2 * j_span + 1
 # rows of one slope read must be within this budget; it is checked before any
 # row is read.  At the budget (n_max = 2**20, j_span = 2**19 - 1) one call
-# takes about 0.1 s and 70 MB peak RSS on a 2-core x86-64 VM.
+# takes 0.05-0.1 s and 78 MB peak RSS on a 2-core x86-64 VM.
 _SCAN_BUDGET = 1 << 20
 
 

@@ -657,6 +657,54 @@ class TestTranspose:
         with pytest.raises(SpecError, match="half-plane"):
             transpose(half_plane)
 
+    @pytest.mark.parametrize(
+        "original", [*transpose_duality_suite(), *(p for _, p in _transposable())]
+    )
+    def test_self_check_is_the_column_search(self, original):
+        """The self-check verifies each claim instead of searching for it, and
+        accepts and rejects exactly what comparing with n_exact at every probe
+        does: on the true transpose, and on each variant with one window value
+        or j_lo moved by one.  A failure names the first differing probe."""
+        true = transpose(original)
+        j_lo, w = true.j_lo, true.window
+        shapes = [(j_lo, w), *((j_lo + d, w) for d in (-1, 1))]
+        shapes += [(j_lo, w[:k] + (w[k] + d,) + w[k + 1:]) for k in range(len(w)) for d in (-1, 1)]
+        for shape in shapes:
+            try:
+                variant = DiagramProfile(*shape, true.minus_tail, true.plus_tail)
+            except SpecError:  # the moved value broke the window's order
+                continue
+            probes = D._probe_columns(variant)
+            rows, cols = m_exact(variant, probes), n_exact(original, probes)
+            differ = np.flatnonzero(rows != cols)
+            if not differ.size:
+                D._check_transpose(original, variant)
+                continue
+            at = differ[0]
+            with pytest.raises(AssertionError) as failure:
+                D._check_transpose(original, variant)
+            assert str(failure.value) == (
+                f"transpose self-check failed at column {probes[at]}: "
+                f"{rows.item(at)} != {cols.item(at)}"
+            )
+
+    def test_transpose_searches_only_its_window(self, monkeypatch):
+        """One n_exact call per transpose, over the new window's columns; the
+        self-check reads rows and searches nothing when it passes."""
+        searched = []
+
+        def counted(profile, cols):
+            searched.append(len(cols))
+            return n_exact(profile, cols)
+
+        monkeypatch.setattr(D, "n_exact", counted)
+        for profile in transpose_duality_suite():
+            once = transpose(profile)
+            twice = transpose(once)
+            thrice = transpose(twice)
+            assert searched == [len(t.window) for t in (once, twice, thrice)]
+            searched.clear()
+
 
 class TestSpecDocuments:
     def test_round_trip(self, spec_dir):

@@ -172,7 +172,7 @@ class TestEstimator:
             assert abs(est.eta_minus - float(exact.eta_minus)) <= 1e-2
             assert abs(est.eta_plus - float(exact.eta_plus)) <= 1e-2
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, params._ETA_CHUNK])
     @pytest.mark.parametrize("n_max, j_span, eta_cutoff", [
         (2, 0, None), (3, 1, 2), (200, 5, None), (257, 0, 17), (500, 3, 500),
     ])
