@@ -41,16 +41,7 @@ from .oracle import (
     window_smin_scan,
 )
 from .params import compute_params
-from .regions import (
-    CODE_STATES,
-    RegionSpec,
-    gamma2_region,
-    gamma3_region,
-    region_member,
-    region_states,
-    taylor_region,
-    wold_case,
-)
+from .regions import CODE_STATES, RegionSpec, region_member, region_states, region_triple
 from .shifts import ShiftKind, fringe_operator, ridge_bounds
 
 EXIT_OK = 0
@@ -61,7 +52,11 @@ COLOR_IN = (30, 30, 200)
 COLOR_BOUNDARY = (240, 200, 40)
 COLOR_OUT = (245, 245, 245)
 
-SETS = ("taylor", "gamma2", "gamma3")  # --set's choices, in _region_triple's order
+SETS = ("taylor", "gamma2", "gamma3")  # --set's choices, in region_triple's order
+
+# report's gamma3 "case", keyed by (w_mixed, z_mixed)
+WOLD_CASES = {(True, True): "mixed_mixed", (True, False): "mixed_w_shift_z",
+              (False, True): "shift_w_mixed_z", (False, False): "shift_shift"}
 
 # The most points of a `sample` grid, a `raster` image or `report`'s Monte
 # Carlo sample, checked before any of them is allocated.
@@ -88,15 +83,6 @@ def _magnitude(text: str) -> float:
         return abs(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a real or 're,im', got {text!r}") from exc
-
-
-def _region_triple(structure, params) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
-    """The regions named by ``SETS``, in its order."""
-    return (
-        taylor_region(params),
-        gamma2_region(params, structure),
-        gamma3_region(params, structure),
-    )
 
 
 def _check_grid(points: int) -> None:
@@ -144,24 +130,24 @@ def _cmd_report(profile: DiagramProfile, args) -> int:
         _dump(doc)
         return EXIT_OK
     params = compute_params(profile)
-    taylor, gamma2, gamma3 = _region_triple(structure, params)
+    taylor, gamma2, gamma3 = region_triple(params, structure)
     fraction, std_error = _area_fraction(taylor, args.mc_samples, args.seed, args.tol)
     doc["params"] = params.to_json()
     doc["taylor_band"] = {"p": str(taylor.bands[0][0]), "q": str(taylor.bands[0][1])}
     doc["gamma2"] = {
         "eta_minus": str(params.eta_minus),
         "eta_plus": str(params.eta_plus),
-        "mu_axis_included": gamma2.include_mu_axis,
-        "lambda_axis_included": gamma2.include_lambda_axis,
+        "mu_axis_included": gamma2.w_mixed,
+        "lambda_axis_included": gamma2.z_mixed,
         "origin_included": gamma2.origin_included,
     }
     doc["gamma3"] = {
-        "case": wold_case(structure).value,
+        "case": WOLD_CASES[gamma3.w_mixed, gamma3.z_mixed],
         "bands": [
             {"upper_exp": str(p), "lower_exp": str(q)} for p, q in gamma3.bands
         ],
-        "t_cross_disc": gamma3.include_t_cross_d,
-        "disc_cross_t": gamma3.include_d_cross_t,
+        "t_cross_disc": gamma3.w_mixed,
+        "disc_cross_t": gamma3.z_mixed,
         "origin_included": gamma3.origin_included,
     }
     doc["area_fraction"] = {
@@ -180,7 +166,7 @@ def _cmd_params(profile: DiagramProfile, args) -> int:
 
 
 def _cmd_member(profile: DiagramProfile, args) -> int:
-    regions = _region_triple(validate(profile), compute_params(profile))
+    regions = region_triple(compute_params(profile), validate(profile))
     result = region_member(regions[SETS.index(args.set)], args.mu, args.lam, args.tol)
     _dump(
         {
@@ -205,7 +191,7 @@ def _cmd_sample(profile: DiagramProfile, args) -> int:
     # tolerance writes nothing.
     columns = [
         labels[region_states(region, axis[:, None], axis[None, :], args.tol)].ravel()
-        for region in _region_triple(validate(profile), compute_params(profile))
+        for region in region_triple(compute_params(profile), validate(profile))
     ]
     ticks = [f"{t:.12g}" for t in axis.tolist()]
     mu_column = np.repeat(np.array(ticks, dtype=object), n)  # |mu| outermost
@@ -222,7 +208,7 @@ def _cmd_sample(profile: DiagramProfile, args) -> int:
 def _cmd_raster(profile: DiagramProfile, args) -> int:
     if args.width < 16 or args.height < 16:
         raise SpecError("--width and --height must be >= 16")
-    regions = _region_triple(validate(profile), compute_params(profile))
+    regions = region_triple(compute_params(profile), validate(profile))
     region = regions[SETS.index(args.set)]
     width, height = args.width, args.height
     _check_grid(width * height)

@@ -682,10 +682,9 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     new_plus, top_adjust = _transposed(profile.minus_tail, Side.MINUS)
     new_minus, bot_adjust = _transposed(profile.plus_tail, Side.PLUS)
 
+    # w_lo > w_hi needs a flat window between rise-zero periodic tails: a half-plane, refused above
     w_hi = profile.window[0] - top_adjust
     w_lo = profile.window[-1] - bot_adjust
-    if w_hi < w_lo:
-        w_hi = w_lo
 
     values = n_exact(profile, range(w_lo, w_hi + 1)).tolist()
     for k, n in enumerate(values, w_lo):

@@ -56,13 +56,6 @@ class RegionKind(Enum):
     GAMMA3 = "gamma3"
 
 
-class WoldCase(Enum):
-    MIXED_MIXED = "mixed_mixed"
-    MIXED_W_SHIFT_Z = "mixed_w_shift_z"
-    SHIFT_W_MIXED_Z = "shift_w_mixed_z"
-    SHIFT_SHIFT = "shift_shift"
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """Evaluable description of one region.
@@ -71,28 +64,20 @@ class RegionSpec:
     a**lower_exp <= b <= a**upper_exp on (a, b) = (|mu|, |lambda|).  The
     middle band of the shift/shift case may be crossed (upper > lower); it
     is then empty away from convention cells and is evaluated as a raw
-    envelope pair.  Axis and torus flags add the strip components.
+    envelope pair.
+
+    ``w_mixed`` and ``z_mixed`` say that W, respectively Z, has a unitary
+    part (the joint spectrum ignores them).  In the middle stage a mixed W
+    adds the axis {|lambda| = 0} and a mixed Z the axis {|mu| = 0}; in the
+    final stage a mixed W adds the torus strip {|mu| = 1} and a mixed Z
+    the strip {|lambda| = 1}.
     """
 
     kind: RegionKind
     bands: tuple[tuple[ExtReal, ExtReal], ...]
-    include_t_cross_d: bool = False  # {|mu| = 1}
-    include_d_cross_t: bool = False  # {|lambda| = 1}
-    include_mu_axis: bool = False  # {|lambda| = 0}, middle stage only
-    include_lambda_axis: bool = False  # {|mu| = 0}, middle stage only
+    w_mixed: bool = False
+    z_mixed: bool = False
     origin_included: bool = True
-
-
-def wold_case(structure: StructureReport) -> WoldCase:
-    w_mixed = structure.wold_w is WoldType.MIXED_UNITARY_AND_SHIFT
-    z_mixed = structure.wold_z is WoldType.MIXED_UNITARY_AND_SHIFT
-    if w_mixed and z_mixed:
-        return WoldCase.MIXED_MIXED
-    if w_mixed:
-        return WoldCase.MIXED_W_SHIFT_Z
-    if z_mixed:
-        return WoldCase.SHIFT_W_MIXED_Z
-    return WoldCase.SHIFT_SHIFT
 
 
 def taylor_region(params: SpectralParams) -> RegionSpec:
@@ -108,9 +93,8 @@ def gamma2_region(params: SpectralParams, structure: StructureReport) -> RegionS
     return RegionSpec(
         kind=RegionKind.GAMMA2,
         bands=((params.eta_minus, params.eta_plus),),
-        include_mu_axis=structure.wold_w is WoldType.MIXED_UNITARY_AND_SHIFT,
-        include_lambda_axis=structure.wold_z is WoldType.MIXED_UNITARY_AND_SHIFT,
-        origin_included=True,
+        w_mixed=structure.wold_w is WoldType.MIXED_UNITARY_AND_SHIFT,
+        z_mixed=structure.wold_z is WoldType.MIXED_UNITARY_AND_SHIFT,
     )
 
 
@@ -136,9 +120,20 @@ def gamma3_region(params: SpectralParams, structure: StructureReport) -> RegionS
     return RegionSpec(
         kind=RegionKind.GAMMA3,
         bands=tuple(bands),
-        include_t_cross_d=not w_shift,
-        include_d_cross_t=not z_shift,
+        w_mixed=not w_shift,
+        z_mixed=not z_shift,
         origin_included=w_shift or z_shift or not notched,
+    )
+
+
+def region_triple(
+    params: SpectralParams, structure: StructureReport
+) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
+    """The joint spectrum and its two failure loci, in that order."""
+    return (
+        taylor_region(params),
+        gamma2_region(params, structure),
+        gamma3_region(params, structure),
     )
 
 
@@ -190,8 +185,8 @@ def _region_codes(region: RegionSpec, cells: _Cells, tol: float):
     if region.kind is RegionKind.GAMMA2:
         eta_minus, eta_plus = region.bands[0]
         codes = _envelope_states(cells, lower_exp=eta_plus, upper_exp=eta_minus, tol=tol)
-        codes = where(cells.a0, _IN if region.include_lambda_axis else _OUT, codes)
-        codes = where(cells.b0, _IN if region.include_mu_axis else _OUT, codes)
+        codes = where(cells.a0, _IN if region.z_mixed else _OUT, codes)
+        codes = where(cells.b0, _IN if region.w_mixed else _OUT, codes)
         codes = where(cells.a1 | cells.b1, _OUT, codes)
     else:  # final-stage locus: the union of its parts and its torus strips
         codes = cells.full(_OUT)
@@ -201,9 +196,9 @@ def _region_codes(region: RegionSpec, cells: _Cells, tol: float):
             else:
                 part = _band_states(cells, p, q, tol)
             codes = cells.maximum(codes, part)
-        if region.include_t_cross_d:
+        if region.w_mixed:
             codes = where(cells.a1, _IN, codes)
-        if region.include_d_cross_t:
+        if region.z_mixed:
             codes = where(cells.b1, _IN, codes)
     # the two corner rules
     codes = where(cells.a0 & cells.b0, _IN if region.origin_included else _OUT, codes)
@@ -236,11 +231,7 @@ def parts_consistency_check(
     points = np.asarray(samples, dtype=float).reshape(-1, 2)
     t, g2, g3 = (
         region_states(region, points[:, 0], points[:, 1])
-        for region in (
-            taylor_region(params),
-            gamma2_region(params, structure),
-            gamma3_region(params, structure),
-        )
+        for region in region_triple(params, structure)
     )
     skipped = (t == _BOUNDARY) | (g2 == _BOUNDARY) | (g3 == _BOUNDARY)
     in_union = (g2 == _IN) | (g3 == _IN)

@@ -209,11 +209,11 @@ def region_member(
         if a == 1.0 or b == 1.0:
             return BandMembership(Membership.OUTSIDE)
         if b == 0.0:
-            state = Membership.INSIDE if region.include_mu_axis else Membership.OUTSIDE
+            state = Membership.INSIDE if region.w_mixed else Membership.OUTSIDE
             return BandMembership(state)
         if a == 0.0:
             state = (
-                Membership.INSIDE if region.include_lambda_axis else Membership.OUTSIDE
+                Membership.INSIDE if region.z_mixed else Membership.OUTSIDE
             )
             return BandMembership(state)
         eta_minus, eta_plus = region.bands[0]
@@ -226,9 +226,9 @@ def region_member(
         state = Membership.INSIDE if region.origin_included else Membership.OUTSIDE
         return BandMembership(state)
     states = []
-    if region.include_t_cross_d and a == 1.0:
+    if region.w_mixed and a == 1.0:
         states.append(Membership.INSIDE)
-    if region.include_d_cross_t and b == 1.0:
+    if region.z_mixed and b == 1.0:
         states.append(Membership.INSIDE)
     for pair in region.bands:
         states.append(_band_eval(pair, a, b, tol).state)

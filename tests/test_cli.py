@@ -57,6 +57,18 @@ class TestValidate:
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/x.json"]) == 2
 
+    def test_tail_parameter_refusal_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "window": {"j_lo": 0, "values": [0]},
+            "minus_tail": {"kind": "periodic", "period": 0, "rise": 1},
+            "plus_tail": {"kind": "full"},
+        }))
+        assert main(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "spec error: minus_tail: periodic tail needs period >= 1, got 0\n"
+
 
 class TestParams:
     def test_geometric_blocks(self, capsys):
@@ -93,6 +105,42 @@ class TestReport:
         assert doc["taylor_band"] == {"p": "1/2", "q": "1/1"}
         assert abs(doc["area_fraction"]["estimate"] - 1 / 6) < 0.02
         assert doc["gamma3"]["case"] == "shift_shift"
+
+    # The shipped specs are all mixed/mixed or shift/shift; these two inline
+    # profiles have one isometry of each Wold type, in either order.  Each
+    # gives its window values, minus tail, plus tail and (eta_minus, eta_plus).
+    ONE_MIXED = {
+        "mixed_w_shift_z": ([0], {"kind": "periodic", "period": 1, "rise": 1}, {"kind": "full"},
+                            ("1/1", "inf")),
+        "shift_w_mixed_z": ([1, 0], {"kind": "periodic", "period": 1, "rise": 0},
+                            {"kind": "periodic", "period": 1, "rise": 1}, ("0/1", "1/1")),
+    }
+
+    @pytest.mark.parametrize("case", list(ONE_MIXED))
+    def test_one_mixed_isometry(self, capsys, tmp_path, case):
+        values, minus, plus, (eta_minus, eta_plus) = self.ONE_MIXED[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({
+            "window": {"j_lo": 0, "values": values}, "minus_tail": minus, "plus_tail": plus,
+        }))
+        code, out = run(capsys, "report", str(path), "--mc-samples", "100")
+        assert code == 0
+        doc = json.loads(out)
+        w_mixed = case == "mixed_w_shift_z"
+        assert doc["gamma2"] == {
+            "eta_minus": eta_minus,
+            "eta_plus": eta_plus,
+            "mu_axis_included": w_mixed,
+            "lambda_axis_included": not w_mixed,
+            "origin_included": True,
+        }
+        assert doc["gamma3"] == {
+            "case": case,
+            "bands": [{"upper_exp": "1/1", "lower_exp": "1/1"}],
+            "t_cross_disc": w_mixed,
+            "disc_cross_t": not w_mixed,
+            "origin_included": True,
+        }
 
     def test_line_area_is_zero(self, capsys):
         code, out = run(capsys, "report", spec("line_slope1"), "--mc-samples", "5000")
@@ -236,6 +284,14 @@ class TestSample:
         ) == 3
         assert not out_path.exists()
 
+    def test_resolution_below_2_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        assert main(
+            ["sample", spec("half_lines_1_2"), "--resolution", "1", "--out", str(out_path)]
+        ) == 2
+        assert capsys.readouterr().err == "spec error: --resolution must be >= 2\n"
+        assert not out_path.exists()
+
     def test_threads_match_serial(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sample", spec("half_lines_1_2"), "--resolution", "17",
@@ -291,6 +347,23 @@ class TestRaster:
             ["raster", spec("line_slope1"), "--width", "8", "--height", "16",
              "--out", "/tmp/x.ppm"]
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", spec("half_lines_1_2"), "--resolution", "5"],
+     ["raster", spec("half_lines_1_2"), "--width", "16", "--height", "16"]],
+    ids=["sample", "raster"],
+)
+def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, argv):
+    out_path = str(tmp_path / "missing" / "out")
+    assert main([*argv, "--out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"spec error: {out_path}: [Errno 2] No such file or directory: {out_path!r}\n"
+    )
+    assert not (tmp_path / "missing").exists()
 
 
 def _periodic_minus_spec(tmp_path, rise: int) -> str:

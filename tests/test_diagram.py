@@ -765,6 +765,35 @@ class TestSpecDocuments:
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             profile_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "part,value,message",
+        [
+            ("minus_tail", {"kind": "periodic", "period": 0, "rise": 1},
+             "minus_tail: periodic tail needs period >= 1, got 0"),
+            ("minus_tail", {"kind": "periodic", "period": 1, "rise": -1},
+             "minus_tail: periodic tail needs rise >= 0, got -1"),
+            ("plus_tail", {"kind": "geometric", "slopes": [], "ratio": 2, "base_len": 1},
+             "plus_tail.slopes: expected a nonempty list"),
+            ("plus_tail", {"kind": "geometric", "slopes": ["-1", "1"], "ratio": 2, "base_len": 1},
+             "plus_tail: geometric tail slopes must be >= 0"),
+            ("plus_tail", {"kind": "geometric", "slopes": ["0", "1"], "ratio": 1, "base_len": 1},
+             "plus_tail: geometric tail needs ratio >= 2, got 1"),
+            ("plus_tail", {"kind": "geometric", "slopes": ["0", "1"], "ratio": 2, "base_len": 0},
+             "plus_tail: geometric tail needs base_len >= 1, got 0"),
+            ("window", [0], "window: expected an object"),
+        ],
+        ids=["period", "rise", "no_slopes", "negative_slope", "ratio", "base_len", "window"],
+    )
+    def test_tail_parameter_refusals_name_their_field(self, part, value, message):
+        doc = copy.deepcopy(self._DOC)
+        doc[part] = value
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            profile_from_json(doc)
+
+    def test_geometric_tail_needs_a_slope(self):
+        with pytest.raises(SpecError, match="^geometric tail needs at least one slope$"):
+            GeometricBlocksTail((), 2, 1)
+
     def test_field_path_in_errors(self):
         doc = {
             "window": {"j_lo": 0, "values": [0]},

@@ -14,14 +14,12 @@ from stairspec.regions import (
     CODE_STATES,
     RegionKind,
     RegionSpec,
-    WoldCase,
     gamma2_region,
     gamma3_region,
     parts_consistency_check,
     region_member,
     region_states,
     taylor_region,
-    wold_case,
 )
 
 from conftest import (
@@ -132,9 +130,13 @@ class TestGamma2:
 
 class TestGamma3:
     def test_wold_cases(self):
-        assert wold_case(validate(wold_mixed_profile())) is WoldCase.MIXED_MIXED
-        assert wold_case(validate(line_profile())) is WoldCase.SHIFT_SHIFT
-        assert wold_case(validate(quarter_steps_profile())) is WoldCase.SHIFT_SHIFT
+        def flags(profile):
+            g3 = gamma3_region(*_ps(profile))
+            return g3.w_mixed, g3.z_mixed
+
+        assert flags(wold_mixed_profile()) == (True, True)
+        assert flags(line_profile()) == (False, False)
+        assert flags(quarter_steps_profile()) == (False, False)
 
     def test_both_mixed_torus_strips(self):
         g3 = gamma3_region(*_ps(wold_mixed_profile()))
@@ -222,17 +224,11 @@ class TestTolerance:
 # region_states and region_member against the scalar reference, code for code
 # ---------------------------------------------------------------------------
 
-_AXES = {  # Wold case -> (mu axis / t x D strip, lambda axis / D x t strip)
-    WoldCase.MIXED_MIXED: (True, True),
-    WoldCase.MIXED_W_SHIFT_Z: (True, False),
-    WoldCase.SHIFT_W_MIXED_Z: (False, True),
-    WoldCase.SHIFT_SHIFT: (False, False),
-}
-_GAMMA3_BANDS = {
-    WoldCase.MIXED_MIXED: 0,
-    WoldCase.MIXED_W_SHIFT_Z: 1,
-    WoldCase.SHIFT_W_MIXED_Z: 1,
-    WoldCase.SHIFT_SHIFT: 3,
+_GAMMA3_BANDS = {  # (w_mixed, z_mixed) -> number of final-stage bands
+    (True, True): 0,
+    (True, False): 1,
+    (False, True): 1,
+    (False, False): 3,
 }
 
 
@@ -241,13 +237,12 @@ def _regions(draw) -> RegionSpec:
     kind = draw(st.sampled_from(RegionKind))
     if kind is RegionKind.TAYLOR:
         return RegionSpec(kind, (tuple(sorted(draw(exponent_pairs))),))
-    case = draw(st.sampled_from(WoldCase))
-    first, second = _AXES[case]
+    w_mixed, z_mixed = case = draw(st.sampled_from(list(_GAMMA3_BANDS)))
     if kind is RegionKind.GAMMA2:
-        return RegionSpec(kind, (draw(exponent_pairs),), include_mu_axis=first,
-                          include_lambda_axis=second, origin_included=draw(st.booleans()))
-    bands = tuple(draw(exponent_pairs) for _ in range(_GAMMA3_BANDS[case]))
-    return RegionSpec(kind, bands, include_t_cross_d=first, include_d_cross_t=second,
+        bands = (draw(exponent_pairs),)
+    else:
+        bands = tuple(draw(exponent_pairs) for _ in range(_GAMMA3_BANDS[case]))
+    return RegionSpec(kind, bands, w_mixed=w_mixed, z_mixed=z_mixed,
                       origin_included=draw(st.booleans()))
 
 
