@@ -18,6 +18,7 @@ checks:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -93,8 +94,8 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 def _runs(starts: list[int], n: int) -> Iterator[list[int]]:
-    """Ascending ``starts`` cut into runs whose windows of length ``n`` span
-    at most 2n rows: a run ends before the first start more than n past its
+    """Ascending ``starts`` cut into runs whose first and last starts are at
+    most ``n`` apart: a run ends before the first start more than n past its
     own first start."""
     run: list[int] = []
     for s in starts:
@@ -104,6 +105,17 @@ def _runs(starts: list[int], n: int) -> Iterator[list[int]]:
         run.append(s)
     if run:
         yield run
+
+
+def _visit_order(starts: list[int], n: int, inner: tuple[int, int] | None) -> list[int]:
+    """The starts of one size's windows of length ``n`` in the order a scan
+    solves them: first those whose window contains the window ``inner``
+    (start, length), the previous size's minimizer, then by distance from
+    its start; ascending when there is none."""
+    if inner is None:
+        return starts
+    p, m = inner
+    return sorted(starts, key=lambda s: (not s <= p <= s + n - m, abs(s - p)))
 
 
 def _stebz(diag: np.ndarray, off: np.ndarray, top: float | None = None) -> np.ndarray:
@@ -126,14 +138,16 @@ def _stebz(diag: np.ndarray, off: np.ndarray, top: float | None = None) -> np.nd
     return w[:m]
 
 
-def _min_window_eigenvalue(
-    spec: ShiftSpec, lambda_abs: float, n: int, starts: list[int]
-) -> float:
-    """Smallest Gram eigenvalue over the windows of length ``n`` at ``starts``.
+def _min_window_eigenvalues(
+    spec: ShiftSpec, lambda_abs: float, sizes: list[int], starts: list[list[int]]
+) -> list[float]:
+    """Smallest Gram eigenvalue of each size's windows, the windows of length
+    ``sizes[k]`` at the ascending ``starts[k]``.
 
-    The result is bit-identical to solving every window, but a window costs
-    one exact solve (stebz, smallest eigenvalue by index) only when it can
-    still lower the running minimum ``best``.  A window is skipped when
+    Each minimum is bit-identical to solving every window of its size, but a
+    window costs one exact solve (stebz, smallest eigenvalue by index) only
+    when it can still lower its size's running minimum ``best``.  A window is
+    skipped when
 
     * its tridiagonal is bit-for-bit the best window's (periodic tails repeat
       windows exactly), so it would return ``best`` again;
@@ -143,32 +157,57 @@ def _min_window_eigenvalue(
       at least one, so a solve returning less than ``best`` has that upper
       end below best + margin, and Sturm counts are monotone.
 
-    The weights and Gram diagonals are read once per run of starts spanning
-    at most 2n rows (``_runs``), and each window is a slice of that read:
-    the Gram entries are elementwise in the weights, so a slice equals the
-    window's own ``_window_gram`` bit for bit, and memory stays O(n).
-
     Once ``best`` is at or below 0 the clipped smin is 0.0 and no window can
-    change it, so the scan of this size stops.
+    change it, so the scan of that size stops.  Skipped windows would all
+    have returned at least ``best``, so the minimum is the same solve on the
+    same arrays in any visiting order, and the order only decides how many
+    windows are solved.
+
+    The union of the sizes' starts is cut into runs at most max(sizes)
+    apart (``_runs``).  The weights and Gram diagonals are read once per
+    run, from its first start to the end of its last window, so a read
+    spans at most 2 max(sizes) rows and never passes the shift's end; each
+    window is a slice of that read, and since the Gram entries are
+    elementwise in the weights, a slice equals the window's own
+    ``_window_gram`` bit for bit.  Within a run the sizes go in ascending
+    order, and each visits first the windows that contain the previous
+    size's minimizer (``_visit_order``): that smaller window's Gram is a
+    principal submatrix of theirs, so by Cauchy interlacing their smallest
+    eigenvalue is at or below the previous minimum, and ``best`` drops
+    early.
     """
-    best = math.inf
-    best_gram = None
-    for run in _runs(starts, n):
-        run_diag, run_off = _window_gram(spec, lambda_abs, run[0], run[-1] - run[0] + n)
-        for start in run:
-            k = start - run[0]
-            diag, off = run_diag[k:k + n], run_off[k:k + n - 1]
-            if best_gram is not None:
-                if np.array_equal(diag, best_gram[0]) and np.array_equal(off, best_gram[1]):
-                    continue
-                norm = float(diag.max() + 2.0 * np.abs(off).max())  # >= ||T||_1
-                if not _stebz(diag, off, best + 4.0 * (_EPS * norm + _TINY)).size:
-                    continue  # no eigenvalue up to best + margin
-            w = float(_stebz(diag, off)[0])
-            if w < best:
-                best, best_gram = w, (diag, off)
-                if best <= 0.0:
-                    return best
+    best = [math.inf] * len(sizes)
+    best_gram: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(sizes)
+    best_window: list[tuple[int, int] | None] = [None] * len(sizes)  # (start, length)
+    for run in _runs(sorted(set().union(*starts)), sizes[-1]):
+        slices = [
+            (k, s[bisect.bisect_left(s, run[0]):bisect.bisect_right(s, run[-1])])
+            for k, s in enumerate(starts)
+            if best[k] > 0.0
+        ]
+        slices = [(k, s) for k, s in slices if s]
+        if not slices:
+            continue
+        lo = min(s[0] for _, s in slices)
+        hi = max(s[-1] + sizes[k] for k, s in slices)
+        run_diag, run_off = _window_gram(spec, lambda_abs, lo, hi - lo)
+        for k, run_starts in slices:
+            n = sizes[k]
+            for start in _visit_order(run_starts, n, best_window[k - 1] if k else None):
+                i = start - lo
+                diag, off = run_diag[i:i + n], run_off[i:i + n - 1]
+                gram = best_gram[k]
+                if gram is not None:
+                    if np.array_equal(diag, gram[0]) and np.array_equal(off, gram[1]):
+                        continue
+                    norm = float(diag.max() + 2.0 * np.abs(off).max())  # >= ||T||_1
+                    if not _stebz(diag, off, best[k] + 4.0 * (_EPS * norm + _TINY)).size:
+                        continue  # no eigenvalue up to best + margin
+                w = float(_stebz(diag, off)[0])
+                if w < best[k]:
+                    best[k], best_gram[k], best_window[k] = w, (diag, off), (start, n)
+                    if w <= 0.0:
+                        break
     return best
 
 
@@ -214,11 +253,10 @@ def window_smin_scan(
             f"window length {sizes[-1]} is over the budget of {WINDOW_LENGTH_BUDGET}"
         )
 
-    minima = []
-    for n, step in zip(sizes, steps):
-        starts = _window_starts(spec.j_min, spec.j_max, n, j_scan, step)
-        w = _min_window_eigenvalue(spec, lambda_abs, n, starts)
-        minima.append(math.sqrt(max(w, 0.0)))
+    starts = [_window_starts(spec.j_min, spec.j_max, n, j_scan, step)
+              for n, step in zip(sizes, steps)]
+    minima = [math.sqrt(max(w, 0.0))
+              for w in _min_window_eigenvalues(spec, lambda_abs, sizes, starts)]
 
     decays = all(b <= a / 2 for a, b in zip(minima, minima[1:]))
     flat = minima[-1] >= minima[0] / 2

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,14 +231,18 @@ def _reference_scan(spec, lambda_abs, sizes, j_scan, step=None):
 def _every_start_minima(spec, lambda_abs, sizes, j_scan, step):
     """Each size's smin over the starts ``step`` apart, from the scan's own
     window solver."""
+    starts = [_window_starts(spec.j_min, spec.j_max, n, j_scan, step) for n in sizes]
     return tuple(
-        math.sqrt(max(oracle._min_window_eigenvalue(
-            spec, lambda_abs, n, _window_starts(spec.j_min, spec.j_max, n, j_scan, step)), 0.0))
-        for n in sizes
+        math.sqrt(max(w, 0.0))
+        for w in oracle._min_window_eigenvalues(spec, lambda_abs, sizes, starts)
     )
 
 
 _BOUNDS = st.integers(-40, 40)
+
+# Criterion 7's half-lines points, also the ladders of the certify benchmark.
+_LADDER = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
+           0.55, 0.6, 0.65, 2**-0.5, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
 
 
 class TestWindowStarts:
@@ -290,6 +295,35 @@ class TestScanMatchesEveryWindowSolved:
         else:
             got = _every_start_minima(spec, lam, sizes, j_scan, step)
         assert [x.hex() for x in got] == [x.hex() for x in minima]
+
+    @given(
+        _scan_profiles(),
+        st.sampled_from([0.3, 0.5, 0.9]) | st.floats(0.05, 0.95),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.lists(st.integers(2, 48), min_size=2, max_size=3, unique=True).map(sorted),
+        st.integers(0, 48),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_visiting_order_at_a_finite_end(self, profile, mu, lam, sizes, j_scan, rnd):
+        """Each size's windows solved in a random order give the same bits.
+        The finite end of a unilateral (adjoint) shift clamps the longest
+        size's starts, so a run's read must stop at that end."""
+        spec = fringe_operator(profile, mu)
+        assume(spec.kind is not ShiftKind.BILATERAL)
+        if spec.kind is ShiftKind.UNILATERAL_ADJOINT:
+            assume(j_scan > int(spec.j_max) - sizes[-1] + 1)
+        else:
+            assume(-j_scan < int(spec.j_min))
+        minima, verdict = _reference_scan(spec, lam, sizes, j_scan)
+
+        def shuffled(starts, n, inner):
+            return rnd.sample(starts, len(starts))
+
+        with mock.patch.object(oracle, "_visit_order", shuffled):
+            result = window_smin_scan(spec, lam, sizes, j_scan=j_scan)
+        assert [x.hex() for x in result.smin_by_size] == [x.hex() for x in minima]
+        assert result.verdict is verdict
 
     def test_all_shift_kinds_and_inverted_tails_are_drawn(self):
         kinds, tails = set(), set()
@@ -372,9 +406,32 @@ class TestScanSharedRead:
         monkeypatch.setattr(oracle, "_window_gram", recording)
         spec = fringe_operator(half_lines_profile(), 0.5)
         _every_start_minima(spec, 0.6, [16, 64], 1024, 1)
-        # 2050 starts a size: one read per run of n + 1 starts at most.
-        assert 64 < max(reads) <= 128
-        assert len(reads) <= -(-2050 // 17) + -(-2050 // 65)
+        # 2049 starts shared by both sizes: one read per run of 65 starts at
+        # most, where a read per size and run would make 2050/17 + 2050/65.
+        assert 64 < max(reads) <= 2 * 64
+        assert len(reads) <= -(-2050 // 65)
+
+    @pytest.mark.parametrize("name, lams, j_scan, ceiling", [
+        ("half_lines_1_2", _LADDER, 64, 84),  # 96 visiting each size's windows in ascending order
+        ("geometric_blocks_01", (0.3, 0.6, 0.8, 0.95), 4096, 36),  # 46 likewise
+        ("quarter_plane_steps", _LADDER, 64, 60),
+    ])
+    def test_solve_count_ceiling(self, monkeypatch, spec_dir, name, lams, j_scan, ceiling):
+        """Exact solves of the scans of the ``certify`` benchmark, per spec."""
+        solves = 0
+        stebz = oracle._stebz
+
+        def counting(diag, off, top=None):
+            nonlocal solves
+            solves += top is None
+            return stebz(diag, off, top)
+
+        monkeypatch.setattr(oracle, "_stebz", counting)
+        profile = profile_from_json(json.loads((spec_dir / f"{name}.json").read_text()))
+        spec = fringe_operator(profile, 0.5)
+        for lam in lams:
+            window_smin_scan(spec, lam, [256, 1024, 4096], j_scan=j_scan)
+        assert solves <= ceiling
 
     def test_stebz_failure_is_a_regime_error(self, monkeypatch):
         import scipy.linalg.lapack
