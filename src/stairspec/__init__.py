@@ -33,9 +33,9 @@ from .regions import (
 )
 from .shifts import fringe_operator, ridge_bounds, sigma_ap_predict
 from .oracle import (
-    gamma1_empty_check,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
+    joint_forward_kernel_smin,
     window_smin_scan,
 )
 

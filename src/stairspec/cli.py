@@ -19,6 +19,7 @@ error and exits 2 as well.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -93,15 +94,23 @@ def _check_grid(points: int) -> None:
         )
 
 
-def _dump(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+@contextlib.contextmanager
+def _output(path: str, mode: str, **kwargs):
+    """``path`` opened for writing; failing to open or write it is a ``SpecError``."""
+    try:
+        with open(path, mode, **kwargs) as handle:
+            yield handle
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
 
 
-def _cmd_validate(profile: DiagramProfile, args) -> int:
-    structure = validate(profile)
-    _dump({"input": profile_to_json(profile), "structure": structure.to_json()})
-    return EXIT_OK
+def _regions(profile: DiagramProfile) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
+    """The Taylor, gamma2 and gamma3 regions, in ``SETS`` order."""
+    return region_triple(compute_params(profile), validate(profile))
+
+
+def _cmd_validate(profile: DiagramProfile, args) -> dict:
+    return {"input": profile_to_json(profile), "structure": validate(profile).to_json()}
 
 
 def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
@@ -115,22 +124,20 @@ def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
     return fraction, std_error
 
 
-def _cmd_report(profile: DiagramProfile, args) -> int:
+def _cmd_report(profile: DiagramProfile, args) -> dict:
     if args.mc_samples < 1:
         raise SpecError(f"--mc-samples must be >= 1, got {args.mc_samples}")
     if args.seed < 0:
         raise SpecError(f"--seed must be >= 0, got {args.seed}")
-    structure = validate(profile)
-    doc = {"input": profile_to_json(profile), "structure": structure.to_json()}
-    if structure.is_simple:
+    doc = _cmd_validate(profile, args)
+    if doc["structure"]["is_simple"]:
         doc["note"] = (
             "simple diagram: the pair is doubly commuting; spectral "
             "parameters and region bands are not reported"
         )
-        _dump(doc)
-        return EXIT_OK
+        return doc
     params = compute_params(profile)
-    taylor, gamma2, gamma3 = region_triple(params, structure)
+    taylor, gamma2, gamma3 = region_triple(params, validate(profile))
     fraction, std_error = _area_fraction(taylor, args.mc_samples, args.seed, args.tol)
     doc["params"] = params.to_json()
     doc["taylor_band"] = {"p": str(taylor.bands[0][0]), "q": str(taylor.bands[0][1])}
@@ -156,31 +163,25 @@ def _cmd_report(profile: DiagramProfile, args) -> int:
         "samples": args.mc_samples,
         "seed": args.seed,
     }
-    _dump(doc)
-    return EXIT_OK
+    return doc
 
 
-def _cmd_params(profile: DiagramProfile, args) -> int:
-    _dump(compute_params(profile).to_json())
-    return EXIT_OK
+def _cmd_params(profile: DiagramProfile, args) -> dict:
+    return compute_params(profile).to_json()
 
 
-def _cmd_member(profile: DiagramProfile, args) -> int:
-    regions = region_triple(compute_params(profile), validate(profile))
-    result = region_member(regions[SETS.index(args.set)], args.mu, args.lam, args.tol)
-    _dump(
-        {
-            "set": args.set,
-            "mu_abs": args.mu,
-            "lambda_abs": args.lam,
-            "membership": result.state.value,
-            "tol": args.tol,
-        }
-    )
-    return EXIT_OK
+def _cmd_member(profile: DiagramProfile, args) -> dict:
+    region = _regions(profile)[SETS.index(args.set)]
+    return {
+        "set": args.set,
+        "mu_abs": args.mu,
+        "lambda_abs": args.lam,
+        "membership": region_member(region, args.mu, args.lam, args.tol).state.value,
+        "tol": args.tol,
+    }
 
 
-def _cmd_sample(profile: DiagramProfile, args) -> int:
+def _cmd_sample(profile: DiagramProfile, args) -> None:
     n = args.resolution
     if n < 2:
         raise SpecError("--resolution must be >= 2")
@@ -191,25 +192,20 @@ def _cmd_sample(profile: DiagramProfile, args) -> int:
     # tolerance writes nothing.
     columns = [
         labels[region_states(region, axis[:, None], axis[None, :], args.tol)].ravel()
-        for region in region_triple(compute_params(profile), validate(profile))
+        for region in _regions(profile)
     ]
     ticks = [f"{t:.12g}" for t in axis.tolist()]
     mu_column = np.repeat(np.array(ticks, dtype=object), n)  # |mu| outermost
     rows = map(",".join, zip(mu_column, ticks * n, *columns))
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            handle.write(",".join(["mu_abs", "lambda_abs", *SETS]) + "\r\n")
-            handle.writelines(row + "\r\n" for row in rows)
-    except OSError as exc:
-        raise SpecError(f"{args.out}: {exc}") from exc
-    return EXIT_OK
+    with _output(args.out, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(["mu_abs", "lambda_abs", *SETS]) + "\r\n")
+        handle.writelines(row + "\r\n" for row in rows)
 
 
-def _cmd_raster(profile: DiagramProfile, args) -> int:
+def _cmd_raster(profile: DiagramProfile, args) -> None:
     if args.width < 16 or args.height < 16:
         raise SpecError("--width and --height must be >= 16")
-    regions = region_triple(compute_params(profile), validate(profile))
-    region = regions[SETS.index(args.set)]
+    region = _regions(profile)[SETS.index(args.set)]
     width, height = args.width, args.height
     _check_grid(width * height)
     colors = {
@@ -222,13 +218,9 @@ def _cmd_raster(profile: DiagramProfile, args) -> int:
     lam_abs = np.array([(height - 1 - py) / (height - 1) for py in range(height)])  # origin bottom-left
     codes = region_states(region, mu_abs[None, :], lam_abs[:, None], args.tol)
     pixels = palette[codes].tobytes()
-    try:
-        with open(args.out, "wb") as handle:
-            handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-            handle.write(pixels)
-    except OSError as exc:
-        raise SpecError(f"{args.out}: {exc}") from exc
-    return EXIT_OK
+    with _output(args.out, "wb") as handle:
+        handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        handle.write(pixels)
 
 
 def _fringe_weight_indices(spec) -> range:
@@ -244,21 +236,18 @@ def _fringe_weight_indices(spec) -> range:
     return range(start + 1, start + 33)
 
 
-def _cmd_fringe(profile: DiagramProfile, args) -> int:
+def _cmd_fringe(profile: DiagramProfile, args) -> dict:
     spec = fringe_operator(profile, args.mu)
     bounds = ridge_bounds(spec, compute_params(profile))
-    _dump(
-        {
-            "kind": spec.kind.value,
-            "mu_abs": args.mu,
-            "weights_first_32": spec.weights(_fringe_weight_indices(spec)).tolist(),
-            "ridge_bounds": bounds.to_json(),
-        }
-    )
-    return EXIT_OK
+    return {
+        "kind": spec.kind.value,
+        "mu_abs": args.mu,
+        "weights_first_32": spec.weights(_fringe_weight_indices(spec)).tolist(),
+        "ridge_bounds": bounds.to_json(),
+    }
 
 
-def _cmd_oracle_fringe(profile: DiagramProfile, args) -> int:
+def _cmd_oracle_fringe(profile: DiagramProfile, args) -> dict:
     spec = fringe_operator(profile, args.mu)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
@@ -267,39 +256,33 @@ def _cmd_oracle_fringe(profile: DiagramProfile, args) -> int:
             f"--sizes: expected comma-separated integers, got {args.sizes!r}"
         ) from exc
     result = window_smin_scan(spec, args.lam, sizes, j_scan=args.j_scan)
-    _dump(
-        {
-            "mu_abs": args.mu,
-            "lambda_abs": args.lam,
-            "sizes": list(result.sizes),
-            "smin_by_size": list(result.smin_by_size),
-            "verdict": result.verdict.value,
-        }
-    )
-    return EXIT_OK
+    return {
+        "mu_abs": args.mu,
+        "lambda_abs": args.lam,
+        "sizes": list(result.sizes),
+        "smin_by_size": list(result.smin_by_size),
+        "verdict": result.verdict.value,
+    }
 
 
-def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> int:
+def _cmd_oracle_gamma2(profile: DiagramProfile, args) -> dict:
     verdict = gamma2_series_test(profile, args.mu, args.lam, args.terms, args.tol)
-    _dump(
-        {
-            "mu_abs": args.mu,
-            "lambda_abs": args.lam,
-            "classification": verdict.classification.value,
-            "log10_partial_sums": [
-                {"terms": n, "down_series": json_number(lo), "up_series": json_number(hi)}
-                for n, lo, hi in verdict.log10_partial_sums
-            ],
-            "root_minus": json_number(verdict.root_minus),
-            "root_plus": json_number(verdict.root_plus),
-            "predicted_root_minus": json_number(verdict.predicted_root_minus),
-            "predicted_root_plus": json_number(verdict.predicted_root_plus),
-        }
-    )
-    return EXIT_OK
+    return {
+        "mu_abs": args.mu,
+        "lambda_abs": args.lam,
+        "classification": verdict.classification.value,
+        "log10_partial_sums": [
+            {"terms": n, "down_series": json_number(lo), "up_series": json_number(hi)}
+            for n, lo, hi in verdict.log10_partial_sums
+        ],
+        "root_minus": json_number(verdict.root_minus),
+        "root_plus": json_number(verdict.root_plus),
+        "predicted_root_minus": json_number(verdict.predicted_root_minus),
+        "predicted_root_plus": json_number(verdict.predicted_root_plus),
+    }
 
 
-def _cmd_oracle_t3(profile: DiagramProfile, args) -> int:
+def _cmd_oracle_t3(profile: DiagramProfile, args) -> dict:
     if args.window < 4:
         raise SpecError(
             f"--window must be >= 4 (the ladder probes window // 4, window // 2 "
@@ -314,8 +297,7 @@ def _cmd_oracle_t3(profile: DiagramProfile, args) -> int:
         {"window": size, "smin": joint_adjoint_kernel_smin(profile, args.mu, args.lam, window)}
         for size, window in zip(sizes, windows)
     ]
-    _dump({"mu_abs": args.mu, "lambda_abs": args.lam, "smin_ladder": ladder})
-    return EXIT_OK
+    return {"mu_abs": args.mu, "lambda_abs": args.lam, "smin_ladder": ladder}
 
 
 @functools.cache
@@ -377,13 +359,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(_load_profile(args.spec), args)
+        doc = args.func(_load_profile(args.spec), args)
+        if doc is not None:  # sample and raster write their file and print nothing
+            json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except RegimeError as exc:
         print(f"numeric-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

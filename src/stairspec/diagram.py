@@ -834,7 +834,7 @@ def _tail_to_json(tail: Tail) -> dict:
     doc = {"kind": tail.kind}
     for key in _TAIL_FORMS[tail.kind][1]:
         value = getattr(tail, key)
-        doc[key] = [f"{v.numerator}/{v.denominator}" for v in value] if key == "slopes" else value
+        doc[key] = [str(ExtReal(v)) for v in value] if key == "slopes" else value
     return doc
 
 

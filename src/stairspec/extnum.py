@@ -87,10 +87,6 @@ class ExtReal:
         return ExtReal, (Fraction(self._n, self._d) if self._d else None,)
 
     @classmethod
-    def infinity(cls) -> "ExtReal":
-        return cls(None)
-
-    @classmethod
     def ratio(cls, n: int, d: int) -> "ExtReal":
         """n/d for ints n >= 0 and d >= 1, reduced by their gcd: the value of
         ``ExtReal(Fraction(n, d))`` without building the Fraction."""
@@ -187,7 +183,7 @@ _set_n, _set_d, _set_float = (slot.__set__ for slot in (ExtReal._n, ExtReal._d, 
 
 
 EXT_ZERO = ExtReal(0)
-EXT_INF = ExtReal.infinity()
+EXT_INF = ExtReal(None)
 
 
 def pow_ext(base: float, exponent: ExtReal) -> float:

@@ -345,7 +345,7 @@ def gamma2_series_test(
     samples = []
     n = 1
     while n <= n_terms:
-        log10_minus = partial_minus[min(n, n_terms)] / math.log(10)
+        log10_minus = partial_minus[n] / math.log(10)
         if len(partial_plus):
             log10_plus = partial_plus[min(n, plus_top) - 1] / math.log(10)
         else:
@@ -533,31 +533,22 @@ def joint_adjoint_kernel_smin(
     return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam), -1))
 
 
-@dataclass(frozen=True)
-class Gamma1Report:
-    entries: tuple[tuple[float, float, float], ...]  # (|mu|, |lambda|, smin)
-
-
-def gamma1_empty_check(
+def joint_forward_kernel_smin(
     profile: DiagramProfile,
-    samples: list[tuple[complex, complex]],
+    mu: complex,
+    lam: complex,
     window: tuple[int, int, int, int],
-) -> Gamma1Report:
-    """Certify the absence of approximate joint kernels of the forward maps.
+) -> float:
+    """Smallest singular value of the stacked forward maps on a lattice window.
 
-    For each sample the stacked matrix of (mu - M_w) and (lambda - M_z) is
-    assembled on window-supported vectors with full image rows, so its
-    smallest singular value bounds the joint residual from below over that
-    window.  The reported value is the residual at the solver's own unit
-    vector (``_stacked_smin``), which sits at most about sqrt(eps) ||A||
-    above that minimum: under 5e-8 for these stacks (||A|| <= 2 sqrt 2),
-    six orders of magnitude below ``TAU_OUT_DEFAULT``.  Values staying at or
-    above ``TAU_OUT_DEFAULT`` across windows are evidence that the
-    first-stage locus is empty there.
+    The forward twin of ``joint_adjoint_kernel_smin``: the stacked matrix of
+    (|mu| - M_w) and (|lambda| - M_z) on window-supported vectors with full
+    image rows, so its smallest singular value bounds the joint residual
+    from below over that window.  The value returned is the residual at the
+    solver's own unit vector (``_stacked_smin``), which sits at most about
+    sqrt(eps) ||A|| above that minimum: under 5e-8 for these stacks
+    (||A|| <= 2 sqrt 2), six orders of magnitude below ``TAU_OUT_DEFAULT``.
+    Values staying at or above ``TAU_OUT_DEFAULT`` across windows are
+    evidence that the first-stage locus is empty there.
     """
-    results = []
-    for mu, lam in samples:
-        mu_abs, lam_abs = abs(mu), abs(lam)
-        smin = _stacked_smin(_lattice_stack(profile, window, mu_abs, lam_abs, +1))
-        results.append((mu_abs, lam_abs, smin))
-    return Gamma1Report(tuple(results))
+    return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam), +1))

@@ -221,12 +221,11 @@ def sigma_ap_predict(spec: ShiftSpec, bounds: RidgeBounds, lambda_abs: float) ->
     are the shared values of ``region_member``, one per code.
     """
     check_magnitude("|lambda|", lambda_abs)
-    if spec.kind is ShiftKind.FINITE_NILPOTENT:
-        return _ANSWERS[_IN if lambda_abs == 0.0 else _OUT]
     b = bounds
     if spec.kind is ShiftKind.UNILATERAL:
         intervals = ((EXT_INF, b.r_minus),)  # the disc: |mu|**inf = 0
-    elif spec.kind is ShiftKind.UNILATERAL_ADJOINT:
+    elif spec.kind in (ShiftKind.UNILATERAL_ADJOINT, ShiftKind.FINITE_NILPOTENT):
+        # a finite block's bounds are all inf: the one point |mu|**inf = 0
         intervals = ((b.i_minus, b.r_minus),)
     else:
         intervals = ((b.i_plus, b.r_plus), (b.r_plus, b.i_minus), (b.i_minus, b.r_minus))

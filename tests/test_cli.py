@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,32 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "spec error: minus_tail: periodic tail needs period >= 1, got 0\n"
+
+
+def _geometric_minus_spec(tmp_path, slope: str) -> str:
+    minus = {"kind": "geometric", "slopes": [slope, "1"], "ratio": 2, "base_len": 1}
+    return _write_spec(tmp_path, "deep_slope", 0, 0, minus, PERIODIC_1)
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "params"])
+def test_slope_past_the_digit_limit_exits_3(capsys, tmp_path, command):
+    """A slope with more denominator digits than the interpreter writes is a
+    regime error wherever it is written, never a traceback."""
+    assert main([command, _geometric_minus_spec(tmp_path, "1e-5000")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric-regime error: exponent has more decimal digits than the interpreter "
+        "writes (1-bit numerator, 16610-bit denominator)\n"
+    )
+
+
+def test_slope_under_the_digit_limit_is_echoed_exactly(capsys, tmp_path):
+    """A 4,001-digit denominator, under the limit, reads back as the same Fraction."""
+    code, out = run(capsys, "validate", _geometric_minus_spec(tmp_path, "1e-4000"))
+    assert code == 0
+    slopes = json.loads(out)["input"]["minus_tail"]["slopes"]
+    assert [Fraction(s) for s in slopes] == [Fraction(1, 10**4000), 1]
 
 
 class TestParams:
@@ -860,6 +887,42 @@ class TestEveryFlagIsRead:
         reads = LEAVES[leaf][1]
         flags = [f"{flag}={FLAG_VALUES[flag]}" for flag in reads]
         assert main([*self._argv(leaf, tmp_path), "--threads", "1", *flags]) == 0
+
+
+class TestOneDocumentOrOneFile:
+    """Each leaf prints its one JSON document on stdout, or writes its one
+    file and prints nothing; ``main`` alone writes stdout."""
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_leaf_prints_its_document_or_writes_its_file(self, capsys, tmp_path, leaf):
+        argv = TestEveryFlagIsRead._argv(leaf, tmp_path)
+        args = _build_parser().parse_args(argv)
+        doc = args.func(cli._load_profile(args.spec), args)
+        written = tmp_path / "out"
+        written.unlink(missing_ok=True)
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if "OUT" in LEAVES[leaf][0]:
+            assert doc is None
+            assert printed == ""
+            assert written.stat().st_size > 0
+        else:
+            assert printed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_only_main_writes_stdout(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        main_def = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+        in_main = {id(node) for node in ast.walk(main_def)}
+        stdout = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "stdout"
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"]
+        assert stdout and all(id(node) in in_main for node in stdout)
+        prints = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print"]
+        assert all(any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords) for node in prints)
 
 
 class TestExitCodeIsTheBaseClass:

@@ -35,9 +35,9 @@ from stairspec.oracle import (
     _lattice_stack,
     _stacked_smin,
     _window_starts,
-    gamma1_empty_check,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
+    joint_forward_kernel_smin,
     window_smin_scan,
 )
 from stairspec.params import compute_params
@@ -97,7 +97,7 @@ class TestScanBudget:
         with pytest.raises(RegimeError, match="window of 90 points is over the budget of 81"):
             joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 5, -4, 4))
         with pytest.raises(RegimeError, match="window of 90 points is over the budget of 81"):
-            gamma1_empty_check(line_profile(), [(0.5, 0.5)], (-4, 4, -5, 4))
+            joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-4, 4, -5, 4))
 
     def test_budgets_admit_every_size_in_use(self):
         """Window length 4096, 2**16 terms (the CLI fuzz) and a t3 window of 64."""
@@ -608,32 +608,32 @@ class TestAdjointKernelWitness:
 
 class TestGamma1Check:
     def test_line_has_no_joint_kernel(self):
-        report = gamma1_empty_check(line_profile(), [(0.5, 0.5)], (-40, 40, -40, 40))
-        assert report.entries[0][2] >= 0.2
-        assert all(smin >= TAU_OUT_DEFAULT for *_, smin in report.entries)
+        smin = joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-40, 40, -40, 40))
+        assert smin >= 0.2
+        assert smin >= TAU_OUT_DEFAULT
 
     def test_origin_is_isometric(self):
-        report = gamma1_empty_check(line_profile(), [(0.0, 0.0)], (-20, 20, -20, 20))
-        assert report.entries[0][2] >= 1.0
+        assert joint_forward_kernel_smin(line_profile(), 0.0, 0.0, (-20, 20, -20, 20)) >= 1.0
 
     def test_random_samples_certified(self):
         # sampled away from the outer shell, where the isometry lower bound
         # 1 - max(|mu|, |lambda|) keeps every certificate above threshold
         rng = np.random.default_rng(31)
         samples = [tuple(0.9 * rng.random(2)) for _ in range(20)]
-        report = gamma1_empty_check(line_profile(), samples, (-25, 25, -25, 25))
-        assert all(smin >= TAU_OUT_DEFAULT for *_, smin in report.entries)
+        for mu, lam in samples:
+            smin = joint_forward_kernel_smin(line_profile(), mu, lam, (-25, 25, -25, 25))
+            assert smin >= TAU_OUT_DEFAULT
 
     @pytest.mark.parametrize("mu", [math.nan, 2.0])
     def test_rejects_magnitude_outside_closed_disc(self, mu):
         """As joint_adjoint_kernel_smin does, not with scipy's NaN error or a
         smin for a point off the bidisc."""
         with pytest.raises(RegimeError, match=r"^\|mu\| must lie in \[0, 1\]"):
-            gamma1_empty_check(wold_mixed_profile(), [(mu, 0.5)], (-4, 4, -4, 4))
+            joint_forward_kernel_smin(wold_mixed_profile(), mu, 0.5, (-4, 4, -4, 4))
 
     def test_window_ladder_monotone(self):
         values = [
-            gamma1_empty_check(line_profile(), [(0.5, 0.5)], (-n, n, -n, n)).entries[0][2]
+            joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-n, n, -n, n))
             for n in (10, 20, 40)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

@@ -239,8 +239,10 @@ class TestSigmaApPredict:
     def test_nilpotent_point_rule(self):
         profile = DiagramProfile(0, (1, 0), EMPTY_ROWS, FULL_ROWS)
         spec, rb = _fringe(profile)
+        assert spec.kind is ShiftKind.FINITE_NILPOTENT
         assert sigma_ap_predict(spec, rb, 0.0).state is Membership.INSIDE
-        assert sigma_ap_predict(spec, rb, 0.4).state is Membership.OUTSIDE
+        for lam in (5e-324, 1e-300, 0.4, 1.0):
+            assert sigma_ap_predict(spec, rb, lam).state is Membership.OUTSIDE
 
     def test_half_lines_two_circles(self):
         spec, rb = _fringe(half_lines_profile())
