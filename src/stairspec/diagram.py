@@ -30,6 +30,7 @@ on either side, unless its class says otherwise.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -88,7 +89,10 @@ def _ints(values, *anchors: int) -> np.ndarray:
 # placement when it is built.  A finite tail has one evaluator,
 # ``rises(ts, side)``: the exact rise of the border sequence ``t`` steps
 # beyond the window for each ``t >= 0`` in ``ts``, as an int64 array or,
-# past the magnitude guard, an object array of Python ints.
+# past the magnitude guard, an object array of Python ints.  It also has
+# ``runs(t_lo, t_hi)``: the steps [t_lo, t_hi] cut, in order, into runs
+# ``(a, b, P)`` on which ``rises(t + P) - rises(t)`` is one constant for
+# every t with t and t + P in [a, b], on either side.
 # ---------------------------------------------------------------------------
 
 
@@ -150,6 +154,9 @@ class PeriodicTail(Tail):
             return -((-ts * self.rise) // self.period)  # ceil
         return (ts * self.rise) // self.period  # floor
 
+    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
+        return [(t_lo, t_hi, self.period)]
+
     def is_rise_zero(self) -> bool:
         return self.rise == 0
 
@@ -189,13 +196,17 @@ class _BlockTable:
         self.starts.append(self.starts[-1] + length)
         self.targets.append(self.targets[-1] + slope * length)
 
+    def reach(self, step: int, target: int) -> None:
+        """Grow the blocks until they reach both ``step`` and scaled ``target``."""
+        while self.starts[-1] < step or self.targets[-1] < target:
+            self._grow()
+
     def covering(self, step: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, targets, slopes) reaching both ``step`` and scaled ``target``."""
         starts, targets, _ = self.int64
         if len(starts) > 1 and step <= starts[-1] and target <= targets[-1]:
             return self.int64
-        while self.starts[-1] < step or self.targets[-1] < target:
-            self._grow()
+        self.reach(step, target)
         return tuple(np.array(v, dtype=object) for v in (self.starts, self.targets, self.slopes))
 
 
@@ -282,6 +293,21 @@ class GeometricBlocksTail(Tail):
         out -= self._base
         return out
 
+    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
+        """Block k holds the steps t with u = t + t_shift in (starts[k],
+        starts[k+1]], and block 0 also u = 0.  Its target is linear in u with
+        scaled slope s_k, so the rise repeats every scale / gcd(s_k, scale)
+        steps: one step on a zero slope."""
+        table, shift = self._table, self.t_shift
+        table.reach(t_hi + shift, 0)
+        k = max(bisect.bisect_left(table.starts, t_lo + shift) - 1, 0)
+        out, a = [], t_lo
+        while a <= t_hi:
+            b = min(table.starts[k + 1] - shift, t_hi)
+            out.append((a, b, table.scale // math.gcd(table.slopes[k], table.scale)))
+            a, k = b + 1, k + 1
+        return out
+
     @cached_property
     def _cycle_ends(self) -> tuple[int, int, int]:
         """The extreme limits of running averages along block ends, over the
@@ -340,6 +366,27 @@ class InvertedBlocksTail(Tail):
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
         out = self._inverse(ts)
         out -= self._base
+        return out
+
+    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
+        """With c = (2 * inner._base + 1) * scale / 2, step t lies in inner
+        block k when targets[k] < scale * t + c <= targets[k+1], so a
+        zero-slope block holds no step.  The inverse moves scale / gcd(s_k,
+        scale) steps every s_k / gcd(s_k, scale) steps of a block of scaled
+        slope s_k."""
+        inner = self.inner
+        table, scale = inner._table, inner._table.scale
+        c = (2 * inner._base + 1) * (scale // 2)
+        table.reach(0, scale * t_hi + c)
+        k = bisect.bisect_left(table.targets, scale * t_lo + c) - 1
+        out, a = [], t_lo
+        while a <= t_hi:
+            b = min((table.targets[k + 1] - c) // scale, t_hi)
+            if b >= a:
+                slope = table.slopes[k]
+                out.append((a, b, slope // math.gcd(slope, scale)))
+                a = b + 1
+            k += 1
         return out
 
     def uninverted(self) -> GeometricBlocksTail:

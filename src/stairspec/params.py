@@ -103,7 +103,8 @@ _ETA_SUB = 1 << 12
 # Both the depth n_max (the rows of one side's eta scan) and the 2 * j_span + 1
 # rows of one slope read must be within this budget; it is checked before any
 # row is read.  At the budget (n_max = 2**20, j_span = 2**19 - 1) one call
-# takes 0.05-0.1 s and 78 MB peak RSS on a 2-core x86-64 VM.
+# takes 0.05-0.11 s and 92 MB peak RSS on a 2-core x86-64 VM, most of it in
+# the three slope reads of 2**20 rows.
 _SCAN_BUDGET = 1 << 20
 
 
@@ -111,23 +112,52 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
     """max of float(g(t)) / t over t in [t_first, t_last], with t_first >= 1.
 
     g is the exact rise away from index 0: M_{-t} - M_0 on the minus side and
-    M_0 - M_t on the plus side.  It is a non-decreasing integer >= 0, so on
-    [lo, hi] every quotient is at most g(hi) / lo, and since float rounding
-    is monotone, ``float(g(hi)) / lo`` bounds every quotient the scan
-    computes there.  Blocks are visited by descending bound; the scan stops
-    at the first bound that cannot beat the running maximum, and reads a
-    visited block only from its first to its last sub-block whose bound
+    M_0 - M_t on the plus side.  It is a non-decreasing integer >= 0.
+
+    Run ends.  Past the window the range is cut into the runs of the tail's
+    ``runs`` method: on a run, g(t + P) - g(t) is one constant R.  Along one
+    residue class mod P, g = g0 + m R and t = t0 + m P, so g / t is monotone
+    in m.  While g < 2**53, ``float(g)`` is g exactly, and division rounds
+    monotonically, so the class's computed quotients are monotone too and
+    its maximum (and equally its minimum) is its first or last member.  A
+    run longer than 2P whose far-end rise is below 2**53 is therefore read
+    only at its first and last P steps.  Window rows, shorter runs and runs
+    that reach 2**53 are read whole.  The far end of every run is read
+    first, so ``t_last`` always is.
+
+    Bounds.  On [lo, hi] every quotient is at most g(hi) / lo, and since
+    float rounding is monotone, ``float(g(hi)) / lo`` bounds every quotient
+    the scan computes there.  The ranges left to read are cut into blocks
+    of at most ``_ETA_CHUNK`` steps, visited by descending bound; the scan
+    stops at the first bound that cannot beat the running maximum, and reads
+    a visited block only from its first to its last sub-block whose bound
     still can.  A value never read is never the maximum, so the result is
     that of the whole range.
     """
     s = -1 if side is Side.MINUS else 1
+    tail = profile.minus_tail if s < 0 else profile.plus_tail
+    edge = -profile.j_lo if s < 0 else profile.j_hi  # step t is tail step t - edge
 
     def rises(js) -> np.ndarray:
         rows = m_exact(profile, js)
         return float_drops(rows, m0) if s < 0 else float_drops(m0, rows)
 
-    los = np.arange(t_first, t_last + 1, _ETA_CHUNK)
-    his = np.minimum(los + _ETA_CHUNK - 1, t_last)
+    spans = [(t_first, min(t_last, edge))] if t_first <= edge else []
+    if t_last > edge:
+        runs = tail.runs(max(t_first, edge + 1) - edge, t_last - edge)
+        far = np.array([b for _, b, _ in runs]) + edge
+        exact = rises(s * far) < 2.0**53  # float(g) is g on the whole run
+        for (a, b, period), exact_run in zip(runs, exact):
+            a, b = a + edge, b + edge
+            if exact_run and 2 * period < b - a + 1:
+                spans += [(a, a + period - 1), (b - period + 1, b)]
+            else:
+                spans.append((a, b))
+
+    los = [np.arange(lo, hi + 1, _ETA_CHUNK) for lo, hi in spans]
+    his = np.concatenate([np.minimum(starts + _ETA_CHUNK - 1, hi)
+                          for starts, (_, hi) in zip(los, spans)])
+    los = np.concatenate(los)
     bounds = rises(s * his) / los
     best = -math.inf
     for k in np.argsort(-bounds, kind="stable"):
@@ -160,9 +190,14 @@ def estimate_params_bruteforce(
     Every difference of border values is taken exactly and then rounded once
     to float64, so the estimate does not change when the diagram is
     translated; a difference beyond float64 raises ``RegimeError``.  The eta
-    scan skips the blocks that cannot raise its maximum (see
-    :func:`_eta_max`) and reads the rest in blocks of at most ``_ETA_CHUNK``
-    values, so memory stays O(j_span + _ETA_CHUNK) plus one bound per block.
+    scan reads a tail run of period P only at its first and last P steps:
+    along one residue class mod P both the rise g and t grow linearly, so
+    g / t is monotone, and while g < 2**53 so is the rounded quotient, whose
+    maximum is then at an end of the class.  A run whose far-end rise
+    reaches 2**53 is read whole.  The scan also skips the blocks that cannot
+    raise its maximum (see :func:`_eta_max`) and reads the rest in blocks of
+    at most ``_ETA_CHUNK`` values, so memory stays O(j_span + _ETA_CHUNK)
+    plus one bound per block.
     Requires both tails finite over the scan, n_max and 2 * j_span + 1 within
     ``_SCAN_BUDGET``; raises ``RegimeError`` otherwise.
     """

@@ -42,6 +42,7 @@ from stairspec.shifts import fringe_operator
 from conftest import (
     SPEC_DIR,
     canonical_nonsimple,
+    finite_tails,
     gb01_profile,
     half_lines_profile,
     line_profile,
@@ -370,6 +371,38 @@ class TestExactEvaluator:
         assert eval_M(profile, -2) == 2 * 10**400
         with pytest.raises(RegimeError, match=r"a border value in \[-2, 0\] is beyond the float64"):
             m_values(profile, -2, 0)
+
+
+@st.composite
+def _run_tails(draw):
+    """conftest's finite tails, and block tails with a zero slope and a
+    t_shift of 0-5, as they are or inverted."""
+    if draw(st.booleans()):
+        return draw(finite_tails())
+    others = draw(st.lists(st.sampled_from([FR(1, 3), FR(1, 2), FR(1), FR(2), FR(5, 2)]),
+                           min_size=1, max_size=2, unique=True))
+    slopes = tuple(draw(st.permutations([FR(0), *others])))
+    inner = GeometricBlocksTail(slopes, draw(st.integers(2, 3)), draw(st.integers(1, 3)),
+                                draw(st.integers(0, 5)))
+    return inner if draw(st.booleans()) else InvertedBlocksTail(inner)
+
+
+class TestRuns:
+    @given(_run_tails(), st.integers(0, 300), st.integers(0, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_tile_the_range_with_constant_rises(self, tail, t_lo, length):
+        """The runs cover [t_lo, t_hi] in order, with no gap or overlap, and
+        inside each run rises(t + P) - rises(t) is one constant on both sides."""
+        t_hi = t_lo + length
+        runs = tail.runs(t_lo, t_hi)
+        assert [a for a, _, _ in runs] == [t_lo] + [b + 1 for _, b, _ in runs[:-1]]
+        assert runs[-1][1] == t_hi
+        assert all(a <= b and period >= 1 for a, b, period in runs)
+        for side in tail.sides:
+            rises = tail.rises(np.arange(t_lo, t_hi + 1), side)
+            for a, b, period in runs:
+                run = rises[a - t_lo:b - t_lo + 1]
+                assert len(set((run[period:] - run[:-period]).tolist())) <= 1, (a, b, period)
 
 
 class TestEvalN:

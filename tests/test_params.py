@@ -13,7 +13,9 @@ from stairspec.diagram import (
     DiagramProfile,
     GeometricBlocksTail,
     PeriodicTail,
-    m_values,
+    Side,
+    float_drops,
+    m_exact,
     translate,
     transpose,
     validate,
@@ -182,20 +184,8 @@ class TestEstimator:
         for profile in (line_profile(3, 2), half_lines_profile(), gb01_profile(),
                         transpose(_duality_suite()[8]),  # inverted tails on both sides
                         DiagramProfile(-1, (5, 2), PeriodicTail(3, 2), PeriodicTail(2, 5))):
-            cut = max(16, math.isqrt(n_max)) if eta_cutoff is None else eta_cutoff
-            cut = min(cut, n_max)
-            values = m_values(profile, -(j_span + n_max), j_span + n_max)
-            mid = j_span + n_max  # values[mid + j] == M_j
-            j_idx = np.arange(-j_span, j_span + 1) + mid
-            minus = (values[j_idx - n_max] - values[j_idx]) / n_max
-            plus = (values[j_idx] - values[j_idx + n_max]) / n_max
-            ts = np.arange(cut, n_max + 1)
-            want = [minus.min(), plus.min(), ((values[mid - ts] - values[mid]) / ts).max(),
-                    ((values[mid] - values[mid + ts]) / ts).max(), minus.max(), plus.max()]
             est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
-            got = [est.delta_minus, est.delta_plus, est.eta_minus, est.eta_plus,
-                   est.rho_minus, est.rho_plus]
-            assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+            assert _hexes(est) == _whole_range(profile, n_max, j_span, eta_cutoff)
 
     def test_scan_overflow(self):
         with pytest.raises(RegimeError, match="minus tail has empty rows inside the scan"):
@@ -228,18 +218,21 @@ class TestEstimator:
         assert est.eta_minus == est.eta_plus == 1.0
 
 
-def _whole_range(profile, n_max, j_span, eta_cutoff):
-    """The six estimates from one float64 array of the whole scanned range."""
+def _whole_range(profile, n_max, j_span, eta_cutoff) -> list[str]:
+    """The six estimates, as ``float.hex``, from one exact read of the whole
+    scanned range: each difference of rows taken exactly and rounded once."""
     cut = max(16, math.isqrt(n_max)) if eta_cutoff is None else eta_cutoff
     cut = min(cut, n_max)
-    values = m_values(profile, -(j_span + n_max), j_span + n_max)
+    values = m_exact(profile, range(-(j_span + n_max), j_span + n_max + 1))
     mid = j_span + n_max  # values[mid + j] == M_j
     j_idx = np.arange(-j_span, j_span + 1) + mid
-    minus = (values[j_idx - n_max] - values[j_idx]) / n_max
-    plus = (values[j_idx] - values[j_idx + n_max]) / n_max
+    minus = float_drops(values[j_idx - n_max], values[j_idx]) / n_max
+    plus = float_drops(values[j_idx], values[j_idx + n_max]) / n_max
     ts = np.arange(cut, n_max + 1)
-    return [minus.min(), plus.min(), ((values[mid - ts] - values[mid]) / ts).max(),
-            ((values[mid] - values[mid + ts]) / ts).max(), minus.max(), plus.max()]
+    m0 = values[mid:mid + 1]
+    estimates = [minus.min(), plus.min(), (float_drops(values[mid - ts], m0) / ts).max(),
+                 (float_drops(m0, values[mid + ts]) / ts).max(), minus.max(), plus.max()]
+    return [float(x).hex() for x in estimates]
 
 
 def _hexes(est) -> list[str]:
@@ -285,8 +278,30 @@ class TestExactDifferences:
             estimate_params_bruteforce(DiagramProfile(0, (0,), minus, plus), 100, 2)
 
 
+@st.composite
+def _crossing_scans(draw):
+    """A profile, n_max and eta_cutoff whose rises cross 2**53 inside the
+    eta scan: each tail is periodic or geometric with a per-step rise of
+    about 2**53 / t, for a step t between the cutoff and n_max."""
+    n_max = draw(st.integers(20, 2000))
+    eta_cutoff = draw(st.integers(1, n_max // 2))
+
+    def crossing_tail():
+        big = 2**53 // draw(st.integers(eta_cutoff + 1, n_max))
+        if draw(st.booleans()):
+            period = draw(st.integers(1, 8))
+            return PeriodicTail(period, big * period + draw(st.integers(0, 99)))
+        return GeometricBlocksTail((FR(big), FR(2 * big, 3)), draw(st.integers(2, 3)),
+                                   draw(st.integers(1, 50)))
+
+    window = (draw(st.integers(-3, 3)),)
+    return DiagramProfile(draw(st.integers(-3, 3)), window, crossing_tail(), crossing_tail()), \
+        n_max, eta_cutoff
+
+
 class TestPrunedEtaScan:
-    """The eta scan skips blocks whose bound cannot raise its maximum."""
+    """The eta scan reads only the ends of a tail's runs and skips blocks
+    whose bound cannot raise its maximum."""
 
     @given(_finite_profiles(), st.sampled_from([1, 3, 64]), st.sampled_from([1, 3, 64]),
            st.integers(2, 400), st.integers(0, 6), st.none() | st.integers(1, 400))
@@ -295,18 +310,35 @@ class TestPrunedEtaScan:
         with mock.patch.object(params, "_ETA_CHUNK", chunk), \
                 mock.patch.object(params, "_ETA_SUB", sub):
             est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
-        want = _whole_range(profile, n_max, j_span, eta_cutoff)
-        assert _hexes(est) == [float(x).hex() for x in want]
+        assert _hexes(est) == _whole_range(profile, n_max, j_span, eta_cutoff)
+
+    @given(_crossing_scans(), st.sampled_from([1, 64, params._ETA_CHUNK]), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_whole_range_across_2_53(self, scan, chunk, j_span):
+        """Past 2**53 a float rise is no longer exact, and a run must be read whole."""
+        profile, n_max, eta_cutoff = scan
+        with mock.patch.object(params, "_ETA_CHUNK", chunk):
+            est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
+        assert _hexes(est) == _whole_range(profile, n_max, j_span, eta_cutoff)
+
+    def test_a_run_reaching_2_53_is_read_whole(self):
+        """The minus rise crosses 2**53 near step 1,194.  Read at the run's
+        ends alone, this scan gives 0x1.b6db6db6db6dcp+42."""
+        profile = DiagramProfile(0, (-12,), PeriodicTail(7, 52776558133248),
+                                 PeriodicTail(3, 87960930222080))
+        est = estimate_params_bruteforce(profile, 5000, 2, 1000)
+        assert est.eta_minus.hex() == "0x1.b6db6db6db6ddp+42"
+        assert _hexes(est) == _whole_range(profile, 5000, 2, 1000)
 
     @pytest.mark.parametrize("slopes", [
         (FR(0), FR(1)), (FR(1, 2), FR(2)), (FR(0), FR(1), FR(3)),
     ], ids=["0_1", "1/2_2", "0_1_3"])
     def test_equals_whole_range_at_depth_10_6(self, slopes):
         """The benchmark's brute-force profiles at its depth, with the real
-        block sizes: the scan first reads whole blocks of rows past the window."""
+        block sizes and chunk length."""
         profile = DiagramProfile(0, (0,), GeometricBlocksTail(slopes, 2, 1), PeriodicTail(1, 1))
         est = estimate_params_bruteforce(profile, 10**6, 2)
-        assert _hexes(est) == [float(x).hex() for x in _whole_range(profile, 10**6, 2, None)]
+        assert _hexes(est) == _whole_range(profile, 10**6, 2, None)
 
     @staticmethod
     def _reads(monkeypatch) -> list[int]:
@@ -333,16 +365,39 @@ class TestPrunedEtaScan:
         reads = self._reads(monkeypatch)
         est = estimate_params_bruteforce(line_profile(), 200, 0, 10)
         assert est.eta_minus == est.eta_plus == 1.0
-        # the window rows and M_0, then per side: 191 block bounds, and one
-        # block visited with its sub-block bound and its single value
-        assert reads == [1, 1, 1, 1, 191, 1, 1, 191, 1, 1]
+        # the window rows and M_0, then per side: the far end of the one
+        # period-1 run, the bounds of its first and last step, and the first
+        # visited with its sub-block bound and its single value
+        assert reads == [1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1]
 
-    def test_criterion_5_profile_reads_under_60_percent(self, monkeypatch):
+    def test_criterion_5_profile_reads_under_1000_values(self, monkeypatch):
         """Depth 10**6 on the slope-(0, 1) block tail: 2 * 10**6 values in range."""
         reads = self._reads(monkeypatch)
         est = estimate_params_bruteforce(gb01_profile(), 10**6, 2)
         assert abs(est.eta_minus - 2 / 3) < 1e-3
-        assert sum(reads) < 0.6 * 2 * 10**6
+        assert sum(reads) < 1000
+
+    def test_line_profile_reads_under_100_values(self, monkeypatch):
+        """Depth 10**6 on a slope-1 line, where every quotient is exactly 1."""
+        reads = self._reads(monkeypatch)
+        est = estimate_params_bruteforce(line_profile(), 10**6, 2)
+        assert est.eta_minus == est.eta_plus == 1.0
+        assert sum(reads) < 100
+
+    @pytest.mark.parametrize("profile, side, t_first", [
+        (DiagramProfile(0, (0,), PeriodicTail(100, 2**1024), PeriodicTail(1, 1)), Side.MINUS, 1),
+        (DiagramProfile(0, (0,), PeriodicTail(1, 1), PeriodicTail(100, 2**1024)), Side.PLUS, 1),
+        (DiagramProfile(0, (0,), PeriodicTail(100, 2**1024), PeriodicTail(1, 1)), Side.MINUS, 99),
+        (DiagramProfile(-100, (2**1024,) + (0,) * 100, PeriodicTail(1, 1), PeriodicTail(1, 1)),
+         Side.MINUS, 1),
+    ], ids=["run_ends_minus", "run_ends_plus", "short_run", "window_rows"])
+    def test_the_last_step_is_read(self, profile, side, t_first):
+        """Only the rise at t_last = 100 is beyond float64, and the scan reads
+        it: a long run, a run read whole and window rows alike."""
+        m0 = m_exact(profile, [0])
+        assert math.isfinite(params._eta_max(profile, side, m0, t_first, 99))
+        with pytest.raises(RegimeError, match="border difference"):
+            params._eta_max(profile, side, m0, t_first, 100)
 
 
 class TestGeometricBlockAverages:
