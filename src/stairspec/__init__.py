@@ -35,7 +35,6 @@ from .shifts import fringe_operator, ridge_bounds, sigma_ap_predict
 from .oracle import (
     gamma2_series_test,
     joint_adjoint_kernel_smin,
-    joint_forward_kernel_smin,
     window_smin_scan,
 )
 

@@ -11,7 +11,9 @@ it is built, so every profile the rest of the library sees is valid.
 Tail families
 -------------
 Every family derives from ``Tail``: a finite, non-constant tail that may sit
-on either side, unless its class says otherwise.
+on either side, unless its class says otherwise.  A finite family only
+generates the floor-linear pieces of its rise; one piece table evaluates
+the pieces of every family, and inverts them.
 
 * ``EmptyRowsTail`` -- rows are empty beyond the window (``M_j = +inf``);
   minus side only.
@@ -19,13 +21,13 @@ on either side, unless its class says otherwise.
   plus side only.
 * ``PeriodicTail`` -- the staircase rises ``rise`` per ``period`` steps,
   rasterized with a fixed ceiling rule on the minus side and floor rule on
-  the plus side.
+  the plus side: one piece per side.
 * ``GeometricBlocksTail`` -- blocks of geometrically growing length cycling
   through a list of rational slopes, rasterized by cumulative rounding so
-  long-run averages hit their exact rational targets.
+  long-run averages hit their exact rational targets: one piece per block.
 * ``InvertedBlocksTail`` -- the exact staircase inverse of a geometric-block
-  tail, where a zero-slope block inverts to a jump; produced by
-  :func:`transpose` only, never parsed from input.
+  tail, whose pieces are the inverses of the inner pieces, where a
+  zero-slope block inverts to a jump; produced by :func:`transpose` only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -56,10 +59,6 @@ class Side(Enum):
 # Tail arithmetic runs in int64 while every intermediate stays below this
 # bound and in exact Python ints (object arrays) beyond it.
 _INT64_GUARD = 2**62
-
-
-def _top(ts: np.ndarray) -> int:
-    return int(ts.max(initial=0))
 
 
 def _ints(values, *anchors: int) -> np.ndarray:
@@ -86,14 +85,111 @@ def _ints(values, *anchors: int) -> np.ndarray:
 # constant run (``is_rise_zero``), and may sit on either side of the window
 # (``sides``).  Empty rows may sit only below the window (the minus side)
 # and full rows only above it (the plus side); a profile refuses any other
-# placement when it is built.  A finite tail has one evaluator,
-# ``rises(ts, side)``: the exact rise of the border sequence ``t`` steps
-# beyond the window for each ``t >= 0`` in ``ts``, as an int64 array or,
-# past the magnitude guard, an object array of Python ints.  It also has
-# ``runs(t_lo, t_hi)``: the steps [t_lo, t_hi] cut, in order, into runs
+# placement when it is built.  A finite kind only generates the pieces of
+# its rise, on each of which the rise t steps beyond the window is one floor
+# of a linear function of t; one ``_PieceTable`` per side evaluates them.
+# ``rises(ts, side)`` is the exact rise for each ``t >= 0`` in ``ts``, as an
+# int64 array or, past the magnitude guard, an object array of Python ints.
+# ``runs(t_lo, t_hi)`` cuts the steps [t_lo, t_hi], in order, into runs
 # ``(a, b, P)`` on which ``rises(t + P) - rises(t)`` is one constant for
-# every t with t and t + P in [a, b], on either side.
+# every t with t and t + P in [a, b], on either side.  Each kind binds
+# ``rises`` in its own class, where bench/tracing.py times it per kind.
 # ---------------------------------------------------------------------------
+
+Piece = tuple[int, int, int, int]  # (start, num, off, den)
+
+
+class _PieceTable:
+    """The rise of a finite tail as floor-linear pieces, pulled on demand.
+
+    ``pieces`` yields (start, num, off, den) with increasing starts, the
+    first 0, num >= 0 and den >= 1.  Piece k holds the steps from its start
+    up to the next piece's, and on it rise(t) = (num * t + off) // den.  The
+    rise at step 0, ``base``, is taken off every piece as it is pulled.
+    """
+
+    def __init__(self, pieces: Iterator[Piece]):
+        self._source = pieces
+        self.starts, self.lines = [], []  # each piece's start and (num, off, den)
+        self._peak = 0  # the largest num, |off| or den pulled
+        self._arrays = {}
+        self._pull()
+
+    def _pull(self) -> bool:
+        """Pull the next piece, if any; past the last, every step is known."""
+        piece = next(self._source, None)
+        if piece is None:
+            self._known = math.inf
+            return False
+        start, num, off, den = piece
+        if not self.starts:
+            self.base = off // den
+        off -= self.base * den
+        self._known = start
+        self.starts.append(start)
+        self.lines.append((num, off, den))
+        self._peak = max(self._peak, num, abs(off), den)
+        self._arrays.clear()
+        return True
+
+    def _reach(self, t: int) -> int:
+        """The number of pieces that start at or before step t, all pulled."""
+        while self._known <= t:
+            self._pull()
+        return bisect.bisect_right(self.starts, t)
+
+    def __iter__(self) -> Iterator[Piece]:
+        k = 0
+        while k < len(self.starts) or self._pull():
+            yield self.starts[k], *self.lines[k]
+            k += 1
+
+    def _columns(self, exact: bool) -> tuple[np.ndarray, ...]:
+        """starts, nums, offs and dens as object arrays, or int64 arrays."""
+        if exact not in self._arrays:
+            dtype = object if exact else np.int64
+            lines = np.array(self.lines, dtype=dtype).T
+            self._arrays[exact] = (np.array(self.starts, dtype=dtype), *lines)
+        return self._arrays[exact]
+
+    def rises(self, ts: np.ndarray) -> np.ndarray:
+        top = int(ts.max(initial=0))
+        n = self._reach(top)
+        exact = (top + 2) * self._peak >= _INT64_GUARD
+        ts = ts.astype(object if exact else np.int64, copy=False)
+        if n == 1:
+            num, off, den = self.lines[0]
+            return (num * ts + off) // den
+        starts, nums, offs, dens = self._columns(exact)
+        k = np.searchsorted(starts[1:n], ts, side="right")
+        return (nums[k] * ts + offs[k]) // dens[k]
+
+    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
+        """The pieces clipped to [t_lo, t_hi]; on a piece the rise repeats
+        every den / gcd(num, den) steps."""
+        n = self._reach(t_hi)
+        k = bisect.bisect_right(self.starts, t_lo) - 1
+        ends = [start - 1 for start in self.starts[k + 1:n]] + [t_hi]
+        return [(max(a, t_lo), b, den // math.gcd(num, den))
+                for a, b, (num, _, den) in zip(self.starts[k:n], ends, self.lines[k:n])]
+
+
+def _inverse_pieces(pieces: Iterator[Piece]) -> Iterator[Piece]:
+    """The pieces of t -> min{u : rise(u) >= base + t + 1}, where rise(0) =
+    base, for endless ``pieces`` each of whose formulas also holds at the
+    step before the piece.
+
+    On a piece (num, off, den), each new rise y up to the rise at its last
+    step is first reached at u = ceil((den * y - off) / num): again a piece,
+    with num and den swapped.  A piece with num = 0 holds no inverse step.
+    """
+    first = next(pieces)
+    base = reached = first[2] // first[3]
+    for (_, num, off, den), (end, *_) in itertools.pairwise(itertools.chain([first], pieces)):
+        top = (num * (end - 1) + off) // den
+        if top > reached:
+            yield reached - base, den, den * (base + 1) - off + num - 1, num
+            reached = top
 
 
 class Tail:
@@ -104,6 +200,24 @@ class Tail:
 
     def is_rise_zero(self) -> bool:
         return False
+
+    @cached_property
+    def _minus_table(self) -> _PieceTable:
+        return _PieceTable(self._pieces(Side.MINUS))
+
+    @cached_property
+    def _plus_table(self) -> _PieceTable:
+        return _PieceTable(self._pieces(Side.PLUS))
+
+    def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
+        return (self._minus_table if side is Side.MINUS else self._plus_table).rises(ts)
+
+    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
+        return self._plus_table.runs(t_lo, t_hi)  # the same on either side
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a piece table pulls from a generator, so a copy remakes it."""
+        return {k: v for k, v in self.__dict__.items() if k not in ("_minus_table", "_plus_table")}
 
 
 class _RowsTail(Tail):
@@ -147,15 +261,11 @@ class PeriodicTail(Tail):
         if self.rise < 0:
             raise SpecError(f"periodic tail needs rise >= 0, got {self.rise}")
 
-    def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        exact = (_top(ts) + 1) * (self.rise + self.period) >= _INT64_GUARD
-        ts = np.asarray(ts).astype(object if exact else np.int64, copy=False)
-        if side is Side.MINUS:
-            return -((-ts * self.rise) // self.period)  # ceil
-        return (ts * self.rise) // self.period  # floor
+    def _pieces(self, side: Side) -> Iterator[Piece]:
+        """One piece: ceil(t*rise/period) on the minus side, floor on the plus."""
+        return iter([(0, self.rise, self.period - 1 if side is Side.MINUS else 0, self.period)])
 
-    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
-        return [(t_lo, t_hi, self.period)]
+    rises = Tail.rises
 
     def is_rise_zero(self) -> bool:
         return self.rise == 0
@@ -163,51 +273,6 @@ class PeriodicTail(Tail):
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         s = ExtReal.ratio(self.rise, self.period)
         return s, s, s
-
-
-class _BlockTable:
-    """The blocks of a geometric tail as integers, grown on demand.
-
-    Block k covers the steps (starts[k], starts[k+1]].  Scaled by ``scale``
-    (twice the common denominator of the slopes), the exact cumulative target
-    at a step u of block k is ``targets[k] + slopes[k] * (u - starts[k])``.
-    The blocks whose values stay below the int64 guard are kept as int64
-    arrays; a question beyond them is answered from object arrays.
-    """
-
-    def __init__(self, slopes: tuple[Fraction, ...], ratio: int, base_len: int):
-        self.scale = 2 * math.lcm(*(s.denominator for s in slopes))
-        self._pattern = [int(s * self.scale) for s in slopes]
-        self._ratio, self._base_len = ratio, base_len
-        self.starts, self.targets, self.slopes = [0], [0], []
-        while self.starts[-1] + self.targets[-1] + self.scale < _INT64_GUARD:
-            self._grow()
-        n = len(self.slopes) - 1  # the last block built crosses the guard
-        self.int64 = tuple(
-            np.array(v, dtype=np.int64)
-            for v in (self.starts[: n + 1], self.targets[: n + 1], self.slopes[:n])
-        )
-
-    def _grow(self) -> None:
-        k = len(self.slopes)
-        length = self._base_len * self._ratio**k
-        slope = self._pattern[k % len(self._pattern)]
-        self.slopes.append(slope)
-        self.starts.append(self.starts[-1] + length)
-        self.targets.append(self.targets[-1] + slope * length)
-
-    def reach(self, step: int, target: int) -> None:
-        """Grow the blocks until they reach both ``step`` and scaled ``target``."""
-        while self.starts[-1] < step or self.targets[-1] < target:
-            self._grow()
-
-    def covering(self, step: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, targets, slopes) reaching both ``step`` and scaled ``target``."""
-        starts, targets, _ = self.int64
-        if len(starts) > 1 and step <= starts[-1] and target <= targets[-1]:
-            return self.int64
-        self.reach(step, target)
-        return tuple(np.array(v, dtype=object) for v in (self.starts, self.targets, self.slopes))
 
 
 def _cycle_end_sums(slopes: tuple[Fraction, ...], ratio: int) -> tuple[int, int, int]:
@@ -268,45 +333,24 @@ class GeometricBlocksTail(Tail):
         if self.t_shift < 0:
             raise SpecError(f"geometric tail needs t_shift >= 0, got {self.t_shift}")
 
-    @cached_property
-    def _table(self) -> _BlockTable:
-        return _BlockTable(self.slopes, self.ratio, self.base_len)
+    def _pieces(self, side: Side) -> Iterator[Piece]:
+        """One piece per block, from the block holding step t_shift.
 
-    def _rounded(self, ts: np.ndarray) -> np.ndarray:
-        """Half-up rounded cumulative target at absolute step t + t_shift, per t in ts."""
-        table = self._table
-        starts, targets, slopes = table.covering(_top(ts) + self.t_shift, 0)
-        out = np.asarray(ts).astype(starts.dtype, copy=False) + self.t_shift
-        k = np.searchsorted(starts[1:], out)
-        out -= starts[k]
-        out *= slopes[k]
-        out += targets[k] + table.scale // 2
-        out //= table.scale
-        return out
+        Block k holds the steps u in (S_k, S_k + L_k] of the pattern (block 0
+        also u = 0), L_k = base_len * ratio**k.  There the cumulative target,
+        scaled by twice the slopes' common denominator, is T_k + a_k (u - S_k),
+        and the rise at t = u - t_shift is that target rounded half up.
+        """
+        scale = 2 * math.lcm(*(s.denominator for s in self.slopes))
+        shift = self.t_shift
+        first, start, target, length = 0, 0, 0, self.base_len  # first u, S_k, T_k, L_k
+        for a in itertools.cycle([int(s * scale) for s in self.slopes]):
+            end = start + length
+            if end >= shift:
+                yield max(first - shift, 0), a, a * (shift - start) + target + scale // 2, scale
+            first, start, target, length = end + 1, end, target + a * length, length * self.ratio
 
-    @cached_property
-    def _base(self) -> int:
-        return int(self._rounded(np.zeros(1, dtype=np.int64))[0])
-
-    def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        out = self._rounded(ts)
-        out -= self._base
-        return out
-
-    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
-        """Block k holds the steps t with u = t + t_shift in (starts[k],
-        starts[k+1]], and block 0 also u = 0.  Its target is linear in u with
-        scaled slope s_k, so the rise repeats every scale / gcd(s_k, scale)
-        steps: one step on a zero slope."""
-        table, shift = self._table, self.t_shift
-        table.reach(t_hi + shift, 0)
-        k = max(bisect.bisect_left(table.starts, t_lo + shift) - 1, 0)
-        out, a = [], t_lo
-        while a <= t_hi:
-            b = min(table.starts[k + 1] - shift, t_hi)
-            out.append((a, b, table.scale // math.gcd(table.slopes[k], table.scale)))
-            a, k = b + 1, k + 1
-        return out
+    rises = Tail.rises
 
     @cached_property
     def _cycle_ends(self) -> tuple[int, int, int]:
@@ -336,62 +380,14 @@ class InvertedBlocksTail(Tail):
     inner: GeometricBlocksTail
     kind = "inverted"
 
-    def _inverse(self, ts: np.ndarray) -> np.ndarray:
-        """min{u : inner rise(u) >= t + 1}, per t in ts.
+    def _pieces(self, side: Side) -> Iterator[Piece]:
+        return _inverse_pieces(iter(self.inner._plus_table))
 
-        With ``r0`` the inner rise already taken at its ``t_shift``, that is
-        the first absolute step ``v`` whose cumulative target reaches
-        ``t + r0 + 1/2``, less ``t_shift``.  Solved per block in closed form
-        with integer ceil division.  The block used is the first whose end
-        target reaches the bound; the bound is positive and a zero-slope block
-        ends at its start target, so that block's slope is positive.
-        """
-        inner = self.inner
-        table = inner._table
-        offset = 2 * inner._base + 1  # scaled bound: (2t + offset) * scale/2
-        top = (2 * _top(ts) + offset) * (table.scale // 2)
-        starts, targets, slopes = table.covering(0, top)
-        bounds = np.asarray(ts).astype(targets.dtype, copy=False) * 2
-        bounds += offset
-        bounds *= table.scale // 2
-        k = np.searchsorted(targets[1:], bounds)
-        out = targets[k] - bounds
-        out //= slopes[k]
-        return starts[k] - out - inner.t_shift
-
-    @cached_property
-    def _base(self) -> int:
-        return int(self._inverse(np.zeros(1, dtype=np.int64))[0])
-
-    def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        out = self._inverse(ts)
-        out -= self._base
-        return out
-
-    def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
-        """With c = (2 * inner._base + 1) * scale / 2, step t lies in inner
-        block k when targets[k] < scale * t + c <= targets[k+1], so a
-        zero-slope block holds no step.  The inverse moves scale / gcd(s_k,
-        scale) steps every s_k / gcd(s_k, scale) steps of a block of scaled
-        slope s_k."""
-        inner = self.inner
-        table, scale = inner._table, inner._table.scale
-        c = (2 * inner._base + 1) * (scale // 2)
-        table.reach(0, scale * t_hi + c)
-        k = bisect.bisect_left(table.targets, scale * t_lo + c) - 1
-        out, a = [], t_lo
-        while a <= t_hi:
-            b = min((table.targets[k + 1] - c) // scale, t_hi)
-            if b >= a:
-                slope = table.slopes[k]
-                out.append((a, b, slope // math.gcd(slope, scale)))
-                a = b + 1
-            k += 1
-        return out
+    rises = Tail.rises
 
     def uninverted(self) -> GeometricBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
-        return replace(self.inner, t_shift=self.inner.t_shift + self._base)
+        return replace(self.inner, t_shift=self.inner.t_shift + self._plus_table.base)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         lo, _, denominator = self.inner._cycle_ends

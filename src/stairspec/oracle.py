@@ -11,9 +11,8 @@ checks:
   (square cutoffs of two-sided shifts would fill their spectral holes);
 * partial sums and empirical root tests for the series whose convergence
   decides middle-stage membership off the axes;
-* stacked adjoint-kernel (and forward-kernel) smallest singular values that
-  witness final-stage failure (and its absence) directly from the lattice
-  model.
+* stacked adjoint-kernel smallest singular values that witness final-stage
+  failure directly from the lattice model.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
 # The smallest singular values below which a window scan answers inside, and
-# at or above which it (and the forward witness) answers outside.
+# at or above which it answers outside.
 TAU_IN_DEFAULT = 1e-3
 TAU_OUT_DEFAULT = 5e-2
 
@@ -423,18 +422,17 @@ def _lattice_stack(
     window: tuple[int, int, int, int],
     a: float,
     b: float,
-    step: int,
 ):
-    """The stacked matrix of (a - W) and (b - Z) on a lattice window, as CSR.
+    """The stacked matrix of the adjoints (a - W*) and (b - Z*) on a lattice
+    window, as CSR.
 
     Columns are the diagram points (i, j) inside ``window``, row by row from
     j_lo and along each row from its first column; each maps to a*e_(i,j) -
-    e_(i+step,j) on the ``w`` side and to b*e_(i,j) - e_(i,j+step) on the
-    ``z`` side.  ``step = +1`` gives the forward shifts, whose images stay in
-    the diagram; ``step = -1`` gives their adjoints, which drop the images
-    that leave it.  Image rows are numbered by their first appearance in
-    that order.  Magnitudes a, b outside [0, 1] and a window over budget are
-    refused before anything is assembled.
+    e_(i-1,j) on the ``w`` side and to b*e_(i,j) - e_(i,j-1) on the ``z``
+    side, dropping the images that leave the diagram.  Image rows are
+    numbered by their first appearance in that order.  Magnitudes a, b
+    outside [0, 1] and a window over budget are refused before anything is
+    assembled.
     """
     import scipy.sparse
 
@@ -459,13 +457,12 @@ def _lattice_stack(
 
     # Four entries per column: w self, w image, z self, z image.
     sides = np.array([0, 0, 1, 1])
-    xs = x[:, None] + np.array([0, step, 0, 0])
-    ks = k[:, None] + np.array([0, 0, 0, step])
+    xs = x[:, None] + np.array([0, -1, 0, 0])
+    ks = k[:, None] + np.array([0, 0, 0, -1])
     values = np.broadcast_to(np.array([a, -1.0, b, -1.0]), xs.shape)
     present = np.ones(xs.shape, dtype=bool)
-    if step < 0:
-        present[:, 1] = cut[k] <= x - 1
-        present[:, 3] = cut[k - 1] <= x
+    present[:, 1] = cut[k] <= x - 1
+    present[:, 3] = cut[k - 1] <= x
     keys = ((sides * (width + 2) + xs) * height + ks)[present]  # one int per image row
     _, first_seen, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(len(first_seen), dtype=np.int64)
@@ -530,25 +527,4 @@ def joint_adjoint_kernel_smin(
     nearby.  Phases are dropped: a diagonal phase rotation of the basis
     turns the general case into the nonnegative one.
     """
-    return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam), -1))
-
-
-def joint_forward_kernel_smin(
-    profile: DiagramProfile,
-    mu: complex,
-    lam: complex,
-    window: tuple[int, int, int, int],
-) -> float:
-    """Smallest singular value of the stacked forward maps on a lattice window.
-
-    The forward twin of ``joint_adjoint_kernel_smin``: the stacked matrix of
-    (|mu| - M_w) and (|lambda| - M_z) on window-supported vectors with full
-    image rows, so its smallest singular value bounds the joint residual
-    from below over that window.  The value returned is the residual at the
-    solver's own unit vector (``_stacked_smin``), which sits at most about
-    sqrt(eps) ||A|| above that minimum: under 5e-8 for these stacks
-    (||A|| <= 2 sqrt 2), six orders of magnitude below ``TAU_OUT_DEFAULT``.
-    Values staying at or above ``TAU_OUT_DEFAULT`` across windows are
-    evidence that the first-stage locus is empty there.
-    """
-    return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam), +1))
+    return _stacked_smin(_lattice_stack(profile, window, abs(mu), abs(lam)))

@@ -92,14 +92,12 @@ class ParamEstimates:
     rho_plus: float
 
 
-# The eta scan reads the border in blocks of at most ``_ETA_CHUNK`` steps, and
-# trims a visited block to sub-blocks of ``_ETA_SUB`` steps.  A block of int64
-# or float64 is 256 KiB.  At 2**16 steps (512 KiB) every temporary was
-# page-faulted in afresh: 3,168 minor faults per pass of the benchmark's
-# deep_tails workload against 0 at 2**15, and ``float_drops`` took 5.9-6.2 ns
-# per element against 0.83 ns (timeit, glibc 2.36, 2-core x86-64 VM).
+# The eta scan reads the border in blocks of at most ``_ETA_CHUNK`` steps.  A
+# block of int64 or float64 is 256 KiB.  At 2**16 steps (512 KiB) every
+# temporary was page-faulted in afresh: 3,168 minor faults per pass of the
+# benchmark's deep_tails workload against 0 at 2**15, and ``float_drops`` took
+# 5.9-6.2 ns per element against 0.83 ns (timeit, glibc 2.36, 2-core x86-64 VM).
 _ETA_CHUNK = 1 << 15
-_ETA_SUB = 1 << 12
 # Both the depth n_max (the rows of one side's eta scan) and the 2 * j_span + 1
 # rows of one slope read must be within this budget; it is checked before any
 # row is read.  At the budget (n_max = 2**20, j_span = 2**19 - 1) one call
@@ -129,10 +127,9 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
     float rounding is monotone, ``float(g(hi)) / lo`` bounds every quotient
     the scan computes there.  The ranges left to read are cut into blocks
     of at most ``_ETA_CHUNK`` steps, visited by descending bound; the scan
-    stops at the first bound that cannot beat the running maximum, and reads
-    a visited block only from its first to its last sub-block whose bound
-    still can.  A value never read is never the maximum, so the result is
-    that of the whole range.
+    stops at the first bound that cannot beat the running maximum.  A value
+    never read is never the maximum, so the result is that of the whole
+    range.
     """
     s = -1 if side is Side.MINUS else 1
     tail = profile.minus_tail if s < 0 else profile.plus_tail
@@ -163,12 +160,7 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
     for k in np.argsort(-bounds, kind="stable"):
         if bounds[k] <= best:
             break
-        sub_los = np.arange(los[k], his[k] + 1, _ETA_SUB)
-        sub_his = np.minimum(sub_los + _ETA_SUB - 1, his[k])
-        live = np.flatnonzero(rises(s * sub_his) / sub_los > best)
-        if not live.size:
-            continue
-        lo, hi = int(sub_los[live[0]]), int(sub_his[live[-1]])
+        lo, hi = int(los[k]), int(his[k])
         quotients = rises(range(s * lo, s * (hi + 1), s))
         quotients /= np.arange(lo, hi + 1, dtype=np.float64)
         best = max(best, quotients.max())

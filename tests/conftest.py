@@ -1,5 +1,6 @@
 """Shared canonical profiles used across the test suite."""
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from stairspec.diagram import (
     GeometricBlocksTail,
     InvertedBlocksTail,
     PeriodicTail,
+    m_exact,
+    translate,
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -105,6 +108,62 @@ def finite_tails(draw):
     slopes = tuple(draw(_SLOPES))
     inner = GeometricBlocksTail(slopes, draw(st.integers(2, 3)), draw(st.integers(1, 3)))
     return inner if kind == "geometric" else InvertedBlocksTail(inner)
+
+
+@st.composite
+def _unrolled_tails(draw, unroll: bool):
+    """A periodic or geometric tail and a number k of its steps to unroll:
+    whole periods of a periodic tail up to 5 steps, or 1-5 steps of a
+    geometric one, and 0 when ``unroll`` is false."""
+    if draw(st.booleans()):
+        tail = PeriodicTail(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+        k = tail.period * draw(st.integers(1, max(1, 5 // tail.period)))
+    else:
+        tail = GeometricBlocksTail(tuple(draw(_SLOPES)), draw(st.integers(2, 3)),
+                                   draw(st.integers(1, 3)), draw(st.integers(0, 5)))
+        k = draw(st.integers(1, 5))
+    return tail, k if unroll else 0
+
+
+def _continued(tail, k: int):
+    """The tail that continues ``tail`` after its first k steps: a periodic
+    tail itself (k is whole periods), a geometric one shifted by k."""
+    if isinstance(tail, GeometricBlocksTail):
+        return replace(tail, t_shift=tail.t_shift + k)
+    return tail
+
+
+@st.composite
+def presentations(draw, translated: bool = True):
+    """Two presentations of one diagram, and a translation (di, dj).
+
+    The first is a profile with a window of 1-4 values and periodic,
+    geometric, empty or full tails.  The second moves k steps of a finite
+    tail into its window and continues with the tail after them, for 1-5
+    steps on at least one side.  It is then translated by (di, dj), which is
+    (0, 0) in about half the draws and always when ``translated`` is false.
+    """
+    window = [draw(st.integers(-3, 3))]
+    for drop in draw(st.lists(st.integers(0, 3), max_size=3)):
+        window.append(window[-1] - drop)
+    j_lo = draw(st.integers(-3, 3))
+
+    def tail(rows, unroll: bool):
+        """A finite tail to unroll, or empty or full rows or a finite tail kept whole."""
+        return draw(_unrolled_tails(True) if unroll else st.just((rows, 0)) | _unrolled_tails(False))
+
+    unroll_minus, unroll_plus = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    minus, k_minus = tail(EMPTY_ROWS, unroll_minus)
+    plus, k_plus = tail(FULL_ROWS, unroll_plus)
+    profile = DiagramProfile(j_lo, tuple(window), minus, plus)
+    below = m_exact(profile, range(j_lo - k_minus, j_lo)).tolist()
+    above = m_exact(profile, range(profile.j_hi + 1, profile.j_hi + 1 + k_plus)).tolist()
+    unrolled = DiagramProfile(j_lo - k_minus, tuple(below + window + above),
+                              _continued(minus, k_minus), _continued(plus, k_plus))
+    di, dj = draw(st.just((0, 0)) | st.tuples(
+        st.integers(-5, 5) | st.sampled_from(TRANSLATIONS), st.integers(-5, 5))
+    ) if translated else (0, 0)
+    return profile, translate(unrolled, di, dj), (di, dj)
 
 
 @pytest.fixture

@@ -5,8 +5,9 @@ This is the assembly the package shipped before ``oracle._lattice_stack``:
 a dict from each diagram point of the window to its column, one loop over
 those points writing the entries of (a - W) and (b - Z), or of their
 adjoints, and a dict numbering the image rows as they first appear.  Tests
-compare ``_lattice_stack`` against it entry for entry; nothing in ``src/``
-imports it.
+compare ``_lattice_stack``, which builds the adjoints alone, against it entry
+for entry, and take the forward maps from it; nothing in ``src/`` imports
+it.
 """
 
 from __future__ import annotations

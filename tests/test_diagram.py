@@ -1,13 +1,14 @@
 import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairspec import diagram as D
@@ -337,9 +338,14 @@ class TestCycleEndAverages:
         assert calls == [(tail.slopes, tail.ratio)]
 
 
+# An inverted tail whose inner tail starts inside a zero-slope block.
+_ZERO_SLOPE_START = InvertedBlocksTail(GeometricBlocksTail((FR(0), FR(1)), 2, 1, 4))
+
+
 class TestExactEvaluator:
     @given(_any_profiles(), st.integers(-300, 300), st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
+    @example(DiagramProfile(0, (0,), _ZERO_SLOPE_START, _ZERO_SLOPE_START), -150, 300)
     def test_m_values_is_eval_m_as_float(self, profile, j_from, length):
         validate(profile)
         values = m_values(profile, j_from, j_from + length)
@@ -372,6 +378,17 @@ class TestExactEvaluator:
         with pytest.raises(RegimeError, match=r"a border value in \[-2, 0\] is beyond the float64"):
             m_values(profile, -2, 0)
 
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_an_evaluated_profile_copies(self, copier):
+        """The piece tables a read fills are left out of a copy, which reads
+        the same rows."""
+        profile = transpose(gb01_profile())
+        rows = m_exact(profile, range(-50, 50)).tolist()
+        clone = copier(profile)
+        assert clone == profile
+        assert m_exact(clone, range(-50, 50)).tolist() == rows
+
 
 @st.composite
 def _run_tails(draw):
@@ -390,6 +407,7 @@ def _run_tails(draw):
 class TestRuns:
     @given(_run_tails(), st.integers(0, 300), st.integers(0, 600))
     @settings(max_examples=150, deadline=None)
+    @example(GeometricBlocksTail((FR(0), FR(1, 2)), 2, 1), 0, 40)  # block 0 holds step 0
     def test_runs_tile_the_range_with_constant_rises(self, tail, t_lo, length):
         """The runs cover [t_lo, t_hi] in order, with no gap or overlap, and
         inside each run rises(t + P) - rises(t) is one constant on both sides."""
@@ -403,6 +421,10 @@ class TestRuns:
             for a, b, period in runs:
                 run = rises[a - t_lo:b - t_lo + 1]
                 assert len(set((run[period:] - run[:-period]).tolist())) <= 1, (a, b, period)
+
+    def test_periodic_run_is_the_least_period(self):
+        """Rise 2 per 4 steps repeats every 2 steps."""
+        assert PeriodicTail(4, 2).runs(0, 9) == [(0, 9, 2)]
 
 
 class TestEvalN:

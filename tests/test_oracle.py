@@ -28,7 +28,6 @@ from stairspec.diagram import (
 from stairspec import oracle
 from stairspec.extnum import Membership, RegimeError, SpecError
 from stairspec.oracle import (
-    TAU_OUT_DEFAULT,
     WINDOW_START_BUDGET,
     ScanVerdict,
     SeriesClass,
@@ -37,7 +36,6 @@ from stairspec.oracle import (
     _window_starts,
     gamma2_series_test,
     joint_adjoint_kernel_smin,
-    joint_forward_kernel_smin,
     window_smin_scan,
 )
 from stairspec.params import compute_params
@@ -96,8 +94,6 @@ class TestScanBudget:
         joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 4, -4, 4))
         with pytest.raises(RegimeError, match="window of 90 points is over the budget of 81"):
             joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 5, -4, 4))
-        with pytest.raises(RegimeError, match="window of 90 points is over the budget of 81"):
-            joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-4, 4, -5, 4))
 
     def test_budgets_admit_every_size_in_use(self):
         """Window length 4096, 2**16 terms (the CLI fuzz) and a t3 window of 64."""
@@ -596,7 +592,7 @@ class TestAdjointKernelWitness:
 
     def test_sparse_path_is_reproducible(self):
         profile, window = wold_mixed_profile(), (-20, 20, -20, 20)
-        assert _lattice_stack(profile, window, 0.5, 0.5, -1).shape[1] > 500  # the eigsh branch
+        assert _lattice_stack(profile, window, 0.5, 0.5).shape[1] > 500  # the eigsh branch
         first = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
         second = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
         assert first.hex() == second.hex()
@@ -604,39 +600,6 @@ class TestAdjointKernelWitness:
     def test_empty_window(self):
         with pytest.raises(RegimeError, match="window does not intersect the diagram"):
             joint_adjoint_kernel_smin(quarter_steps_profile(), 0.5, 0.5, (-9, -5, -9, -5))
-
-
-class TestGamma1Check:
-    def test_line_has_no_joint_kernel(self):
-        smin = joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-40, 40, -40, 40))
-        assert smin >= 0.2
-        assert smin >= TAU_OUT_DEFAULT
-
-    def test_origin_is_isometric(self):
-        assert joint_forward_kernel_smin(line_profile(), 0.0, 0.0, (-20, 20, -20, 20)) >= 1.0
-
-    def test_random_samples_certified(self):
-        # sampled away from the outer shell, where the isometry lower bound
-        # 1 - max(|mu|, |lambda|) keeps every certificate above threshold
-        rng = np.random.default_rng(31)
-        samples = [tuple(0.9 * rng.random(2)) for _ in range(20)]
-        for mu, lam in samples:
-            smin = joint_forward_kernel_smin(line_profile(), mu, lam, (-25, 25, -25, 25))
-            assert smin >= TAU_OUT_DEFAULT
-
-    @pytest.mark.parametrize("mu", [math.nan, 2.0])
-    def test_rejects_magnitude_outside_closed_disc(self, mu):
-        """As joint_adjoint_kernel_smin does, not with scipy's NaN error or a
-        smin for a point off the bidisc."""
-        with pytest.raises(RegimeError, match=r"^\|mu\| must lie in \[0, 1\]"):
-            joint_forward_kernel_smin(wold_mixed_profile(), mu, 0.5, (-4, 4, -4, 4))
-
-    def test_window_ladder_monotone(self):
-        values = [
-            joint_forward_kernel_smin(line_profile(), 0.5, 0.5, (-n, n, -n, n))
-            for n in (10, 20, 40)
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def _is_empty_window(exc: RegimeError) -> bool:
@@ -661,6 +624,14 @@ def _lattice_cases(draw):
     return translate(profile, di, 0), (i_lo + di, i_hi + di, j_lo, j_hi)
 
 
+def _stack(profile: DiagramProfile, window, a: float, b: float, step: int):
+    """The stack of the adjoints (step -1), which the package builds, or of
+    the forward maps (step +1), which only the reference assembly builds."""
+    if step < 0:
+        return _lattice_stack(profile, window, a, b)
+    return ref.lattice_stack(profile, window, a, b, step)
+
+
 class TestWitnessAccuracy:
     """The witness is the residual at the solver's own unit vector: on the
     dense path it meets the dense SVD's smallest singular value from above."""
@@ -674,7 +645,7 @@ class TestWitnessAccuracy:
     @settings(max_examples=200, deadline=None)
     def test_dense_path_meets_the_svd(self, case, a, b, step):
         try:
-            matrix = _lattice_stack(*case, a, b, step)
+            matrix = _stack(*case, a, b, step)
         except RegimeError as exc:
             if not _is_empty_window(exc):
                 raise
@@ -695,7 +666,7 @@ class TestWitnessAccuracy:
         i_c, j_c = profile.window[-1], profile.j_lo
         window = (i_c - 32, i_c + 32, j_c - 32, j_c + 32)
         got = joint_adjoint_kernel_smin(profile, 0.5, 0.5, window)
-        svd = float(scipy.linalg.svdvals(_lattice_stack(profile, window, 0.5, 0.5, -1).toarray())[-1])
+        svd = float(scipy.linalg.svdvals(_lattice_stack(profile, window, 0.5, 0.5).toarray())[-1])
         assert got == pytest.approx(svd, rel=1e-6)
         assert got < 1e-9
 
@@ -707,21 +678,20 @@ class TestLatticeStackMatchesReference:
         _lattice_cases(),
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
-        st.sampled_from([-1, 1]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, case, a, b, step):
+    def test_bit_identical(self, case, a, b):
         profile, window = case
         try:
-            expected = ref.lattice_stack(profile, window, a, b, step)
+            expected = ref.lattice_stack(profile, window, a, b, -1)
         except RegimeError as exc:
             if not _is_empty_window(exc):
                 raise
             with pytest.raises(RegimeError) as raised:
-                _lattice_stack(profile, window, a, b, step)
+                _lattice_stack(profile, window, a, b)
             assert str(raised.value) == str(exc)
             return
-        got = _lattice_stack(profile, window, a, b, step)
+        got = _lattice_stack(profile, window, a, b)
         assert got.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             mine, theirs = getattr(got, name), getattr(expected, name)
@@ -730,8 +700,8 @@ class TestLatticeStackMatchesReference:
             want = ref.stacked_smin(expected)
         except ArpackNoConvergence:
             # The shared shift-invert solver can fail on a cluster of tiny
-            # eigenvalues (forward maps, b near 0); it must fail there too,
-            # with the error the CLI maps to exit 3.
+            # eigenvalues; it must fail there too, with the error the CLI
+            # maps to exit 3.
             with pytest.raises(RegimeError, match="the sparse eigensolver did not converge"):
                 _stacked_smin(got)
             return
@@ -760,12 +730,12 @@ class TestLatticeStackMatchesReference:
 def _stack_by_point(profile: DiagramProfile, window, a: float, b: float, step: int):
     """The diagram points of the window in ``_lattice_stack``'s column order
     (row by row from j_lo, along each row from its first column), and the
-    stack as a dense array."""
+    ``_stack`` as a dense array."""
     i_lo, i_hi, j_lo, j_hi = window
     rows = m_exact(profile, range(j_lo, j_hi + 1)).tolist()
     points = [(i, j) for j, m in zip(range(j_lo, j_hi + 1), rows)
               for i in range(i_lo, i_hi + 1) if i >= m]
-    stack = _lattice_stack(profile, window, a, b, step).toarray()
+    stack = _stack(profile, window, a, b, step).toarray()
     assert stack.shape[1] == len(points)
     return points, stack
 

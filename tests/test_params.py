@@ -303,12 +303,11 @@ class TestPrunedEtaScan:
     """The eta scan reads only the ends of a tail's runs and skips blocks
     whose bound cannot raise its maximum."""
 
-    @given(_finite_profiles(), st.sampled_from([1, 3, 64]), st.sampled_from([1, 3, 64]),
+    @given(_finite_profiles(), st.sampled_from([1, 3, 64]),
            st.integers(2, 400), st.integers(0, 6), st.none() | st.integers(1, 400))
     @settings(max_examples=80, deadline=None)
-    def test_equals_whole_range(self, profile, chunk, sub, n_max, j_span, eta_cutoff):
-        with mock.patch.object(params, "_ETA_CHUNK", chunk), \
-                mock.patch.object(params, "_ETA_SUB", sub):
+    def test_equals_whole_range(self, profile, chunk, n_max, j_span, eta_cutoff):
+        with mock.patch.object(params, "_ETA_CHUNK", chunk):
             est = estimate_params_bruteforce(profile, n_max, j_span, eta_cutoff)
         assert _hexes(est) == _whole_range(profile, n_max, j_span, eta_cutoff)
 
@@ -361,14 +360,13 @@ class TestPrunedEtaScan:
         """On a slope-1 line every quotient is exactly 1: a block of one step
         bounds at 1, which ties the maximum and is skipped."""
         monkeypatch.setattr(params, "_ETA_CHUNK", 1)
-        monkeypatch.setattr(params, "_ETA_SUB", 1)
         reads = self._reads(monkeypatch)
         est = estimate_params_bruteforce(line_profile(), 200, 0, 10)
         assert est.eta_minus == est.eta_plus == 1.0
         # the window rows and M_0, then per side: the far end of the one
-        # period-1 run, the bounds of its first and last step, and the first
-        # visited with its sub-block bound and its single value
-        assert reads == [1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1]
+        # period-1 run, the bounds of its first and last step, and the single
+        # value of the first visited
+        assert reads == [1, 1, 1, 1, 1, 2, 1, 1, 2, 1]
 
     def test_criterion_5_profile_reads_under_1000_values(self, monkeypatch):
         """Depth 10**6 on the slope-(0, 1) block tail: 2 * 10**6 values in range."""
