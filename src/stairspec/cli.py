@@ -34,7 +34,7 @@ from .diagram import (
     profile_to_json,
     validate,
 )
-from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError
+from .extnum import DEFAULT_TOL, Membership, RegimeError, SpecError, check_budget
 from .oracle import (
     check_lattice_window,
     gamma2_series_test,
@@ -86,14 +86,6 @@ def _magnitude(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a real or 're,im', got {text!r}") from exc
 
 
-def _check_grid(points: int) -> None:
-    """Refuse a grid of more than ``GRID_POINT_BUDGET`` points before it is allocated."""
-    if points > GRID_POINT_BUDGET:
-        raise RegimeError(
-            f"a grid of {points} points is over the budget of {GRID_POINT_BUDGET}"
-        )
-
-
 @contextlib.contextmanager
 def _output(path: str, mode: str, **kwargs):
     """``path`` opened for writing; failing to open or write it is a ``SpecError``."""
@@ -114,7 +106,7 @@ def _cmd_validate(profile: DiagramProfile, args) -> dict:
 
 
 def _area_fraction(region: RegionSpec, samples: int, seed: int, tol: float):
-    _check_grid(samples)
+    check_budget(f"a grid of {samples} points", samples, GRID_POINT_BUDGET)
     rng = np.random.default_rng(seed)
     points = rng.random((samples, 2))
     codes = region_states(region, points[:, 0], points[:, 1], tol)
@@ -185,7 +177,7 @@ def _cmd_sample(profile: DiagramProfile, args) -> None:
     n = args.resolution
     if n < 2:
         raise SpecError("--resolution must be >= 2")
-    _check_grid(n**2)
+    check_budget(f"a grid of {n} x {n} points", n**2, GRID_POINT_BUDGET)
     axis = np.array([k / (n - 1) for k in range(n)])
     labels = np.array([state.value for state in CODE_STATES], dtype=object)
     # Every region is evaluated before the file is opened, so a rejected
@@ -207,7 +199,7 @@ def _cmd_raster(profile: DiagramProfile, args) -> None:
         raise SpecError("--width and --height must be >= 16")
     region = _regions(profile)[SETS.index(args.set)]
     width, height = args.width, args.height
-    _check_grid(width * height)
+    check_budget(f"a grid of {width} x {height} points", width * height, GRID_POINT_BUDGET)
     colors = {
         Membership.INSIDE: COLOR_IN,
         Membership.BOUNDARY: COLOR_BOUNDARY,

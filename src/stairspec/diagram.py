@@ -87,7 +87,8 @@ def _ints(values, *anchors: int) -> np.ndarray:
 # and full rows only above it (the plus side); a profile refuses any other
 # placement when it is built.  A finite kind only generates the pieces of
 # its rise, on each of which the rise t steps beyond the window is one floor
-# of a linear function of t; one ``_PieceTable`` per side evaluates them.
+# of a linear function of t; one ``_PieceTable`` per tail evaluates them on
+# either side, but for a periodic tail, whose minus side keeps a second.
 # ``rises(ts, side)`` is the exact rise for each ``t >= 0`` in ``ts``, as an
 # int64 array or, past the magnitude guard, an object array of Python ints.
 # ``runs(t_lo, t_hi)`` cuts the steps [t_lo, t_hi], in order, into runs
@@ -145,11 +146,13 @@ class _PieceTable:
             k += 1
 
     def _columns(self, exact: bool) -> tuple[np.ndarray, ...]:
-        """starts, nums, offs and dens as object arrays, or int64 arrays."""
+        """starts, nums, offs and dens as object arrays, or int64 arrays, whose
+        reads lie below the guard: starts past it, which may overflow, are clipped."""
         if exact not in self._arrays:
             dtype = object if exact else np.int64
             lines = np.array(self.lines, dtype=dtype).T
-            self._arrays[exact] = (np.array(self.starts, dtype=dtype), *lines)
+            starts = self.starts if exact else [min(s, _INT64_GUARD) for s in self.starts]
+            self._arrays[exact] = (np.array(starts, dtype=dtype), *lines)
         return self._arrays[exact]
 
     def rises(self, ts: np.ndarray) -> np.ndarray:
@@ -202,22 +205,19 @@ class Tail:
         return False
 
     @cached_property
-    def _minus_table(self) -> _PieceTable:
-        return _PieceTable(self._pieces(Side.MINUS))
-
-    @cached_property
-    def _plus_table(self) -> _PieceTable:
-        return _PieceTable(self._pieces(Side.PLUS))
+    def _table(self) -> _PieceTable:
+        """The pieces of the rise: on either side, or a periodic tail's plus side."""
+        return _PieceTable(self._pieces())
 
     def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
-        return (self._minus_table if side is Side.MINUS else self._plus_table).rises(ts)
+        return self._table.rises(ts)
 
     def runs(self, t_lo: int, t_hi: int) -> list[tuple[int, int, int]]:
-        return self._plus_table.runs(t_lo, t_hi)  # the same on either side
+        return self._table.runs(t_lo, t_hi)  # the same on either side
 
     def __getstate__(self) -> dict:
         """The fields alone: a piece table pulls from a generator, so a copy remakes it."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_minus_table", "_plus_table")}
+        return {k: v for k, v in self.__dict__.items() if not isinstance(v, _PieceTable)}
 
 
 class _RowsTail(Tail):
@@ -261,11 +261,16 @@ class PeriodicTail(Tail):
         if self.rise < 0:
             raise SpecError(f"periodic tail needs rise >= 0, got {self.rise}")
 
-    def _pieces(self, side: Side) -> Iterator[Piece]:
+    def _pieces(self, side: Side = Side.PLUS) -> Iterator[Piece]:
         """One piece: ceil(t*rise/period) on the minus side, floor on the plus."""
         return iter([(0, self.rise, self.period - 1 if side is Side.MINUS else 0, self.period)])
 
-    rises = Tail.rises
+    @cached_property
+    def _minus_table(self) -> _PieceTable:
+        return _PieceTable(self._pieces(Side.MINUS))
+
+    def rises(self, ts: np.ndarray, side: Side) -> np.ndarray:
+        return (self._minus_table if side is Side.MINUS else self._table).rises(ts)
 
     def is_rise_zero(self) -> bool:
         return self.rise == 0
@@ -333,7 +338,7 @@ class GeometricBlocksTail(Tail):
         if self.t_shift < 0:
             raise SpecError(f"geometric tail needs t_shift >= 0, got {self.t_shift}")
 
-    def _pieces(self, side: Side) -> Iterator[Piece]:
+    def _pieces(self) -> Iterator[Piece]:
         """One piece per block, from the block holding step t_shift.
 
         Block k holds the steps u in (S_k, S_k + L_k] of the pattern (block 0
@@ -380,14 +385,14 @@ class InvertedBlocksTail(Tail):
     inner: GeometricBlocksTail
     kind = "inverted"
 
-    def _pieces(self, side: Side) -> Iterator[Piece]:
-        return _inverse_pieces(iter(self.inner._plus_table))
+    def _pieces(self) -> Iterator[Piece]:
+        return _inverse_pieces(iter(self.inner._table))
 
     rises = Tail.rises
 
     def uninverted(self) -> GeometricBlocksTail:
         """The shifted copy of ``inner`` describing the doubly transposed tail."""
-        return replace(self.inner, t_shift=self.inner.t_shift + self._plus_table.base)
+        return replace(self.inner, t_shift=self.inner.t_shift + self._table.base)
 
     def asymptotics(self) -> tuple[ExtReal, ExtReal, ExtReal]:
         lo, _, denominator = self.inner._cycle_ends
@@ -730,12 +735,6 @@ def transpose(profile: DiagramProfile) -> DiagramProfile:
     w_lo = profile.window[-1] - bot_adjust
 
     values = n_exact(profile, range(w_lo, w_hi + 1)).tolist()
-    for k, n in enumerate(values, w_lo):
-        if not isinstance(n, int):
-            raise SpecError(
-                f"transposed window value at column {k} is not finite"
-            )
-
     result = DiagramProfile(
         j_lo=w_lo, window=tuple(values), minus_tail=new_minus, plus_tail=new_plus
     )

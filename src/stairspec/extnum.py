@@ -223,6 +223,13 @@ def check_tolerance(tol: float) -> None:
         raise RegimeError(f"tolerance must be positive and finite: {tol}")
 
 
+def check_budget(what: str, size: int, budget: int) -> None:
+    """Reject a probe, grid or scan whose ``size`` is over ``budget``; ``what``
+    names it, with its size, in the message.  Callers check before they allocate."""
+    if size > budget:
+        raise RegimeError(f"{what} is over the budget of {budget}")
+
+
 # ---------------------------------------------------------------------------
 # The membership kernel: one mask per convention, at a point or over arrays
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .diagram import DiagramProfile, NEG_INF, POS_INF, float_drops, m_exact, validate
-from .extnum import DEFAULT_TOL, ExtReal, RegimeError, SpecError, check_magnitude, check_tolerance
+from .extnum import (DEFAULT_TOL, ExtReal, RegimeError, SpecError, check_budget,
+                     check_magnitude, check_tolerance)
 from .params import compute_params
 from .shifts import ShiftKind, ShiftSpec
 
@@ -38,10 +39,10 @@ TAU_IN_DEFAULT = 1e-3
 TAU_OUT_DEFAULT = 5e-2
 
 
-# Size budgets, each checked before the probe allocates anything.  The most
-# candidate window starts one scan may sweep, summed over its sizes; the
-# longest scan window; the most terms of each half of a series; the most
-# points, (i_hi - i_lo + 1) * (j_hi - j_lo + 1), of a lattice window.
+# Size budgets, each refused by ``check_budget`` before the probe allocates
+# anything.  The most candidate window starts one scan may sweep, summed over
+# its sizes; the longest scan window; the most terms of each half of a series;
+# the most points, (i_hi - i_lo + 1) * (j_hi - j_lo + 1), of a lattice window.
 WINDOW_START_BUDGET = 2**16
 WINDOW_LENGTH_BUDGET = 2**20
 SERIES_TERM_BUDGET = 2**20
@@ -242,15 +243,9 @@ def window_smin_scan(
     check_magnitude("|lambda|", lambda_abs)
     steps = [max(1, n // 4) for n in sizes]
     candidates = sum(2 * j_scan // step + 2 for step in steps)
-    if candidates > WINDOW_START_BUDGET:
-        raise RegimeError(
-            f"j_scan = {j_scan} gives {candidates} candidate window starts, more than "
-            f"the budget of {WINDOW_START_BUDGET}"
-        )
-    if sizes[-1] > WINDOW_LENGTH_BUDGET:
-        raise RegimeError(
-            f"window length {sizes[-1]} is over the budget of {WINDOW_LENGTH_BUDGET}"
-        )
+    check_budget(f"j_scan = {j_scan} gives {candidates} candidate window starts, which",
+                 candidates, WINDOW_START_BUDGET)
+    check_budget(f"window length {sizes[-1]}", sizes[-1], WINDOW_LENGTH_BUDGET)
 
     starts = [_window_starts(spec.j_min, spec.j_max, n, j_scan, step)
               for n, step in zip(sizes, steps)]
@@ -316,8 +311,7 @@ def gamma2_series_test(
     check_magnitude("|lambda|", lambda_abs, open=True)
     if n_terms < 8:
         raise SpecError(f"need n_terms >= 8, got {n_terms}")
-    if n_terms > SERIES_TERM_BUDGET:
-        raise RegimeError(f"{n_terms} terms are over the budget of {SERIES_TERM_BUDGET}")
+    check_budget(f"a series of {n_terms} terms", n_terms, SERIES_TERM_BUDGET)
     check_tolerance(tol)
 
     log_mu = math.log(mu_abs)
@@ -411,10 +405,7 @@ def check_lattice_window(window: tuple[int, int, int, int]) -> None:
     if i_hi < i_lo or j_hi < j_lo:
         raise RegimeError(f"degenerate window: {window}")
     points = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
-    if points > LATTICE_COLUMN_BUDGET:
-        raise RegimeError(
-            f"a lattice window of {points} points is over the budget of {LATTICE_COLUMN_BUDGET}"
-        )
+    check_budget(f"a lattice window of {points} points", points, LATTICE_COLUMN_BUDGET)
 
 
 def _lattice_stack(

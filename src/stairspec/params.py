@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import DiagramProfile, Side, StructureReport, float_drops, m_exact, validate
-from .extnum import ExtReal, RegimeError, SpecError
+from .extnum import ExtReal, RegimeError, SpecError, check_budget
 
 
 def require_nonsimple(structure: StructureReport) -> None:
@@ -98,11 +98,11 @@ class ParamEstimates:
 # benchmark's deep_tails workload against 0 at 2**15, and ``float_drops`` took
 # 5.9-6.2 ns per element against 0.83 ns (timeit, glibc 2.36, 2-core x86-64 VM).
 _ETA_CHUNK = 1 << 15
-# Both the depth n_max (the rows of one side's eta scan) and the 2 * j_span + 1
-# rows of one slope read must be within this budget; it is checked before any
-# row is read.  At the budget (n_max = 2**20, j_span = 2**19 - 1) one call
-# takes 0.05-0.11 s and 92 MB peak RSS on a 2-core x86-64 VM, most of it in
-# the three slope reads of 2**20 rows.
+# The depth n_max and the 2 * j_span + 1 rows of one slope read must each be
+# within this budget, checked before any row is read.  At n_max = 2**20 on a
+# 2-core x86-64 VM a slope-1 line with j_span = 2**19 - 1 takes 0.05-0.06 s and
+# 71 MB process peak RSS; a steady slope whose eta scan prunes nothing, with
+# j_span = 2, takes 0.52-0.64 s and 36 MB.
 _SCAN_BUDGET = 1 << 20
 
 
@@ -197,13 +197,9 @@ def estimate_params_bruteforce(
         raise SpecError("need n_max >= 2 and j_span >= 0")
     if eta_cutoff is not None and eta_cutoff < 1:
         raise SpecError("need eta_cutoff >= 1")
-    if n_max > _SCAN_BUDGET:
-        raise RegimeError(f"depth n_max = {n_max} is over the budget of {_SCAN_BUDGET}")
-    if 2 * j_span + 1 > _SCAN_BUDGET:
-        raise RegimeError(
-            f"a slope read of {2 * j_span + 1} rows (j_span = {j_span}) is over the "
-            f"budget of {_SCAN_BUDGET}"
-        )
+    check_budget(f"depth n_max = {n_max}", n_max, _SCAN_BUDGET)
+    check_budget(f"a slope read of {2 * j_span + 1} rows (j_span = {j_span})",
+                 2 * j_span + 1, _SCAN_BUDGET)
     if not profile.minus_tail.finite:
         raise RegimeError("minus tail has empty rows inside the scan")
     if not profile.plus_tail.finite:

@@ -736,12 +736,17 @@ def test_oracle_over_a_size_budget_exits_3_before_reading_rows(capsys, monkeypat
     assert "budget of" in captured.err and captured.err.count("\n") == 1
 
 
-# Each grid flag just over the points budget of 2**20, refused before any
-# membership is evaluated or any output file is opened.
+# Each grid flag just over the points budget of 2**20, and far over it with
+# factors of 4,300 digits (the longest int a flag takes, whose product no
+# str() writes), refused before any membership is evaluated or any output
+# file is opened.
 GRID_OVER_BUDGET = {
     "resolution": ["sample", "--resolution", "1025", "--out", "OUT"],
     "width-height": ["raster", "--width", "1024", "--height", "1025", "--out", "OUT"],
     "mc-samples": ["report", "--mc-samples", str(2**20 + 1)],
+    "resolution-4300-digits": ["sample", "--resolution", "9" * 4300, "--out", "OUT"],
+    "width-height-4300-digits": ["raster", "--width", "9" * 4300, "--height", "9" * 4300,
+                                 "--out", "OUT"],
 }
 
 
@@ -928,14 +933,12 @@ class TestOneDocumentOrOneFile:
 class TestExitCodeIsTheBaseClass:
     """Each refusal exits by its type: SpecError 2, RegimeError 3."""
 
-    def test_every_raise_names_an_exit_base(self):
-        """Each ``raise`` in the package names SpecError or RegimeError, but
-        for one protocol raise (argparse's usage error, itself an exit 2) and
-        two faults that no input can reach; and those two are the package's
-        only exception classes."""
+    @staticmethod
+    def _raises():
+        """(module file, enclosing function, raise statement) for each raise
+        in the package."""
 
         def raises(node, where):
-            """(enclosing function, raise statement) for each raise below node."""
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield from raises(child, child.name)
@@ -944,14 +947,21 @@ class TestExitCodeIsTheBaseClass:
                     yield where, child
                 yield from raises(child, where)
 
-        others = set()
         for path in sorted(Path(stairspec.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for where, node in raises(tree, "<module>"):
-                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = ast.unparse(raised) if raised else "a bare re-raise"
-                if name not in ("SpecError", "RegimeError"):
-                    others.add((path.name, where, name))
+            for where, node in raises(ast.parse(path.read_text(encoding="utf-8")), "<module>"):
+                yield path.name, where, node
+
+    def test_every_raise_names_an_exit_base(self):
+        """Each ``raise`` in the package names SpecError or RegimeError, but
+        for one protocol raise (argparse's usage error, itself an exit 2) and
+        two faults that no input can reach; and those two are the package's
+        only exception classes."""
+        others = set()
+        for file, where, node in self._raises():
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(raised) if raised else "a bare re-raise"
+            if name not in ("SpecError", "RegimeError"):
+                others.add((file, where, name))
         assert others == {
             ("cli.py", "_magnitude", "argparse.ArgumentTypeError"),
             ("diagram.py", "_check_transpose", "AssertionError"),
@@ -963,6 +973,16 @@ class TestExitCodeIsTheBaseClass:
             if issubclass(cls, BaseException) and cls.__module__ == info.name
         ]
         assert sorted(cls.__name__ for cls in defined) == ["RegimeError", "SpecError"]
+
+    def test_every_size_budget_is_refused_by_check_budget(self):
+        """No raise but the one in ``extnum.check_budget`` has a message that
+        mentions a budget: every probe, grid and scan refuses through it."""
+        refusals = {
+            (file, where) for file, where, node in self._raises()
+            if any(isinstance(text, ast.Constant) and "budget" in str(text.value)
+                   for text in ast.walk(node))
+        }
+        assert refusals == {("extnum.py", "check_budget")}
 
     @pytest.mark.parametrize(
         "command,extra", [(["fringe"], []), (["oracle", "fringe"], ["--lambda", "0.5"])],

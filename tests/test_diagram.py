@@ -37,7 +37,7 @@ from stairspec.diagram import (
     validate,
 )
 from stairspec.extnum import EXT_INF, ExtReal, RegimeError, SpecError
-from stairspec.params import compute_params
+from stairspec.params import compute_params, estimate_params_bruteforce
 from stairspec.shifts import fringe_operator
 
 from conftest import (
@@ -388,6 +388,32 @@ class TestExactEvaluator:
         clone = copier(profile)
         assert clone == profile
         assert m_exact(clone, range(-50, 50)).tolist() == rows
+
+    def test_a_piece_pulled_past_int64_leaves_int64_reads_exact(self):
+        """Equal slopes in a row keep the third piece's offset small while it
+        starts at 10**20 + 2; reads below it stay in int64, on either side."""
+        tail = GeometricBlocksTail((FR(0), FR(1), FR(1), FR(0)), 10**20, 1)
+        small, big = np.arange(11), np.array([10**20 + k for k in (-1, 0, 2, 7)], dtype=object)
+        for side in tail.sides:
+            for ts in (small, big, small):
+                want = [_reference_rise(tail, int(t), side) for t in ts]
+                assert tail.rises(ts, side).tolist() == want
+
+    def test_a_side_free_tail_builds_one_piece_table(self, monkeypatch):
+        """A block tail's pieces are the same on either side, so its rises and
+        runs share one table; the estimator builds that one and the periodic
+        plus tail's."""
+        built = []
+        init = D._PieceTable.__init__
+        monkeypatch.setattr(D._PieceTable, "__init__",
+                            lambda table, pieces: built.append(table) or init(table, pieces))
+        profile = gb01_profile()
+        m_exact(profile, [-5])
+        profile.minus_tail.runs(1, 40)
+        assert len(built) == 1
+        built.clear()
+        estimate_params_bruteforce(gb01_profile(), 10**6, 2)
+        assert len(built) == 2
 
 
 @st.composite

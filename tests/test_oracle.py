@@ -86,7 +86,7 @@ class TestScanBudget:
     def test_series_term_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(oracle, "SERIES_TERM_BUDGET", 64)
         gamma2_series_test(half_lines_profile(), 0.5, 0.6, 64)
-        with pytest.raises(RegimeError, match="65 terms are over the budget of 64"):
+        with pytest.raises(RegimeError, match="a series of 65 terms is over the budget of 64"):
             gamma2_series_test(half_lines_profile(), 0.5, 0.6, 65)
 
     def test_lattice_column_budget_is_inclusive(self, monkeypatch):

@@ -97,6 +97,8 @@ _DEEP = {
     "plus_tail": _tail("periodic", period=1, rise=1),
 }
 
+_BIG_START = _tail("geometric", slopes=["0/1", 1, 1, "0/1"], ratio=10**20, base_len=1)
+
 
 def _one_row(j_lo, value, minus, plus):
     return {"window": {"j_lo": j_lo, "values": [value]}, "minus_tail": minus, "plus_tail": plus}
@@ -128,6 +130,9 @@ def _run(argv: list[str]) -> tuple[int, str]:
 # eta+ beyond float64 while the first drops are not
 @example(_one_row(0, 0, _tail("periodic", period=1, rise=1),
                   _tail("geometric", slopes=["0", str(10**400)], ratio=2, base_len=100)), "taylor")
+# a block tail whose third piece starts at 10**20 + 2 with a small offset, on either side
+@example(_one_row(0, 0, _tail("periodic", period=1, rise=0), _BIG_START), "taylor")
+@example(_one_row(0, 0, _BIG_START, _tail("periodic", period=1, rise=1)), "gamma3")
 def test_spec_documents_exit_0_2_or_3(doc, region):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
