@@ -225,7 +225,10 @@ def check_tolerance(tol: float) -> None:
 
 def check_budget(what: str, size: int, budget: int) -> None:
     """Reject a probe, grid or scan whose ``size`` is over ``budget``; ``what``
-    names it, with its size, in the message.  Callers check before they allocate."""
+    names it in the message by the inputs it was given, or the factors whose
+    product ``size`` is, never by a count derived from them: an input of
+    4,300 digits, the most ``int()`` reads, makes counts that ``str()``
+    refuses to write.  Callers check before they allocate."""
     if size > budget:
         raise RegimeError(f"{what} is over the budget of {budget}")
 

@@ -18,6 +18,9 @@ checks:
 from __future__ import annotations
 
 import bisect
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import sys
@@ -118,15 +121,31 @@ def _visit_order(starts: list[int], n: int, inner: tuple[int, int] | None) -> li
     return sorted(starts, key=lambda s: (not s <= p <= s + n - m, abs(s - p)))
 
 
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK extension, ``scipy/linalg/_flapack``, loaded from
+    its file without running the ``scipy`` or ``scipy.linalg`` package inits,
+    which import ``numpy.f2py``, ``numpy.testing`` and ``numpy.random`` and
+    cost far more than the extension.  CPython keeps one copy of such an
+    extension per process, so a later ``import scipy.linalg`` reuses it and
+    ``scipy.linalg.lapack.dstebz`` is this module's ``dstebz``."""
+    linalg = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/linalg"
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _stebz(diag: np.ndarray, off: np.ndarray, top: float | None = None) -> np.ndarray:
-    """LAPACK dstebz on the tridiagonal (diag, off), with the arguments
+    """LAPACK dstebz on the tridiagonal (diag, off), from scipy's own f2py
+    wrapper (see :func:`_flapack`) and with the arguments
     ``scipy.linalg.eigvalsh_tridiagonal`` passes it: the smallest eigenvalue
     (select "i", range (0, 0)); or, given ``top``, the eigenvalues in
     (-1, top] (select "v").  For the latter the tolerance is top + 2, as
     wide as the range, which ends the bisection at once: the call only
-    counts them."""
-    from scipy.linalg.lapack import dstebz
-
+    counts them.  The window scan needs no other routine, so it reaches this
+    one without importing ``scipy.linalg``."""
+    dstebz = _flapack().dstebz
     if top is None:
         m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
     else:
@@ -243,8 +262,8 @@ def window_smin_scan(
     check_magnitude("|lambda|", lambda_abs)
     steps = [max(1, n // 4) for n in sizes]
     candidates = sum(2 * j_scan // step + 2 for step in steps)
-    check_budget(f"j_scan = {j_scan} gives {candidates} candidate window starts, which",
-                 candidates, WINDOW_START_BUDGET)
+    check_budget(f"the sweep of candidate window starts for j_scan = {j_scan} over sizes "
+                 f"{', '.join(map(str, sizes))}", candidates, WINDOW_START_BUDGET)
     check_budget(f"window length {sizes[-1]}", sizes[-1], WINDOW_LENGTH_BUDGET)
 
     starts = [_window_starts(spec.j_min, spec.j_max, n, j_scan, step)
@@ -404,8 +423,9 @@ def check_lattice_window(window: tuple[int, int, int, int]) -> None:
     i_lo, i_hi, j_lo, j_hi = window
     if i_hi < i_lo or j_hi < j_lo:
         raise RegimeError(f"degenerate window: {window}")
-    points = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
-    check_budget(f"a lattice window of {points} points", points, LATTICE_COLUMN_BUDGET)
+    columns, rows = i_hi - i_lo + 1, j_hi - j_lo + 1
+    check_budget(f"a lattice window of {columns} x {rows} points", columns * rows,
+                 LATTICE_COLUMN_BUDGET)
 
 
 def _lattice_stack(

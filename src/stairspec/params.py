@@ -198,7 +198,7 @@ def estimate_params_bruteforce(
     if eta_cutoff is not None and eta_cutoff < 1:
         raise SpecError("need eta_cutoff >= 1")
     check_budget(f"depth n_max = {n_max}", n_max, _SCAN_BUDGET)
-    check_budget(f"a slope read of {2 * j_span + 1} rows (j_span = {j_span})",
+    check_budget(f"a slope read of 2 * j_span + 1 rows at j_span = {j_span}",
                  2 * j_span + 1, _SCAN_BUDGET)
     if not profile.minus_tail.finite:
         raise RegimeError("minus tail has empty rows inside the scan")

@@ -625,7 +625,8 @@ class TestFringeAndOracle:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric-regime error: j_scan = 1000000000 gives")
+        assert err.startswith("numeric-regime error: the sweep of candidate window starts "
+                              "for j_scan = 1000000000 over sizes 16, 64 is over")
         assert "budget of 65536" in err
 
     def test_oracle_t3_over_budget_exits_3_before_any_rung(self, capsys, monkeypatch):
@@ -646,7 +647,7 @@ class TestFringeAndOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "numeric-regime error: a lattice window of 66049 points is over the budget of 65536"
+            "numeric-regime error: a lattice window of 257 x 257 points is over the budget of 65536"
         )
 
     @pytest.mark.parametrize("lam", ["0.5", "0.9"])
@@ -736,17 +737,12 @@ def test_oracle_over_a_size_budget_exits_3_before_reading_rows(capsys, monkeypat
     assert "budget of" in captured.err and captured.err.count("\n") == 1
 
 
-# Each grid flag just over the points budget of 2**20, and far over it with
-# factors of 4,300 digits (the longest int a flag takes, whose product no
-# str() writes), refused before any membership is evaluated or any output
-# file is opened.
+# Each grid flag just over the points budget of 2**20, refused before any
+# membership is evaluated or any output file is opened.
 GRID_OVER_BUDGET = {
     "resolution": ["sample", "--resolution", "1025", "--out", "OUT"],
     "width-height": ["raster", "--width", "1024", "--height", "1025", "--out", "OUT"],
     "mc-samples": ["report", "--mc-samples", str(2**20 + 1)],
-    "resolution-4300-digits": ["sample", "--resolution", "9" * 4300, "--out", "OUT"],
-    "width-height-4300-digits": ["raster", "--width", "9" * 4300, "--height", "9" * 4300,
-                                 "--out", "OUT"],
 }
 
 
@@ -766,6 +762,35 @@ def test_grid_over_its_points_budget_exits_3_before_evaluating(
     assert captured.out == ""
     assert captured.err.startswith("numeric-regime error: a grid of ")
     assert captured.err.endswith("points is over the budget of 1048576\n")
+    assert not out.exists()
+
+
+# Each size flag at 4,300 digits, the longest int a flag takes, with the
+# command it belongs to and the options after the spec: the counts derived
+# from it are longer than any str() writes, so no refusal may print one.
+NINES = "9" * 4300
+ORACLE_POINT = ["--mu", "0.5", "--lambda", "0.5"]
+FLAGS_AT_4300_DIGITS = {
+    "window": (["oracle", "t3"], [*ORACLE_POINT, "--window", NINES]),
+    "j-scan": (["oracle", "fringe"], [*ORACLE_POINT, "--sizes", "2,3", "--j-scan", NINES]),
+    "sizes": (["oracle", "fringe"], [*ORACLE_POINT, "--sizes", f"2,{NINES}"]),
+    "terms": (["oracle", "gamma2"], [*ORACLE_POINT, "--terms", NINES]),
+    "resolution": (["sample"], ["--resolution", NINES, "--out"]),
+    "width-height": (["raster"], ["--width", NINES, "--height", NINES, "--out"]),
+}
+
+
+@pytest.mark.parametrize("command,options", list(FLAGS_AT_4300_DIGITS.values()),
+                         ids=list(FLAGS_AT_4300_DIGITS))
+def test_a_flag_of_4300_digits_exits_3(capsys, tmp_path, command, options):
+    out = tmp_path / "out"
+    if options[-1] == "--out":
+        options = [*options, str(out)]
+    assert main([*command, spec("wold_mixed_pair"), *options]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric-regime error: ")
+    assert "budget of" in captured.err and captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -1155,6 +1180,36 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout.strip() == "False"
+
+
+# Commands whose process never imports the scipy.linalg package, with their
+# options after the spec; the window scan of oracle fringe loads scipy's
+# LAPACK extension on its own.
+COMMANDS_WITHOUT_SCIPY_LINALG = {
+    "oracle-fringe": (["oracle", "fringe"], ["--mu", "0.5", "--lambda", "0.05"]),
+    "oracle-gamma2": (["oracle", "gamma2"], ["--mu", "0.5", "--lambda", "0.5"]),
+    "fringe": (["fringe"], ["--mu", "0.5"]),
+    "member": (["member"], ["--mu", "0.5", "--lambda", "0.5"]),
+    "report": (["report"], ["--mc-samples", "1000"]),
+}
+
+
+@pytest.mark.parametrize("command,options", list(COMMANDS_WITHOUT_SCIPY_LINALG.values()),
+                         ids=list(COMMANDS_WITHOUT_SCIPY_LINALG))
+def test_command_leaves_scipy_linalg_unloaded(command, options):
+    env = {**os.environ, "PYTHONPATH": str(Path(stairspec.__file__).resolve().parents[1])}
+    code = (
+        "import contextlib, io, sys\n"
+        "from stairspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *command, spec("half_lines_1_2"), *options],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert result.stdout.split() == ["False", str(command == ["oracle", "fringe"])]
 
 
 class TestArrayOutputsMatchScalar:

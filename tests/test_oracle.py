@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -65,10 +66,16 @@ class TestScanBudget:
         monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", 20)
         # steps 4 and 16: 2 * 27 // 4 + 2 + 2 * 27 // 16 + 2 == 20
         window_smin_scan(spec, 0.3, [16, 64], j_scan=27)
-        with pytest.raises(RegimeError, match="gives 21 candidate window starts"):
+        with pytest.raises(RegimeError, match="j_scan = 28 over sizes 16, 64 is over the "
+                                              "budget of 20"):
             window_smin_scan(spec, 0.3, [16, 64], j_scan=28)
-        with pytest.raises(RegimeError, match="gives 24 candidate window starts"):
-            window_smin_scan(spec, 0.3, [2, 3], j_scan=5)  # steps 1 and 1
+        # steps 1 and 1: 2 * 5 // 1 + 2 twice is 24
+        monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", 24)
+        window_smin_scan(spec, 0.3, [2, 3], j_scan=5)
+        monkeypatch.setattr(oracle, "WINDOW_START_BUDGET", 23)
+        with pytest.raises(RegimeError, match="the sweep of candidate window starts for "
+                                              "j_scan = 5 over sizes 2, 3 is over"):
+            window_smin_scan(spec, 0.3, [2, 3], j_scan=5)
 
     def test_largest_benchmarked_scan_is_well_inside(self, monkeypatch):
         spec = fringe_operator(gb01_profile(), 0.5)
@@ -92,7 +99,7 @@ class TestScanBudget:
     def test_lattice_column_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(oracle, "LATTICE_COLUMN_BUDGET", 81)
         joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 4, -4, 4))
-        with pytest.raises(RegimeError, match="window of 90 points is over the budget of 81"):
+        with pytest.raises(RegimeError, match="window of 10 x 9 points is over the budget of 81"):
             joint_adjoint_kernel_smin(line_profile(), 0.5, 0.5, (-4, 5, -4, 4))
 
     def test_budgets_admit_every_size_in_use(self):
@@ -430,17 +437,25 @@ class TestScanSharedRead:
         assert solves <= ceiling
 
     def test_stebz_failure_is_a_regime_error(self, monkeypatch):
-        import scipy.linalg.lapack
-
-        dstebz = scipy.linalg.lapack.dstebz
+        dstebz = oracle._flapack().dstebz
 
         def failing(*args):
             return (*dstebz(*args)[:4], 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+        monkeypatch.setattr(oracle, "_flapack", lambda: SimpleNamespace(dstebz=failing))
         spec = fringe_operator(line_profile(), 0.5)
         with pytest.raises(RegimeError, match="stebz did not converge"):
             window_smin_scan(spec, 0.5, [16, 64], j_scan=4)
+
+    def test_stebz_is_scipy_lapack_routine(self):
+        """The scan's dstebz is the one ``scipy.linalg.lapack`` exports, and
+        a scan answers bit for bit the same before and after a t3 probe has
+        used scipy.linalg in the same process."""
+        spec = fringe_operator(half_lines_profile(), 0.5)
+        before = window_smin_scan(spec, 0.05, [16, 64, 256], j_scan=64)
+        joint_adjoint_kernel_smin(half_lines_profile(), 0.5, 0.05, (-4, 4, -4, 4))
+        assert oracle._flapack().dstebz is scipy.linalg.lapack.dstebz
+        assert window_smin_scan(spec, 0.05, [16, 64, 256], j_scan=64) == before
 
 
 class TestTranslationInvariance:
