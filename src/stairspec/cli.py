@@ -2,16 +2,18 @@
 
 Subcommands: validate | report | params | member | sample | raster | fringe |
 oracle {fringe,gamma2,t3}.  Diagram specs are JSON documents; see the README
-for the schema.  Every refusal is one of the library's two error types,
-and the exit code says which; stderr carries its message, which names the
-check that refused.  0 ok, 2 for a ``SpecError`` (a malformed or invalid
-spec, a flag value no command can run with, or an output file that cannot
-be written), 3 for a ``RegimeError`` (a valid spec whose requested
+for the schema.  Every refusal is one of the library's two error types or
+an output that cannot be written, and the exit code says which; stderr
+carries one line, which names the check that refused.  0 ok, 2 for a
+``SpecError`` (a malformed or invalid spec, or a flag value no command can
+run with), 3 for a ``RegimeError`` (a valid spec whose requested
 computation is outside its numeric regime: a simple diagram asked for its
 parameters, regions or fringe shift, ``fringe`` and ``oracle fringe``
 included; a magnitude out of range or NaN, a scan through non-finite rows,
 border differences beyond float64, a probe or grid over one of its size
-budgets, a sparse eigensolver that does not converge).  A command line that does not
+budgets, a sparse eigensolver that does not converge), 4 for an
+``OutputError`` (an ``--out`` file that cannot be opened or written, or a
+standard output that is full or closed).  A command line that does not
 parse, a malformed ``--mu`` or ``--lambda`` included, is argparse's usage
 error and exits 2 as well.
 """
@@ -23,6 +25,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -48,6 +51,7 @@ from .shifts import ShiftKind, fringe_operator, ridge_bounds
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
 EXIT_REGIME_ERROR = 3
+EXIT_OUTPUT_ERROR = 4
 
 COLOR_IN = (30, 30, 200)
 COLOR_BOUNDARY = (240, 200, 40)
@@ -86,14 +90,18 @@ def _magnitude(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a real or 're,im', got {text!r}") from exc
 
 
+class OutputError(Exception):
+    """An output that cannot be opened or written."""
+
+
 @contextlib.contextmanager
 def _output(path: str, mode: str, **kwargs):
-    """``path`` opened for writing; failing to open or write it is a ``SpecError``."""
+    """``path`` opened for writing; failing to open or write it is an ``OutputError``."""
     try:
         with open(path, mode, **kwargs) as handle:
             yield handle
     except OSError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+        raise OutputError(f"{path}: {exc}") from exc
 
 
 def _regions(profile: DiagramProfile) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
@@ -353,14 +361,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = args.func(_load_profile(args.spec), args)
         if doc is not None:  # sample and raster write their file and print nothing
-            json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            try:
+                json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+                sys.stdout.write("\n")
+                sys.stdout.flush()
+            except OSError as exc:
+                # Python's recipe for a closed pipe: stdout points at devnull,
+                # so the flush at shutdown writes nothing more.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise OutputError(f"standard output: {exc}") from exc
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except RegimeError as exc:
         print(f"numeric-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME_ERROR
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
     return EXIT_OK
 
 

@@ -92,8 +92,8 @@ class ParamEstimates:
     rho_plus: float
 
 
-# The eta scan reads the border in blocks of at most ``_ETA_CHUNK`` steps.  A
-# block of int64 or float64 is 256 KiB.  At 2**16 steps (512 KiB) every
+# The eta scan reads the border in slices of at most ``_ETA_CHUNK`` steps.  A
+# slice of int64 or float64 is 256 KiB.  At 2**16 steps (512 KiB) every
 # temporary was page-faulted in afresh: 3,168 minor faults per pass of the
 # benchmark's deep_tails workload against 0 at 2**15, and ``float_drops`` took
 # 5.9-6.2 ns per element against 0.83 ns (timeit, glibc 2.36, 2-core x86-64 VM).
@@ -101,8 +101,8 @@ _ETA_CHUNK = 1 << 15
 # The depth n_max and the 2 * j_span + 1 rows of one slope read must each be
 # within this budget, checked before any row is read.  At n_max = 2**20 on a
 # 2-core x86-64 VM a slope-1 line with j_span = 2**19 - 1 takes 0.05-0.06 s and
-# 71 MB process peak RSS; a steady slope whose eta scan prunes nothing, with
-# j_span = 2, takes 0.52-0.64 s and 36 MB.
+# 71 MB process peak RSS; a steady slope whose runs all reach 2**53, so that
+# the eta scan reads every step, with j_span = 2, takes 0.73-0.75 s and 51 MB.
 _SCAN_BUDGET = 1 << 20
 
 
@@ -123,13 +123,9 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
     that reach 2**53 are read whole.  The far end of every run is read
     first, so ``t_last`` always is.
 
-    Bounds.  On [lo, hi] every quotient is at most g(hi) / lo, and since
-    float rounding is monotone, ``float(g(hi)) / lo`` bounds every quotient
-    the scan computes there.  The ranges left to read are cut into blocks
-    of at most ``_ETA_CHUNK`` steps, visited by descending bound; the scan
-    stops at the first bound that cannot beat the running maximum.  A value
-    never read is never the maximum, so the result is that of the whole
-    range.
+    The kept steps are read in one ascending index array, in slices of at
+    most ``_ETA_CHUNK`` steps; a float ``max`` does not round, so the result
+    is that of the whole range.
     """
     s = -1 if side is Side.MINUS else 1
     tail = profile.minus_tail if s < 0 else profile.plus_tail
@@ -151,19 +147,11 @@ def _eta_max(profile: DiagramProfile, side: Side, m0: np.ndarray, t_first: int, 
             else:
                 spans.append((a, b))
 
-    los = [np.arange(lo, hi + 1, _ETA_CHUNK) for lo, hi in spans]
-    his = np.concatenate([np.minimum(starts + _ETA_CHUNK - 1, hi)
-                          for starts, (_, hi) in zip(los, spans)])
-    los = np.concatenate(los)
-    bounds = rises(s * his) / los
+    ts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
     best = -math.inf
-    for k in np.argsort(-bounds, kind="stable"):
-        if bounds[k] <= best:
-            break
-        lo, hi = int(los[k]), int(his[k])
-        quotients = rises(range(s * lo, s * (hi + 1), s))
-        quotients /= np.arange(lo, hi + 1, dtype=np.float64)
-        best = max(best, quotients.max())
+    for k in range(0, len(ts), _ETA_CHUNK):
+        chunk = ts[k:k + _ETA_CHUNK]
+        best = max(best, (rises(s * chunk) / chunk).max())
     return float(best)
 
 
@@ -186,10 +174,9 @@ def estimate_params_bruteforce(
     along one residue class mod P both the rise g and t grow linearly, so
     g / t is monotone, and while g < 2**53 so is the rounded quotient, whose
     maximum is then at an end of the class.  A run whose far-end rise
-    reaches 2**53 is read whole.  The scan also skips the blocks that cannot
-    raise its maximum (see :func:`_eta_max`) and reads the rest in blocks of
-    at most ``_ETA_CHUNK`` values, so memory stays O(j_span + _ETA_CHUNK)
-    plus one bound per block.
+    reaches 2**53 is read whole.  The kept steps are read in slices of at most
+    ``_ETA_CHUNK`` values, so memory is O(j_span + _ETA_CHUNK) plus one int64
+    per kept step, at most n_max per side.
     Requires both tails finite over the scan, n_max and 2 * j_span + 1 within
     ``_SCAN_BUDGET``; raises ``RegimeError`` otherwise.
     """

@@ -382,15 +382,40 @@ class TestRaster:
      ["raster", spec("half_lines_1_2"), "--width", "16", "--height", "16"]],
     ids=["sample", "raster"],
 )
-def test_output_in_a_missing_directory_exits_2(capsys, tmp_path, argv):
+def test_output_in_a_missing_directory_exits_4(capsys, tmp_path, argv):
     out_path = str(tmp_path / "missing" / "out")
-    assert main([*argv, "--out", out_path]) == 2
+    assert main([*argv, "--out", out_path]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"spec error: {out_path}: [Errno 2] No such file or directory: {out_path!r}\n"
+        f"output error: {out_path}: [Errno 2] No such file or directory: {out_path!r}\n"
     )
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv, stdout, message", [
+    (["validate", spec("line_slope1")], None,
+     "output error: standard output: [Errno 32] Broken pipe"),
+    (["validate", spec("line_slope1")], "/dev/full",
+     "output error: standard output: [Errno 28] No space left on device"),
+    (["raster", spec("line_slope1"), "--width", "16", "--height", "16", "--out", "/dev/full"],
+     os.devnull, "output error: /dev/full: [Errno 28] No space left on device"),
+], ids=["closed_stdout", "full_stdout", "full_out"])
+def test_a_failed_output_exits_4_with_one_line(argv, stdout, message):
+    """Standard output is a pipe whose reader is gone, or a file."""
+    if stdout is None:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    else:
+        fd = os.open(stdout, os.O_WRONLY)
+    env = {**os.environ, "PYTHONPATH": str(Path(stairspec.__file__).resolve().parents[1])}
+    try:
+        result = subprocess.run([sys.executable, "-m", "stairspec.cli", *argv],
+                                stdout=fd, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(fd)
+    assert (result.returncode, result.stderr) == (4, message + "\n")
 
 
 def _periodic_minus_spec(tmp_path, rise: int) -> str:
@@ -956,7 +981,8 @@ class TestOneDocumentOrOneFile:
 
 
 class TestExitCodeIsTheBaseClass:
-    """Each refusal exits by its type: SpecError 2, RegimeError 3."""
+    """Each refusal exits by its type: SpecError 2, RegimeError 3, and the
+    CLI's OutputError 4."""
 
     @staticmethod
     def _raises():
@@ -978,9 +1004,9 @@ class TestExitCodeIsTheBaseClass:
 
     def test_every_raise_names_an_exit_base(self):
         """Each ``raise`` in the package names SpecError or RegimeError, but
-        for one protocol raise (argparse's usage error, itself an exit 2) and
-        two faults that no input can reach; and those two are the package's
-        only exception classes."""
+        for the CLI's two output failures, one protocol raise (argparse's
+        usage error, itself an exit 2) and two faults that no input can
+        reach; and those three are the package's only exception classes."""
         others = set()
         for file, where, node in self._raises():
             raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -988,6 +1014,8 @@ class TestExitCodeIsTheBaseClass:
             if name not in ("SpecError", "RegimeError"):
                 others.add((file, where, name))
         assert others == {
+            ("cli.py", "_output", "OutputError"),
+            ("cli.py", "main", "OutputError"),
             ("cli.py", "_magnitude", "argparse.ArgumentTypeError"),
             ("diagram.py", "_check_transpose", "AssertionError"),
             ("extnum.py", "__setattr__", "AttributeError"),
@@ -997,7 +1025,8 @@ class TestExitCodeIsTheBaseClass:
             for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
             if issubclass(cls, BaseException) and cls.__module__ == info.name
         ]
-        assert sorted(cls.__name__ for cls in defined) == ["RegimeError", "SpecError"]
+        assert sorted(cls.__name__ for cls in defined) == [
+            "OutputError", "RegimeError", "SpecError"]
 
     def test_every_size_budget_is_refused_by_check_budget(self):
         """No raise but the one in ``extnum.check_budget`` has a message that

@@ -300,8 +300,8 @@ def _crossing_scans(draw):
 
 
 class TestPrunedEtaScan:
-    """The eta scan reads only the ends of a tail's runs and skips blocks
-    whose bound cannot raise its maximum."""
+    """The eta scan reads only the ends of a tail's long runs, and reads
+    every step it keeps."""
 
     @given(_finite_profiles(), st.sampled_from([1, 3, 64]),
            st.integers(2, 400), st.integers(0, 6), st.none() | st.integers(1, 400))
@@ -356,17 +356,22 @@ class TestPrunedEtaScan:
                 monkeypatch.setattr(params, name, counted(getattr(diagram, name)))
         return reads
 
-    def test_ties_skip_blocks(self, monkeypatch):
-        """On a slope-1 line every quotient is exactly 1: a block of one step
-        bounds at 1, which ties the maximum and is skipped."""
-        monkeypatch.setattr(params, "_ETA_CHUNK", 1)
+    def test_each_side_reads_its_far_ends_then_its_kept_steps(self, monkeypatch):
+        """Depth 10**6 on the slope-(0, 1) block tail: each side of the eta
+        scan reads all its run ends in one call, then its kept steps in one."""
         reads = self._reads(monkeypatch)
-        est = estimate_params_bruteforce(line_profile(), 200, 0, 10)
-        assert est.eta_minus == est.eta_plus == 1.0
-        # the window rows and M_0, then per side: the far end of the one
-        # period-1 run, the bounds of its first and last step, and the single
-        # value of the first visited
-        assert reads == [1, 1, 1, 1, 1, 2, 1, 1, 2, 1]
+        estimate_params_bruteforce(gb01_profile(), 10**6, 2)
+        # the window starts, both slope reads and M_0, then two calls per side
+        assert reads[:4] == [5, 5, 5, 1]
+        assert len(reads) == 8
+        assert max(reads[4:]) <= params._ETA_CHUNK
+
+    def test_long_period_tails_equal_whole_range(self):
+        """Runs far longer than the chunk: each is kept at its first and last
+        period, and those steps span several slices."""
+        profile = DiagramProfile(0, (0,), PeriodicTail(100000, 1), PeriodicTail(99991, 3))
+        est = estimate_params_bruteforce(profile, 10**6, 2)
+        assert _hexes(est) == _whole_range(profile, 10**6, 2, None)
 
     def test_criterion_5_profile_reads_under_1000_values(self, monkeypatch):
         """Depth 10**6 on the slope-(0, 1) block tail: 2 * 10**6 values in range."""

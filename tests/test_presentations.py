@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from stairspec.diagram import m_exact, transpose, validate
 from stairspec.extnum import RegimeError, SpecError
-from stairspec.oracle import gamma2_series_test, window_smin_scan
+from stairspec.oracle import gamma2_series_test, joint_adjoint_kernel_smin, window_smin_scan
 from stairspec.params import compute_params
 from stairspec.regions import region_triple
 from stairspec.shifts import fringe_operator, ridge_bounds, sigma_ap_predict
@@ -70,7 +70,8 @@ def test_every_answer_is_the_same(case):
 @given(presentations(translated=False))
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 def test_oracles_are_bit_identical(case):
-    """Window scans and series probes, untranslated: equal to the last bit."""
+    """Window scans, series probes and the t3 witness, untranslated: equal
+    to the last bit."""
     profile, other, _ = case
     if validate(profile).is_simple:
         return
@@ -80,3 +81,9 @@ def test_oracles_are_bit_identical(case):
         assert repr(scans[0]) == repr(scans[1])
         series = [_answer(gamma2_series_test, p, MU, lam, 1024) for p in (profile, other)]
         assert repr(series[0]) == repr(series[1])
+    i_c, j_c = profile.window[-1], profile.j_lo  # one lattice window for both
+    for h in (2, 6):
+        window = (i_c - h, i_c + h, j_c - h, j_c + h)
+        witnesses = [_answer(joint_adjoint_kernel_smin, p, 0.5, 0.5, window)
+                     for p in (profile, other)]
+        assert repr(witnesses[0]) == repr(witnesses[1])
